@@ -146,8 +146,7 @@ def _run_two_to_one(cfg: RunConfig) -> ExampleResult:
     result = ExampleResult()
     result.tables["samples"] = (theta_labels(1), samples)
     result.tables["grid"] = _density_grid_table(solution.density, grid)
-    result.checks.append(pushforward_check(solution, fmap, f_y, m=cfg.samples,
-                                           seed=cfg.seed))
+    result.checks.append(pushforward_check(samples, fmap, f_y, seed=cfg.seed))
     result.checks.append(normalization_check(solution.density))
     return result
 
@@ -161,9 +160,7 @@ def _run_bbe_linear(cfg: RunConfig) -> ExampleResult:
     result = ExampleResult()
     result.tables["samples"] = (theta_labels(2), samples)
     result.tables["grid"] = _density_grid_table(solution.density, grid)
-    fmap = linear_map(A)
-    result.checks.append(pushforward_check(solution, fmap, f_y, m=cfg.samples,
-                                           seed=cfg.seed))
+    result.checks.append(pushforward_check(samples, linear_map(A), f_y, seed=cfg.seed))
     return result
 
 
@@ -175,8 +172,8 @@ def _run_bbe_polar(cfg: RunConfig) -> ExampleResult:
     result = ExampleResult()
     result.tables["samples"] = (theta_labels(2), samples)
     result.tables["grid"] = _density_grid_table(solution.density, grid)
-    result.checks.append(pushforward_check(solution, polar_quadratic_map(), f_y,
-                                           m=cfg.samples, seed=cfg.seed))
+    result.checks.append(pushforward_check(samples, polar_quadratic_map(), f_y,
+                                           seed=cfg.seed))
     result.checks.append(normalization_check(solution.density))
     return result
 
@@ -188,24 +185,13 @@ def _bjw_gauss_instance():
     return A, initial, f_y
 
 
-def _attach_rejection_sampler(solution, proposal=None):
-    def sample(n, seed, workers=None):
-        return bjw_rejection_sample(solution, n, seed, workers=workers,
-                                    proposal=proposal).data
-
-    solution.sample = sample
-    return solution
-
-
 def _run_bjw_gauss_linear(cfg: RunConfig) -> ExampleResult:
     A, initial, f_y = _bjw_gauss_instance()
     fmap = linear_map(A)
-    solution = _attach_rejection_sampler(
-        bjw_density(initial, fmap, f_y, pushforward_density(initial, fmap))
-    )
+    solution = bjw_density(initial, fmap, f_y, pushforward_density(initial, fmap))
     closed = bjw_gaussian_linear(A, f_y.gaussian.mean, f_y.gaussian.cov,
                                  initial.gaussian.mean, initial.gaussian.cov)
-    samples = solution.sample(cfg.samples, cfg.seed)
+    samples = bjw_rejection_sample(solution, cfg.samples, cfg.seed).data
     sd = np.sqrt(np.diag(closed.cov))
     grid = GridSpec(tuple(closed.mean - 4 * sd), tuple(closed.mean + 4 * sd), cfg.grid)
     result = ExampleResult()
@@ -215,8 +201,7 @@ def _run_bjw_gauss_linear(cfg: RunConfig) -> ExampleResult:
     result.params["updated"] = _gaussian_param_entry(closed)
     result.checks.append(grid_compare(solution.density, make_gaussian(closed),
                                       grid, tol=1e-8))
-    result.checks.append(pushforward_check(solution, fmap, f_y, m=cfg.samples,
-                                           seed=cfg.seed))
+    result.checks.append(pushforward_check(samples, fmap, f_y, seed=cfg.seed))
     return result
 
 
@@ -224,15 +209,13 @@ def _run_bjw_kde(cfg: RunConfig) -> ExampleResult:
     A, initial, f_y = _bjw_gauss_instance()
     fmap = linear_map(A)
     exact = bjw_density(initial, fmap, f_y, pushforward_density(initial, fmap))
-    approx = _attach_rejection_sampler(
-        bjw_density(initial, fmap, f_y,
-                    kde_pushforward(initial, fmap, m=cfg.samples, seed=cfg.seed))
-    )
+    approx = bjw_density(initial, fmap, f_y,
+                         kde_pushforward(initial, fmap, m=cfg.samples, seed=cfg.seed))
     closed = bjw_gaussian_linear(A, f_y.gaussian.mean, f_y.gaussian.cov,
                                  initial.gaussian.mean, initial.gaussian.cov)
     sd = np.sqrt(np.diag(closed.cov))
     grid = GridSpec(tuple(closed.mean - 4 * sd), tuple(closed.mean + 4 * sd), cfg.grid)
-    samples = approx.sample(cfg.samples, cfg.seed)
+    samples = bjw_rejection_sample(approx, cfg.samples, cfg.seed).data
     result = ExampleResult()
     result.tables["samples"] = (theta_labels(2), samples)
     result.tables["grid"] = _density_grid_table(approx.density, grid,
@@ -248,16 +231,14 @@ def _run_bjw_sequential(cfg: RunConfig) -> ExampleResult:
     f_y1 = make_gaussian(GaussianParams([0.3], [[0.16]]))
     f_y2 = make_gaussian(GaussianParams([-0.2], [[0.36]]))
     single, double = bjw_sequential_update(initial, fmap, f_y1, f_y2)
-    _attach_rejection_sampler(double, proposal=initial)
-    samples = double.sample(cfg.samples, cfg.seed)
+    samples = bjw_rejection_sample(double, cfg.samples, cfg.seed, proposal=initial).data
     grid = GridSpec((-2.5, -2.5), (2.5, 2.5), cfg.grid)
     result = ExampleResult()
     result.tables["samples"] = (theta_labels(2), samples)
     result.tables["grid"] = _density_grid_table(single.density, grid,
                                                 extra={"double_update": double.density})
     result.checks.append(grid_compare(single.density, double.density, grid, tol=1e-8))
-    result.checks.append(pushforward_check(double, fmap, f_y2, m=cfg.samples,
-                                           seed=cfg.seed))
+    result.checks.append(pushforward_check(samples, fmap, f_y2, seed=cfg.seed))
     return result
 
 
@@ -286,17 +267,8 @@ def _run_stochastic_map_mean(cfg: RunConfig) -> ExampleResult:
                    float(np.max(np.abs(literal.cov - generic.cov))))
     result.checks.append(CheckReport(name="constants_vs_generic", statistic=mismatch,
                                      threshold=1e-10, comparison="le"))
-
-    class _Wrap:
-        has_sampler = True
-
-        @staticmethod
-        def sample(m, seed, workers=None):
-            return solution_density.sample(rng_for(seed, KIND_ROWS, 0), m)
-
     f_y = make_gaussian(GaussianParams(mu_y, spec.sigma_y2 * np.eye(n)))
-    result.checks.append(pushforward_check(_Wrap(), linear_map(A), f_y,
-                                           m=cfg.samples, seed=cfg.seed))
+    result.checks.append(pushforward_check(samples, linear_map(A), f_y, seed=cfg.seed))
     return result
 
 
@@ -324,8 +296,7 @@ def _run_cov_linear_mvn(cfg: RunConfig) -> ExampleResult:
     result.params["augmented_pullback"] = _gaussian_param_entry(
         cov_linear_gaussian(aug, GaussianParams(mu_plus, sigma_plus))
     )
-    result.checks.append(pushforward_check(solution, fmap, f_y, m=cfg.samples,
-                                           seed=cfg.seed))
+    result.checks.append(pushforward_check(samples, fmap, f_y, seed=cfg.seed))
     result.checks.append(grid_compare(solution.density, make_gaussian(pulled),
                                       grid, tol=1e-12))
     return result
@@ -379,8 +350,7 @@ def _run_intuitive_demo(cfg: RunConfig) -> ExampleResult:
     result = ExampleResult()
     result.tables["samples"] = (solution.samples.labels, data)
     result.tables["grid"] = _density_grid_table(solution.density, grid)
-    result.checks.append(pushforward_check(solution, fmap, f_y, m=cfg.samples,
-                                           seed=cfg.seed))
+    result.checks.append(pushforward_check(data, fmap, f_y, seed=cfg.seed))
     images = data.sum(axis=1)
     corr = float(np.corrcoef(images, data[:, 1])[0, 1])
     result.checks.append(CheckReport(name="aux_independence", statistic=abs(corr),
@@ -409,15 +379,17 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    return f"{float(value):.17g}"
+CSV_BLOCK_ROWS = 1024  # rows converted to Python floats at a time
 
 
 def _write_csv(path: Path, labels, rows: np.ndarray) -> None:
+    rows = np.atleast_2d(rows)
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w", newline="") as handle:
         handle.write(",".join(labels) + "\n")
-        for row in np.atleast_2d(rows):
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+        for start in range(0, rows.shape[0], CSV_BLOCK_ROWS):
+            block = rows[start:start + CSV_BLOCK_ROWS].tolist()
+            handle.writelines(line % tuple(row) for row in block)
 
 
 def _json_ready(obj):

@@ -8,8 +8,11 @@ constructions for the two linear/quadratic worked examples, and ratio-form
 updates of an initial density (exact or KDE-approximated) with rejection
 sampling.
 
-Every sampler is row-parallel with per-row generator streams, so results
-are bit-identical for any worker count.
+Every sampler draws row i from its own generator stream (seed, kind, i),
+so results depend only on (seed, row count).  The root-solving and contour
+samplers run rows on a thread pool and are bit-identical for any worker
+count; the rejection sampler advances all rows in lockstep with one ratio
+evaluation per round.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 ROW_RETRIES = 10
 PILOT_SIZE = 512
+REJECTION_MAX_PROPOSALS = 100_000  # per row
 FAILURE_WARN_RATE = 0.05
 
 
@@ -75,10 +79,6 @@ class SipSolution:
     samples: SampleBatch = None
     diagnostics: dict = field(default_factory=dict)
     parts: dict = field(default_factory=dict)
-
-    @property
-    def has_sampler(self) -> bool:
-        return self.sample is not None
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +615,7 @@ def bjw_density(initial: Density, fmap: ForwardMap, f_y: Density,
 
 
 def bjw_rejection_sample(solution: SipSolution, m: int, seed: int,
-                         workers=None, pilot: int = PILOT_SIZE,
+                         pilot: int = PILOT_SIZE,
                          proposal: Density = None) -> SampleBatch:
     """Draw from a ratio-form solution by rejection against a proposal density.
 
@@ -624,6 +624,12 @@ def bjw_rejection_sample(solution: SipSolution, m: int, seed: int,
     instead).  The bound is 1.2 times the largest pilot ratio; if a later
     proposal exceeds it, the bound is doubled and the whole run redone
     (with a warning), keeping the output deterministic in (seed, m).
+
+    Row i proposes and accepts from its own stream (seed, KIND_ROWS, i).  All
+    pending rows advance in lockstep: each round draws one proposal per
+    row, scores the round with one ratio evaluation, and draws one
+    uniform per row, so every stream is consumed exactly as if the rows
+    ran one after another.
     """
     parts = solution.parts
     if not {"initial", "fmap", "f_y", "pushforward"} <= parts.keys():
@@ -664,22 +670,15 @@ def bjw_rejection_sample(solution: SipSolution, m: int, seed: int,
     bound = 1.2 * peak
 
     while True:
-        results = run_rows(
-            lambda i, rng: _reject_row(rng, initial, ratio, bound),
-            m, seed, kind=KIND_ROWS, workers=workers,
+        accepted, n_proposals, over = _reject_rows(initial, ratio, bound, m, seed)
+        if not over:
+            break
+        warnings.warn(
+            f"observed ratio exceeded bound {bound:.6g}; doubling and "
+            "redoing the run",
+            RuntimeWarning,
         )
-        accepted = np.vstack([row for row, _, _ in results]) if m else \
-            np.empty((0, initial.dim))
-        n_proposals = sum(used for _, used, _ in results)
-        if any(over for _, _, over in results):
-            warnings.warn(
-                f"observed ratio exceeded bound {bound:.6g}; doubling and "
-                "redoing the run",
-                RuntimeWarning,
-            )
-            bound *= 2.0
-            continue
-        break
+        bound *= 2.0
 
     solution.diagnostics.update({
         "acceptance_rate": m / n_proposals if n_proposals else float("nan"),
@@ -690,17 +689,35 @@ def bjw_rejection_sample(solution: SipSolution, m: int, seed: int,
     return SampleBatch(data=accepted, labels=theta_labels(initial.dim), seed=seed)
 
 
-def _reject_row(rng, initial, ratio, bound):
-    used = 0
-    for _ in range(100000):
-        theta = initial.sample(rng, 1)
-        used += 1
-        r = float(ratio(theta)[0])
-        if r > bound:
-            return theta[0], used, True
-        if rng.random() * bound <= r:
-            return theta[0], used, False
-    raise NonConvergenceError("rejection sampler made no progress")
+def _reject_rows(initial: Density, ratio, bound: float, m: int, seed: int):
+    """One rejection pass over m rows; returns (rows, proposals, over bound).
+
+    A row ends at its first accepted proposal, or at its first proposal
+    whose ratio exceeds the bound (which flags the whole pass as over).
+    """
+    rngs = [rng_for(seed, KIND_ROWS, i) for i in range(m)]
+    out = np.empty((m, initial.dim))
+    pending = list(range(m))
+    n_proposals = 0
+    over = False
+    for _ in range(REJECTION_MAX_PROPOSALS):
+        if not pending:
+            break
+        theta = np.vstack([initial.sample(rngs[i], 1) for i in pending])
+        n_proposals += len(pending)
+        still = []
+        for i, row, r in zip(pending, theta, ratio(theta).tolist()):
+            if r > bound:
+                over = True
+                out[i] = row
+            elif rngs[i].random() * bound <= r:
+                out[i] = row
+            else:
+                still.append(i)
+        pending = still
+    if pending:
+        raise NonConvergenceError("rejection sampler made no progress")
+    return out, n_proposals, over
 
 
 def bjw_sequential_update(initial: Density, fmap: ForwardMap, f_y1: Density,

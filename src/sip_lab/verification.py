@@ -161,22 +161,23 @@ def energy_distance_test(x: np.ndarray, y: np.ndarray, n_permutations: int = 200
     return float(observed), p_value
 
 
-def pushforward_check(solution, fmap, f_y: Density, m: int = 10_000,
-                      alpha: float = 0.01, seed: int = 0, workers=None,
-                      n_permutations: int = 200) -> CheckReport:
-    """Does the solution actually push forward to the observable density?
+def pushforward_check(samples, fmap, f_y: Density, alpha: float = 0.01,
+                      seed: int = 0, n_permutations: int = 200) -> CheckReport:
+    """Do drawn solution samples actually push forward to the observable density?
 
-    Draws m solution samples, maps them, and runs a per-marginal KS test
-    against the observable marginal CDFs; for multivariate observables an
-    energy-distance permutation test against observable draws is added.
-    Passes when every p-value is at least alpha.
+    Maps the (m, p) ``samples`` and runs a per-marginal KS test against the
+    observable marginal CDFs (two-sample against m observable draws when
+    those are missing); for multivariate observables an energy-distance
+    permutation test against m observable draws is added.  Passes when
+    every p-value is at least alpha.
     """
-    if not getattr(solution, "has_sampler", False):
+    theta = np.asarray(samples, dtype=float)
+    if theta.ndim != 2 or theta.shape[1] != fmap.p:
         raise ValueError(
-            "solution has no sampler; compare densities on a grid instead "
-            "(grid_compare)"
+            f"samples must be an (m, {fmap.p}) array for this map, "
+            f"got shape {theta.shape}"
         )
-    theta = solution.sample(m, seed, workers)
+    m = theta.shape[0]
     images = eval_batch(fmap, theta)
     q = images.shape[1]
 

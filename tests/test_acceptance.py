@@ -160,15 +160,15 @@ def test_criterion_05_figure_reproduction_properties():
     A = np.array([[-1.0 / 3.0, 4.0 / 3.0]])
     f_lin = make_truncated_gaussian(0.5, 0.25, 0.0, 1.0)
     lin_solution = bbe_linear(A, f_lin, bounds=([-1.0], [1.0]))
-    lin_report = pushforward_check(lin_solution, linear_map(A), f_lin,
-                                   m=10_000, alpha=0.01, seed=607)
+    lin_report = pushforward_check(lin_solution.sample(10_000, seed=607),
+                                   linear_map(A), f_lin, alpha=0.01, seed=607)
     lin_elapsed = time.perf_counter() - start
 
     start = time.perf_counter()
     f_pol = make_beta(8.0, 12.0)
     pol_solution = bbe_polar(f_pol)
-    pol_report = pushforward_check(pol_solution, polar_quadratic_map(), f_pol,
-                                   m=10_000, alpha=0.01, seed=613)
+    pol_report = pushforward_check(pol_solution.sample(10_000, seed=613),
+                                   polar_quadratic_map(), f_pol, alpha=0.01, seed=613)
     pol_norm = normalization_check(pol_solution.density, tol=1e-3)
     pol_elapsed = time.perf_counter() - start
 
@@ -206,8 +206,8 @@ def test_criterion_06_two_to_one_family():
         solution = cov_mixture_family(square_map(-1.0, 1.0), f_y,
                                       _two_branch_partition(),
                                       MixtureWeights([w, 1.0 - w]))
-        report = pushforward_check(solution, square_map(-1.0, 1.0), f_y,
-                                   m=m, alpha=0.01, seed=619)
+        report = pushforward_check(solution.sample(m, seed=619), square_map(-1.0, 1.0),
+                                   f_y, alpha=0.01, seed=619)
         ok &= report.passed
         details.append(f"w={w}: p={report.statistic:.3g}")
 
@@ -240,7 +240,8 @@ def test_criterion_07_intuitive_instance():
     ok = abs(var1 - 3.0) <= 3 * se_var
     ok &= abs(cov12 - (-1.0)) <= 3 * se_cov
 
-    report = pushforward_check(solution, fmap, f_y, m=10_000, alpha=0.01, seed=643)
+    report = pushforward_check(solution.sample(10_000, 643), fmap, f_y,
+                               alpha=0.01, seed=643)
     ok &= report.passed
 
     corr = float(np.corrcoef(data.sum(axis=1), data[:, 1])[0, 1])
@@ -274,16 +275,8 @@ def test_criterion_09_negative_control():
     f_y = make_gaussian(GaussianParams([-1.0, 1.0], np.eye(2)))
     # correct covariance is 0.5*I; inflate the variance two-fold
     wrong = make_gaussian(GaussianParams([0.0, 1.0], np.eye(2)))
-
-    class WrongSolution:
-        has_sampler = True
-
-        @staticmethod
-        def sample(m, seed, workers=None):
-            return wrong.sample(rng_for(seed, 0, 0), m)
-
-    report = pushforward_check(WrongSolution(), fmap, f_y, m=10_000, alpha=0.01,
-                               seed=653)
+    report = pushforward_check(wrong.sample(rng_for(653, 0, 0), 10_000), fmap, f_y,
+                               alpha=0.01, seed=653)
     _report(9, "variance-inflated wrong solution fails the pushforward check",
             not report.passed, f"min p={report.statistic:.3g}")
 

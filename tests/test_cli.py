@@ -130,3 +130,21 @@ def test_failed_check_exits_1(tmp_path, monkeypatch):
     monkeypatch.setitem(cli._RUNNERS, "two-to-one", broken)
     code = main(["two-to-one", "--out", str(tmp_path / "broken")])
     assert code == 1
+
+
+def test_csv_writer_matches_per_value_formatting(tmp_path):
+    from sip_lab.cli import _write_csv
+
+    rng = np.random.default_rng(17)
+    rows = rng.standard_normal((16384, 4)) * 10.0 ** rng.integers(-300, 300, (16384, 4))
+    special = [np.inf, -np.inf, np.nan, -0.0, 0.0, 1e-300, 1e22, 5e-324, 0.1]
+    picks = rows.flat[::97].shape[0]
+    rows.flat[::97] = np.resize(special, picks)
+    labels = ("a", "b", "c", "d")
+    path = tmp_path / "rows.csv"
+    _write_csv(path, labels, rows)
+    # reference: each value on its own through 17-significant-digit formatting
+    expected = ",".join(labels) + "\n" + "".join(
+        ",".join(f"{float(v):.17g}" for v in row) + "\n" for row in rows
+    )
+    assert path.read_bytes() == expected.encode()

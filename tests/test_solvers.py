@@ -42,7 +42,8 @@ from sip_lab import (
     square_map,
 )
 from sip_lab.forward_maps import polar_quadratic_map
-from sip_lab.solvers import angular_conditional, polar_arc
+from sip_lab.sampling import KIND_PILOT, KIND_ROWS, rng_for
+from sip_lab.solvers import PILOT_SIZE, angular_conditional, polar_arc
 
 
 def two_branch_partition():
@@ -149,7 +150,7 @@ class TestCovExact:
         f_y = make_gaussian(GaussianParams([-1.0, 1.0], np.eye(2)))
         fmap = linear_map(X)
         solution = cov_exact(fmap, f_y)
-        report = pushforward_check(solution, fmap, f_y, m=4000, seed=2)
+        report = pushforward_check(solution.sample(4000, seed=2), fmap, f_y, seed=2)
         assert report.passed, report.details
 
     def test_wide_map_rejected(self):
@@ -184,7 +185,7 @@ class TestCovMixtureFamily:
         f_y = make_uniform([0.0], [1.0])
         solution = cov_mixture_family(fmap, f_y, two_branch_partition(),
                                       MixtureWeights([w, 1.0 - w]))
-        report = pushforward_check(solution, fmap, f_y, m=4000, seed=11)
+        report = pushforward_check(solution.sample(4000, seed=11), fmap, f_y, seed=11)
         assert report.passed, f"w={w}: {report.details}"
 
     @pytest.mark.parametrize("w", [0.25, 0.75])
@@ -304,7 +305,8 @@ class TestBbeLinear:
         A = np.array([[-1.0 / 3.0, 4.0 / 3.0]])
         f_y = make_truncated_gaussian(0.5, 0.25, 0.0, 1.0)
         solution = bbe_linear(A, f_y, bounds=([-1.0], [1.0]))
-        report = pushforward_check(solution, linear_map(A), f_y, m=4000, seed=41)
+        report = pushforward_check(solution.sample(4000, seed=41), linear_map(A), f_y,
+                                   seed=41)
         assert report.passed, report.details
 
     def test_identity_matrix_reduces_to_exact_pullback(self):
@@ -378,8 +380,8 @@ class TestBbePolar:
     def test_pushforward_beta_target(self):
         f_y = make_beta(8.0, 12.0)
         solution = bbe_polar(f_y)
-        report = pushforward_check(solution, polar_quadratic_map(), f_y,
-                                   m=4000, seed=47)
+        report = pushforward_check(solution.sample(4000, seed=47),
+                                   polar_quadratic_map(), f_y, seed=47)
         assert report.passed, report.details
 
     def test_density_normalizes(self):
@@ -516,6 +518,95 @@ class TestBjwRejection:
         solution = bjw_density(initial, fmap, f_y, push)
         with pytest.raises(PredictabilityError):
             bjw_rejection_sample(solution, 100, seed=79)
+
+
+def _ratio_of(solution, proposal):
+    def ratio(theta_rows):
+        numer = solution.density.pdf(theta_rows)
+        denom = proposal.pdf(theta_rows)
+        out = np.zeros(theta_rows.shape[0])
+        ok = denom > 0
+        out[ok] = numer[ok] / denom[ok]
+        return out
+
+    return ratio
+
+
+def _per_row_rejection(solution, m, seed, pilot=PILOT_SIZE, proposal=None):
+    """Reference rejection sampler: one row at a time, one ratio call per proposal.
+
+    Row i runs to acceptance (or to its first proposal over the bound) on
+    its own stream before row i + 1 starts; a pass with any row over the
+    bound is redone with the bound doubled.  Returns (rows, proposals of
+    the last pass, bound).
+    """
+    initial = proposal if proposal is not None else solution.parts["initial"]
+    ratio = _ratio_of(solution, initial)
+    pilot_draws = initial.sample(rng_for(seed, KIND_PILOT, 0), pilot)
+    bound = 1.2 * float(ratio(pilot_draws).max())
+    while True:
+        rows, used, over = [], 0, False
+        for i in range(m):
+            rng = rng_for(seed, KIND_ROWS, i)
+            while True:
+                theta = initial.sample(rng, 1)
+                used += 1
+                r = float(ratio(theta)[0])
+                if r > bound:
+                    over = True
+                    break
+                if rng.random() * bound <= r:
+                    break
+            rows.append(theta[0])
+        if not over:
+            return np.vstack(rows), used, bound
+        bound *= 2.0
+
+
+class TestRejectionMatchesPerRowReference:
+    """The lockstep sampler consumes every row stream as the per-row one did."""
+
+    def _gauss_linear(self):
+        initial = make_gaussian(GaussianParams([0.0, 0.0], np.eye(2)))
+        fmap = linear_map(np.array([[1.0, 1.0]]))
+        f_y = make_gaussian(GaussianParams([0.25], [[0.25]]))
+        return bjw_density(initial, fmap, f_y, pushforward_density(initial, fmap))
+
+    def test_gauss_linear_instance(self):
+        solution = self._gauss_linear()
+        batch = bjw_rejection_sample(solution, 300, seed=3)
+        rows, proposals, bound = _per_row_rejection(solution, 300, seed=3)
+        np.testing.assert_array_equal(batch.data, rows)
+        assert solution.diagnostics["proposals"] == proposals
+        assert solution.diagnostics["bound"] == bound
+
+    def test_chained_double_update(self):
+        fmap = linear_map(np.array([[1.0, 1.0]]))
+        initial = make_gaussian(GaussianParams([0.0, 0.0], np.eye(2)))
+        f_y1 = make_gaussian(GaussianParams([0.3], [[0.16]]))
+        f_y2 = make_gaussian(GaussianParams([-0.2], [[0.36]]))
+        _, double = bjw_sequential_update(initial, fmap, f_y1, f_y2)
+        batch = bjw_rejection_sample(double, 300, seed=5, proposal=initial)
+        rows, proposals, _ = _per_row_rejection(double, 300, seed=5, proposal=initial)
+        np.testing.assert_array_equal(batch.data, rows)
+        assert double.diagnostics["proposals"] == proposals
+
+    def test_bound_doubling(self):
+        # two pilot draws rarely come near the ratio's peak, so the first
+        # bound is too low and the run is redone with a doubled bound
+        solution = self._gauss_linear()
+        initial = solution.parts["initial"]
+        with pytest.warns(RuntimeWarning, match="doubling") as record:
+            batch = bjw_rejection_sample(solution, 300, seed=11, pilot=2)
+        doublings = sum("doubling" in str(w.message) for w in record)
+        assert doublings >= 1
+        pilot_draws = initial.sample(rng_for(11, KIND_PILOT, 0), 2)
+        peak = float(_ratio_of(solution, initial)(pilot_draws).max())
+        assert solution.diagnostics["bound"] == 1.2 * peak * 2**doublings
+        rows, proposals, bound = _per_row_rejection(solution, 300, seed=11, pilot=2)
+        np.testing.assert_array_equal(batch.data, rows)
+        assert solution.diagnostics["proposals"] == proposals
+        assert solution.diagnostics["bound"] == bound
 
 
 class TestSequentialUpdate:

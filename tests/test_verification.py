@@ -18,6 +18,7 @@ from sip_lab import (
     normalization_check,
     pushforward_check,
 )
+from sip_lab.sampling import rng_for
 
 
 class TestKsTest:
@@ -76,7 +77,8 @@ class TestPushforwardCheck:
     def test_identity_map_passes(self):
         f_y = make_gaussian(GaussianParams([0.0], [[1.0]]))
         solution = cov_exact(identity_map(1), f_y)
-        report = pushforward_check(solution, identity_map(1), f_y, m=4000, seed=1)
+        report = pushforward_check(solution.sample(4000, seed=1), identity_map(1),
+                                   f_y, seed=1)
         assert report.passed
 
     def test_negative_control_variance_inflated(self):
@@ -85,17 +87,8 @@ class TestPushforwardCheck:
         fmap = linear_map(X)
         f_y = make_gaussian(GaussianParams([-1.0, 1.0], np.eye(2)))
         wrong = make_gaussian(GaussianParams([0.0, 1.0], 2 * 0.5 * np.eye(2)))
-
-        class WrongSolution:
-            has_sampler = True
-
-            @staticmethod
-            def sample(m, seed, workers=None):
-                from sip_lab.sampling import rng_for
-
-                return wrong.sample(rng_for(seed, 0, 0), m)
-
-        report = pushforward_check(WrongSolution(), fmap, f_y, m=4000, seed=2)
+        report = pushforward_check(wrong.sample(rng_for(2, 0, 0), 4000), fmap, f_y,
+                                   seed=2)
         assert not report.passed
 
     def test_intuitive_solver_against_mismatched_target_fails(self):
@@ -107,17 +100,14 @@ class TestPushforwardCheck:
         f_aux = make_gaussian(GaussianParams([0.0], [[1.0]]))
         solution = intuitive_sample(fmap, f_y, f_aux, m=4000, seed=21)
         wrong_target = make_gaussian(GaussianParams([0.0], [[4.0]]))
-        report = pushforward_check(solution, fmap, wrong_target, m=4000, seed=22)
+        report = pushforward_check(solution.sample(4000, 22), fmap, wrong_target,
+                                   seed=22)
         assert not report.passed
 
-    def test_missing_sampler_directed_to_grid(self):
+    def test_wrong_width_samples_rejected(self):
         f_y = make_gaussian(GaussianParams([0.0], [[1.0]]))
-
-        class NoSampler:
-            has_sampler = False
-
-        with pytest.raises(ValueError, match="grid"):
-            pushforward_check(NoSampler(), identity_map(1), f_y, m=10, seed=0)
+        with pytest.raises(ValueError, match=r"\(m, 1\)"):
+            pushforward_check(np.zeros((10, 2)), identity_map(1), f_y, seed=0)
 
     def test_determinism_across_worker_counts(self, monkeypatch):
         f_y = make_gaussian(GaussianParams([0.0, 0.5], np.eye(2)))
@@ -126,7 +116,8 @@ class TestPushforwardCheck:
         for workers in ("1", "4"):
             monkeypatch.setenv("SIP_LAB_THREADS", workers)
             solution = cov_exact(fmap, f_y)
-            reports.append(pushforward_check(solution, fmap, f_y, m=2000, seed=3))
+            reports.append(pushforward_check(solution.sample(2000, seed=3), fmap, f_y,
+                                             seed=3))
         assert reports[0].statistic == reports[1].statistic
 
 

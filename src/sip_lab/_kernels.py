@@ -39,6 +39,10 @@ except ImportError:  # pragma: no cover - exercised only without numba
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
+# Floats in the numpy KDE's work buffer: 512 KiB, small enough to stay in a
+# per-core L2 cache while each block is worked through seven passes.
+KDE_BLOCK_FLOATS = 1 << 16
+
 
 def _env_wants_numba() -> bool:
     flag = os.environ.get("SIP_LAB_NUMBA", "1").strip().lower()
@@ -104,29 +108,48 @@ def _kde_log_pdf_nb(points, data, bandwidth):  # pragma: no cover - compiled
 
 
 def kde_log_pdf_numpy(points: np.ndarray, data: np.ndarray, bandwidth: np.ndarray) -> np.ndarray:
-    """Pure-numpy KDE log-density, chunked to bound the (chunk, m) matrix."""
+    """Pure-numpy KDE log-density, one row block of squared distances at a time.
+
+    Each block of ``KDE_BLOCK_FLOATS // m`` points (at least one) is worked
+    in place in a single buffer: subtract, square (summed over dimensions),
+    row minimum, shift by it, scale by -0.5, exp, row sum.  Scaling by -0.5
+    after the shift rounds exactly as shifting ``-0.5 * sq`` by its maximum,
+    so the values equal those of the unblocked ``(n, m)`` formulation.
+    Points whose nearest squared distance is not finite (an inf or nan
+    coordinate) get ``-inf``.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     data = np.atleast_2d(np.asarray(data, dtype=float))
     bandwidth = np.asarray(bandwidth, dtype=float)
     n, d = points.shape
     m = data.shape[0]
     log_norm = -0.5 * d * _LOG_2PI - math.log(m) - np.log(bandwidth).sum()
-    out = np.empty(n)
-    chunk = max(1, int(4e6 // max(m, 1)))
+    pts = points / bandwidth
     scaled_data = data / bandwidth
-    for start in range(0, n, chunk):
-        pts = points[start : start + chunk] / bandwidth
-        # (c, m) matrix of exponents
-        expo = np.zeros((pts.shape[0], m))
-        for j in range(d):
-            diff = pts[:, j, None] - scaled_data[None, :, j]
-            expo -= 0.5 * diff * diff
-        emax = expo.max(axis=1)
-        safe = np.where(np.isfinite(emax), emax, 0.0)
-        acc = np.exp(expo - safe[:, None]).sum(axis=1)
-        vals = log_norm + safe + np.log(acc)
-        vals[~np.isfinite(emax)] = -np.inf
-        out[start : start + chunk] = vals
+    # a second slab holds one dimension's squared differences while d > 1
+    slabs = min(d, 2)
+    rows = max(1, min(n, KDE_BLOCK_FLOATS // (slabs * m)))
+    buf = np.empty((slabs, rows, m))
+    low = np.empty(n)
+    acc = np.empty(n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        sq = buf[0, : stop - start]
+        np.subtract(pts[start:stop, 0, None], scaled_data[None, :, 0], out=sq)
+        np.multiply(sq, sq, out=sq)
+        for j in range(1, d):
+            tmp = buf[1, : stop - start]
+            np.subtract(pts[start:stop, j, None], scaled_data[None, :, j], out=tmp)
+            np.multiply(tmp, tmp, out=tmp)
+            sq += tmp
+        blk_low = np.min(sq, axis=1, out=low[start:stop])
+        sq -= np.where(np.isfinite(blk_low), blk_low, 0.0)[:, None]
+        sq *= -0.5
+        np.exp(sq, out=sq)
+        np.sum(sq, axis=1, out=acc[start:stop])
+    finite = np.isfinite(low)
+    out = log_norm - 0.5 * np.where(finite, low, 0.0) + np.log(acc)
+    out[~finite] = -np.inf
     return out
 
 

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Stream-kind tags keep row, pilot, and permutation streams disjoint.
+# Stream-kind tags keep row, pilot, permutation, probe and fit streams disjoint.
 KIND_ROWS = 0
 KIND_PILOT = 1
 KIND_PERMUTATION = 2
 KIND_PROBE = 3
+KIND_FIT = 4
 
 _DEFAULT_WORKERS = 4
 

@@ -46,6 +46,7 @@ from .forward_maps import (
 )
 from .gaussian_algebra import pushforward_gaussian_linear
 from .sampling import (
+    KIND_FIT,
     KIND_PILOT,
     KIND_PROBE,
     KIND_ROWS,
@@ -399,8 +400,8 @@ def intuitive_sample(fmap: ForwardMap, f_y: Density, f_aux: Density | None,
     solution = SipSolution(density=density, method="Intuitive", samples=batch,
                            diagnostics=diag)
 
-    def sample(n, seed2, workers2=None):
-        fresh, diag2 = _solve_rows(attempt, n, seed2, workers2,
+    def sample(n, seed, workers=None):
+        fresh, diag2 = _solve_rows(attempt, n, seed, workers,
                                    label="intuitive_sample")
         solution.diagnostics.update(diag2)
         return fresh
@@ -573,8 +574,13 @@ def pushforward_density(initial: Density, fmap: ForwardMap) -> Density:
 
 def kde_pushforward(initial: Density, fmap: ForwardMap, m: int, seed: int,
                     bandwidth=None) -> Density:
-    """KDE estimate of the pushforward from m mapped draws of the initial density."""
-    theta = initial.sample(rng_for(seed, KIND_ROWS, 0), m)
+    """KDE estimate of the pushforward from m mapped draws of the initial density.
+
+    The draws come from the stream (seed, KIND_FIT, 0), so they are
+    independent of the row streams that rejection sampling of the updated
+    density proposes from.
+    """
+    theta = initial.sample(rng_for(seed, KIND_FIT, 0), m)
     return fit_kde(eval_batch(fmap, theta), bandwidth=bandwidth)
 
 

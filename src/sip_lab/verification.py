@@ -218,22 +218,26 @@ def _two_sample_ks(a: np.ndarray, b: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def grid_compare(d1: Density, d2, grid: GridSpec, tol: float,
+def grid_compare(v1, v2, grid: GridSpec, tol: float,
                  normalize: bool = False) -> CheckReport:
-    """Sup-norm (and L1) difference of two densities on a grid.
+    """Sup-norm (and L1) difference of two densities' values on a grid.
 
-    ``d2`` may be a Density or a bare callable on (n, dim) points.  With
-    ``normalize`` each set of grid values is rescaled to unit trapezoid
-    mass first (for comparing unnormalized ratio-form densities).
+    ``v1`` and ``v2`` are the two densities evaluated at ``grid.points()``,
+    in that order, so a caller that has already tabulated them on the grid
+    does not evaluate them again.  With ``normalize`` each set of grid
+    values is rescaled to unit trapezoid mass first (for comparing
+    unnormalized ratio-form densities).
     """
-    if grid.dim != d1.dim or grid.dim > 3:
+    if grid.dim > 3:
+        raise ValueError(f"grid comparison supports dims <= 3, got grid dim {grid.dim}")
+    v1 = np.asarray(v1, dtype=float)
+    v2 = np.asarray(v2, dtype=float)
+    size = grid.num**grid.dim
+    if v1.shape != (size,) or v2.shape != (size,):
         raise ValueError(
-            f"grid comparison supports matching dims <= 3, got density dim "
-            f"{d1.dim} and grid dim {grid.dim}"
+            f"grid values must be flat arrays of the {size} grid points, "
+            f"got shapes {v1.shape} and {v2.shape}"
         )
-    pts = grid.points()
-    v1 = np.asarray(d1.pdf(pts), dtype=float)
-    v2 = np.asarray(d2.pdf(pts) if isinstance(d2, Density) else d2(pts), dtype=float)
     if normalize:
         v1 = v1 / grid.integrate(v1)
         v2 = v2 / grid.integrate(v2)

@@ -263,7 +263,8 @@ def test_criterion_08_kde_update_close_to_analytic():
     closed = bjw_gaussian_linear(A, [0.25], [[0.25]], [0.0, 0.0], np.eye(2))
     sd = np.sqrt(np.diag(closed.cov))
     grid = GridSpec(tuple(closed.mean - 4 * sd), tuple(closed.mean + 4 * sd), 61)
-    report = grid_compare(approx.density, exact.density, grid, tol=0.05,
+    pts = grid.points()
+    report = grid_compare(approx.density.pdf(pts), exact.density.pdf(pts), grid, tol=0.05,
                           normalize=True)
     _report(8, "KDE-denominator update within 0.05 of the analytic density",
             report.passed, report.details)

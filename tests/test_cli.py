@@ -148,3 +148,22 @@ def test_csv_writer_matches_per_value_formatting(tmp_path):
         ",".join(f"{float(v):.17g}" for v in row) + "\n" for row in rows
     )
     assert path.read_bytes() == expected.encode()
+
+
+def test_bjw_kde_evaluates_the_grid_once(tmp_path, monkeypatch):
+    from sip_lab import _kernels
+
+    grid = 20
+    real = _kernels.kde_log_pdf
+    grid_calls = []
+
+    def counting(points, data, bandwidth):
+        if len(points) == grid**2:
+            grid_calls.append(len(data))
+        return real(points, data, bandwidth)
+
+    monkeypatch.setattr(_kernels, "kde_log_pdf", counting)
+    code = main(["bjw-kde", "--samples", "300", "--seed", "11", "--grid", str(grid),
+                 "--out", str(tmp_path / "kde")])
+    assert code == 0
+    assert grid_calls == [300]

@@ -38,6 +38,70 @@ def test_numpy_kde_matches_oracle(kde_case):
                                expected, rtol=1e-12)
 
 
+def _unblocked_kde_log_pdf(points, data, bandwidth):
+    """Reference: the (chunk, m) exponent-matrix formulation, whose values
+    the blocked in-place kernel must reproduce bit for bit."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    data = np.atleast_2d(np.asarray(data, dtype=float))
+    bandwidth = np.asarray(bandwidth, dtype=float)
+    n, d = points.shape
+    m = data.shape[0]
+    log_norm = -0.5 * d * math.log(2.0 * math.pi) - math.log(m) - np.log(bandwidth).sum()
+    out = np.empty(n)
+    chunk = max(1, int(4e6 // max(m, 1)))
+    scaled_data = data / bandwidth
+    for start in range(0, n, chunk):
+        pts = points[start : start + chunk] / bandwidth
+        expo = np.zeros((pts.shape[0], m))
+        for j in range(d):
+            diff = pts[:, j, None] - scaled_data[None, :, j]
+            expo -= 0.5 * diff * diff
+        emax = expo.max(axis=1)
+        safe = np.where(np.isfinite(emax), emax, 0.0)
+        acc = np.exp(expo - safe[:, None]).sum(axis=1)
+        vals = log_norm + safe + np.log(acc)
+        vals[~np.isfinite(emax)] = -np.inf
+        out[start : start + chunk] = vals
+    return out
+
+
+_BLOCK = _kernels.KDE_BLOCK_FLOATS
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n, m", [
+    (1, 300),                     # a single point
+    (3 * _BLOCK // 200 + 7, 200),  # n not a multiple of the block's rows
+    (3, _BLOCK + 5),              # a block is one row
+    (40, 1),                      # one centre
+])
+def test_blocked_kde_equals_unblocked(d, n, m):
+    rng = np.random.default_rng(100 * d + n)
+    data = rng.standard_normal((m, d))
+    points = rng.standard_normal((n, d)) * 2.0
+    bw = rng.uniform(0.1, 0.6, size=d)
+    expected = _unblocked_kde_log_pdf(points, data, bw)
+    assert np.array_equal(_kernels.kde_log_pdf_numpy(points, data, bw), expected)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_blocked_kde_equals_unblocked_far_tail_and_nonfinite(d):
+    rng = np.random.default_rng(d)
+    data = rng.standard_normal((500, d))
+    bw = np.full(d, 0.25)
+    special = [1e5, -1e5, np.inf, -np.inf, np.nan]
+    points = np.vstack([np.full((len(special), d), np.array(special)[:, None]),
+                        rng.standard_normal((4, d))])
+    points[-1, 0] = np.nan   # one non-finite coordinate among finite ones
+    points[-2, -1] = np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = _unblocked_kde_log_pdf(points, data, bw)
+        got = _kernels.kde_log_pdf_numpy(points, data, bw)
+    assert np.array_equal(got, expected)
+    assert np.all(np.isfinite(got[:2]))      # +-1e5 keeps a finite log-density
+    assert np.all(got[2:5] == -np.inf) and np.all(got[-2:] == -np.inf)
+
+
 @pytest.mark.skipif(not _kernels.NUMBA_AVAILABLE, reason="numba not installed")
 def test_numba_kde_matches_numpy(kde_case):
     points, data, bw = kde_case

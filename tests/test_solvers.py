@@ -41,8 +41,9 @@ from sip_lab import (
     pushforward_density,
     square_map,
 )
-from sip_lab.forward_maps import polar_quadratic_map
-from sip_lab.sampling import KIND_PILOT, KIND_ROWS, rng_for
+from sip_lab import solvers
+from sip_lab.forward_maps import eval_batch, polar_quadratic_map
+from sip_lab.sampling import KIND_FIT, KIND_PILOT, KIND_ROWS, rng_for
 from sip_lab.solvers import PILOT_SIZE, angular_conditional, polar_arc
 
 
@@ -132,7 +133,8 @@ class TestCovExact:
         solution = cov_exact(linear_map(X), f_y)
         closed = make_gaussian(cov_linear_gaussian(X, f_y.gaussian))
         grid = GridSpec((-2.0, -1.0), (2.0, 3.0), 41)
-        report = grid_compare(solution.density, closed, grid, tol=1e-12)
+        pts = grid.points()
+        report = grid_compare(solution.density.pdf(pts), closed.pdf(pts), grid, tol=1e-12)
         assert report.passed, report.details
 
     def test_square_map_linear_density(self):
@@ -432,7 +434,9 @@ class TestBjwDensity:
         closed = bjw_gaussian_linear(A, f_y.gaussian.mean, f_y.gaussian.cov,
                                      initial.gaussian.mean, initial.gaussian.cov)
         grid = GridSpec((-2.0, -2.0), (2.5, 2.5), 41)
-        report = grid_compare(solution.density, make_gaussian(closed), grid, tol=1e-8)
+        pts = grid.points()
+        report = grid_compare(solution.density.pdf(pts), make_gaussian(closed).pdf(pts),
+                              grid, tol=1e-8)
         assert report.passed, report.details
 
     def test_kde_pushforward_close_to_analytic(self):
@@ -442,9 +446,32 @@ class TestBjwDensity:
                              kde_pushforward(initial, fmap, m=10_000, seed=61))
         assert approx.method == "BJW-KDE"
         grid = GridSpec((-2.0, -2.0), (2.5, 2.5), 41)
-        report = grid_compare(approx.density, exact.density, grid, tol=0.05,
-                              normalize=True)
+        pts = grid.points()
+        report = grid_compare(approx.density.pdf(pts), exact.density.pdf(pts), grid,
+                              tol=0.05, normalize=True)
         assert report.passed, report.details
+
+    def test_kde_fit_stream_disjoint_from_row_streams(self, monkeypatch):
+        _, fmap, initial, _ = self._instance()
+        fitted = []
+        real_fit = solvers.fit_kde
+
+        def capture(samples, bandwidth=None):
+            fitted.append(np.array(samples))
+            return real_fit(samples, bandwidth=bandwidth)
+
+        monkeypatch.setattr(solvers, "fit_kde", capture)
+        seed, m = 7, 2000
+        kde_pushforward(initial, fmap, m=m, seed=seed)
+        (train,) = fitted
+        np.testing.assert_array_equal(
+            train, eval_batch(fmap, initial.sample(rng_for(seed, KIND_FIT, 0), m)))
+        # row 0 of the rejection sampler alternates a proposal and a uniform
+        row0 = rng_for(seed, KIND_ROWS, 0)
+        for _ in range(3):
+            image = eval_batch(fmap, initial.sample(row0, 1))
+            row0.random()
+            assert not np.any(np.isin(train, image))
 
     def test_initial_density_irrelevant_for_square_maps(self):
         X = np.array([[1.0, -1.0], [1.0, 1.0]])
@@ -457,8 +484,9 @@ class TestBjwDensity:
             solutions.append(
                 bjw_density(initial, fmap, f_y, pushforward_density(initial, fmap))
             )
-        report = grid_compare(solutions[0].density, solutions[1].density, grid,
-                              tol=1e-8)
+        pts = grid.points()
+        report = grid_compare(solutions[0].density.pdf(pts), solutions[1].density.pdf(pts),
+                              grid, tol=1e-8)
         assert report.passed, report.details
 
     def test_zero_denominator_raises(self):
@@ -621,14 +649,18 @@ class TestSequentialUpdate:
         fmap, initial, f_y1, f_y2 = self._setup()
         single, double = bjw_sequential_update(initial, fmap, f_y1, f_y2)
         grid = GridSpec((-2.0, -2.0), (2.0, 2.0), 21)
-        report = grid_compare(single.density, double.density, grid, tol=1e-8)
+        pts = grid.points()
+        report = grid_compare(single.density.pdf(pts), double.density.pdf(pts), grid,
+                              tol=1e-8)
         assert report.passed, report.details
 
     def test_same_observable_trivially_equal(self):
         fmap, initial, f_y1, _ = self._setup()
         single, double = bjw_sequential_update(initial, fmap, f_y1, f_y1)
         grid = GridSpec((-2.0, -2.0), (2.0, 2.0), 15)
-        assert grid_compare(single.density, double.density, grid, tol=1e-10).passed
+        pts = grid.points()
+        assert grid_compare(single.density.pdf(pts), double.density.pdf(pts), grid,
+                            tol=1e-10).passed
 
     def test_result_depends_only_on_last_observable(self):
         fmap, initial, f_y1, f_y2 = self._setup()
@@ -636,9 +668,11 @@ class TestSequentialUpdate:
         _, double_21 = bjw_sequential_update(initial, fmap, f_y2, f_y1)
         single_1 = bjw_density(initial, fmap, f_y1, pushforward_density(initial, fmap))
         grid = GridSpec((-2.0, -2.0), (2.0, 2.0), 15)
-        assert grid_compare(double_21.density, single_1.density, grid, tol=1e-8).passed
-        assert not grid_compare(double_12.density, double_21.density, grid,
-                                tol=1e-3).passed
+        pts = grid.points()
+        assert grid_compare(double_21.density.pdf(pts), single_1.density.pdf(pts), grid,
+                            tol=1e-8).passed
+        assert not grid_compare(double_12.density.pdf(pts), double_21.density.pdf(pts),
+                                grid, tol=1e-3).passed
 
     def test_intermediate_pushforward_equals_first_observable(self):
         # Monte Carlo confirmation that the chained update's denominator
@@ -650,3 +684,20 @@ class TestSequentialUpdate:
         _, p_value = ks_test_1d(batch.data @ np.array([1.0, 1.0]),
                                 lambda v: f_y1.marginal_cdf(0, v))
         assert p_value >= 0.01
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cov_exact(linear_map([[2.0, 0.0], [1.0, 1.0]]),
+                      make_gaussian(GaussianParams([0.0, 1.0], np.eye(2)))),
+    lambda: cov_mixture_family(square_map(-1.0, 1.0), make_uniform([0.0], [1.0]),
+                               two_branch_partition(), MixtureWeights([0.3, 0.7])),
+    lambda: intuitive_sample(linear_map([[1.0, 1.0]]),
+                             make_gaussian(GaussianParams([0.0], [[2.0]])),
+                             make_gaussian(GaussianParams([0.0], [[1.0]])), m=10, seed=1),
+    lambda: bbe_linear([[-1.0 / 3.0, 4.0 / 3.0]], make_truncated_gaussian(0.5, 0.25, 0.0, 1.0),
+                       bounds=([-1.0], [1.0])),
+    lambda: bbe_polar(make_beta(8.0, 12.0)),
+], ids=["cov_exact", "cov_mixture_family", "intuitive_sample", "bbe_linear", "bbe_polar"])
+def test_sample_accepts_seed_by_keyword(build):
+    solution = build()
+    np.testing.assert_array_equal(solution.sample(200, seed=5), solution.sample(200, 5))

@@ -124,14 +124,27 @@ class TestPushforwardCheck:
 class TestGridChecks:
     def test_identical_densities_zero_difference(self):
         dens = make_uniform([0.0], [1.0])
-        report = grid_compare(dens, dens, GridSpec((0.0,), (1.0,), 64), tol=0.0)
+        grid = GridSpec((0.0,), (1.0,), 64)
+        values = dens.pdf(grid.points())
+        report = grid_compare(values, values, grid, tol=0.0)
         assert report.passed
         assert report.statistic == 0.0
 
     def test_dimension_guard(self):
         dens = make_uniform([0.0] * 4, [1.0] * 4)
+        grid = GridSpec((0.0,) * 4, (1.0,) * 4, 4)
+        values = dens.pdf(grid.points())
         with pytest.raises(ValueError, match="3"):
-            grid_compare(dens, dens, GridSpec((0.0,) * 4, (1.0,) * 4, 4), tol=0.1)
+            grid_compare(values, values, grid, tol=0.1)
+
+    def test_wrong_length_values_rejected(self):
+        dens = make_uniform([0.0, 0.0], [1.0, 1.0])
+        grid = GridSpec((0.0, 0.0), (1.0, 1.0), 8)
+        values = dens.pdf(grid.points())
+        with pytest.raises(ValueError, match="64 grid points"):
+            grid_compare(values[:-1], values, grid, tol=0.1)
+        with pytest.raises(ValueError, match="64 grid points"):
+            grid_compare(values, np.append(values, 1.0), grid, tol=0.1)
 
     def test_uniform_mass_exact(self):
         report = normalization_check(make_uniform([0.0], [1.0]))

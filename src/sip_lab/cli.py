@@ -3,7 +3,7 @@
 Each example writes solution samples, grid density values, and a check
 report; the process exits 0 only when every check passes (1 on a failed
 check, 2 on an unknown example).  Identical (config, seed) pairs produce
-byte-identical files for any worker count; SIP_LAB_THREADS caps workers.
+byte-identical files.
 """
 
 from __future__ import annotations

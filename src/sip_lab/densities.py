@@ -4,7 +4,7 @@ Every density carries an axis-aligned box support (optionally sharpened by an
 indicator predicate), vectorized ``pdf``/``log_pdf``, an optional sampler
 taking a caller-owned generator, and, when available, analytic per-marginal
 CDFs for goodness-of-fit testing.  Densities are immutable after
-construction; evaluation is safe to call concurrently.
+construction.
 """
 
 from __future__ import annotations
@@ -384,8 +384,8 @@ def fit_kde(samples, bandwidth=None) -> Density:
         Kernel standard deviations; defaults to per-dimension Scott's rule.
 
     The resulting pdf is strictly positive on all of R^d and integrates to
-    one by construction.  Heavy evaluation is delegated to the compiled
-    kernel backend.
+    one by construction.  Evaluation runs in the blocked numpy kernel
+    ``_kernels.kde_log_pdf``.
     """
     data = samples.data if isinstance(samples, SampleBatch) else samples
     data = np.asarray(data, dtype=float)

@@ -1,8 +1,8 @@
 """Forward maps R^p -> R^q with Jacobian access and identity augmentation.
 
-Maps must be pure functions; evaluation is safe to call concurrently.  A map
-either supplies an analytic Jacobian or falls back to central finite
-differences with per-coordinate step max(1e-6, 1e-6*|theta_i|).
+Maps must be pure functions.  A map either supplies an analytic Jacobian or
+falls back to central finite differences with per-coordinate step
+max(1e-6, 1e-6*|theta_i|).
 """
 
 from __future__ import annotations

@@ -10,9 +10,8 @@ sampling.
 
 Every sampler draws row i from its own generator stream (seed, kind, i),
 so results depend only on (seed, row count).  The root-solving and contour
-samplers run rows on a thread pool and are bit-identical for any worker
-count; the rejection sampler advances all rows in lockstep with one ratio
-evaluation per round.
+samplers run the rows one after another; the rejection sampler advances
+all rows in lockstep with one ratio evaluation per round.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from .sampling import (
     KIND_ROWS,
     SampleBatch,
     rng_for,
-    run_rows,
     theta_labels,
 )
 
@@ -68,10 +66,9 @@ FAILURE_WARN_RATE = 0.05
 class SipSolution:
     """A solved inverse problem: a density, provenance, and diagnostics.
 
-    ``sample`` (when present) is a callable ``(n, seed, workers=None) ->
-    (n, p) array`` with deterministic per-row streams.  Ratio-form
-    solutions keep their building blocks in ``parts`` so the rejection
-    sampler can reuse them.
+    ``sample`` (when present) is a callable ``(n, seed) -> (n, p) array``
+    with deterministic per-row streams.  Ratio-form solutions keep their
+    building blocks in ``parts`` so the rejection sampler can reuse them.
     """
 
     density: Density
@@ -161,11 +158,11 @@ def _draw_start(rng: np.random.Generator, fmap: ForwardMap, q: int) -> np.ndarra
     return out
 
 
-def _solve_rows(attempt, m: int, seed: int, workers, retries: int = ROW_RETRIES,
+def _solve_rows(attempt, m: int, seed: int, retries: int = ROW_RETRIES,
                 pilot: int = PILOT_SIZE, label: str = "solver"):
     """Run ``attempt(rng) -> row | None`` per row with retry/drop bookkeeping."""
 
-    def row_fn(i, rng):
+    def row_fn(rng):
         for k in range(retries):
             row = attempt(rng)
             if row is not None:
@@ -173,7 +170,7 @@ def _solve_rows(attempt, m: int, seed: int, workers, retries: int = ROW_RETRIES,
         return None, retries
 
     if pilot:
-        pilot_rows = run_rows(row_fn, pilot, seed, kind=KIND_PILOT, workers=workers)
+        pilot_rows = [row_fn(rng_for(seed, KIND_PILOT, i)) for i in range(pilot)]
         bad = sum(1 for row, _ in pilot_rows if row is None)
         if bad:
             raise NoSolutionError(
@@ -181,7 +178,7 @@ def _solve_rows(attempt, m: int, seed: int, workers, retries: int = ROW_RETRIES,
                 "had no solvable pre-image; the map range may not cover the support"
             )
 
-    results = run_rows(row_fn, m, seed, kind=KIND_ROWS, workers=workers)
+    results = [row_fn(rng_for(seed, KIND_ROWS, i)) for i in range(m)]
     rows = [row for row, _ in results]
     retries_used = sum(k for _, k in results)
     kept = [r for r in rows if r is not None]
@@ -240,8 +237,8 @@ def cov_exact(fmap: ForwardMap, f_y: Density) -> SipSolution:
         except NonConvergenceError:
             return None
 
-    def sample(n, seed, workers=None):
-        data, diag = _solve_rows(attempt, n, seed, workers, label="cov_exact")
+    def sample(n, seed):
+        data, diag = _solve_rows(attempt, n, seed, label="cov_exact")
         solution.diagnostics.update(diag)
         return data
 
@@ -339,8 +336,8 @@ def cov_mixture_family(fmap: ForwardMap, f_y: Density, partition: DomainPartitio
         pick = rng.choice(len(candidates), p=weights / total)
         return candidates[pick]
 
-    def sample(n, seed, workers=None):
-        data, diag = _solve_rows(attempt, n, seed, workers, label="cov_mixture")
+    def sample(n, seed):
+        data, diag = _solve_rows(attempt, n, seed, label="cov_mixture")
         solution.diagnostics.update(diag)
         return data
 
@@ -354,7 +351,7 @@ def cov_mixture_family(fmap: ForwardMap, f_y: Density, partition: DomainPartitio
 
 
 def intuitive_sample(fmap: ForwardMap, f_y: Density, f_aux: Density | None,
-                     m: int, seed: int, workers=None) -> SipSolution:
+                     m: int, seed: int) -> SipSolution:
     """Sample the solution whose trailing p - q coordinates are drawn freely.
 
     Per row: draw the observable value and the trailing coordinates
@@ -383,7 +380,7 @@ def intuitive_sample(fmap: ForwardMap, f_y: Density, f_aux: Density | None,
             return None
         return np.concatenate([head, tail])
 
-    data, diag = _solve_rows(attempt, m, seed, workers, label="intuitive_sample")
+    data, diag = _solve_rows(attempt, m, seed, label="intuitive_sample")
 
     def log_pdf_fn(pts):
         jac_head = jacobian_batch(fmap, pts)[:, :, :q]
@@ -400,9 +397,8 @@ def intuitive_sample(fmap: ForwardMap, f_y: Density, f_aux: Density | None,
     solution = SipSolution(density=density, method="Intuitive", samples=batch,
                            diagnostics=diag)
 
-    def sample(n, seed, workers=None):
-        fresh, diag2 = _solve_rows(attempt, n, seed, workers,
-                                   label="intuitive_sample")
+    def sample(n, seed):
+        fresh, diag2 = _solve_rows(attempt, n, seed, label="intuitive_sample")
         solution.diagnostics.update(diag2)
         return fresh
 
@@ -447,8 +443,7 @@ def bbe_linear(A, f_y: Density, bounds=None) -> SipSolution:
     log_det = float(np.log(np.abs(np.linalg.det(aug))))
     log_slab = -float(np.sum(np.log(upper - lower))) if n_aux else 0.0
     # precomputed inverse: [A; A_perp] is well conditioned by construction,
-    # and a plain matvec (unlike a shared LAPACK factorization) is safe to
-    # use from concurrent row workers
+    # so one matvec per row is as accurate as a solve
     aug_inv = np.linalg.inv(aug)
 
     def indicator(pts):
@@ -474,9 +469,8 @@ def bbe_linear(A, f_y: Density, bounds=None) -> SipSolution:
             rhs = y
         return aug_inv @ rhs
 
-    def sample(n, seed, workers=None):
-        data, diag = _solve_rows(attempt, n, seed, workers, pilot=0,
-                                 label="bbe_linear")
+    def sample(n, seed):
+        data, diag = _solve_rows(attempt, n, seed, pilot=0, label="bbe_linear")
         solution.diagnostics.update(diag)
         return data
 
@@ -547,9 +541,8 @@ def bbe_polar(f_y: Density) -> SipSolution:
         phi = phi1 + rng.random() * (phi2 - phi1)
         return np.array([r * math.cos(phi), r * math.sin(phi)])
 
-    def sample(n, seed, workers=None):
-        data, diag = _solve_rows(attempt, n, seed, workers, pilot=0,
-                                 label="bbe_polar")
+    def sample(n, seed):
+        data, diag = _solve_rows(attempt, n, seed, pilot=0, label="bbe_polar")
         solution.diagnostics.update(diag)
         return data
 
@@ -722,7 +715,12 @@ def _reject_rows(initial: Density, ratio, bound: float, m: int, seed: int):
                 still.append(i)
         pending = still
     if pending:
-        raise NonConvergenceError("rejection sampler made no progress")
+        raise NonConvergenceError(
+            f"rejection sampler gave up: {len(pending)} of {m} rows accepted none "
+            f"of {REJECTION_MAX_PROPOSALS} proposals at bound {bound:.6g}; the "
+            "ratio is likely unbounded under the proposal, so no finite bound "
+            "accepts at a usable rate"
+        )
     return out, n_proposals, over
 
 

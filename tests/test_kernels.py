@@ -1,4 +1,4 @@
-"""Backend equivalence: the numba kernels and the numpy fallbacks must agree."""
+"""The numpy kernels against independent references."""
 
 import math
 
@@ -34,7 +34,7 @@ def kde_case():
 def test_numpy_kde_matches_oracle(kde_case):
     points, data, bw = kde_case
     expected = _dumb_kde_log_pdf(points, data, bw)
-    np.testing.assert_allclose(_kernels.kde_log_pdf_numpy(points, data, bw),
+    np.testing.assert_allclose(_kernels.kde_log_pdf(points, data, bw),
                                expected, rtol=1e-12)
 
 
@@ -81,7 +81,7 @@ def test_blocked_kde_equals_unblocked(d, n, m):
     points = rng.standard_normal((n, d)) * 2.0
     bw = rng.uniform(0.1, 0.6, size=d)
     expected = _unblocked_kde_log_pdf(points, data, bw)
-    assert np.array_equal(_kernels.kde_log_pdf_numpy(points, data, bw), expected)
+    assert np.array_equal(_kernels.kde_log_pdf(points, data, bw), expected)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -96,79 +96,56 @@ def test_blocked_kde_equals_unblocked_far_tail_and_nonfinite(d):
     points[-2, -1] = np.inf
     with np.errstate(divide="ignore", invalid="ignore"):
         expected = _unblocked_kde_log_pdf(points, data, bw)
-        got = _kernels.kde_log_pdf_numpy(points, data, bw)
+        got = _kernels.kde_log_pdf(points, data, bw)
     assert np.array_equal(got, expected)
     assert np.all(np.isfinite(got[:2]))      # +-1e5 keeps a finite log-density
     assert np.all(got[2:5] == -np.inf) and np.all(got[-2:] == -np.inf)
 
 
-@pytest.mark.skipif(not _kernels.NUMBA_AVAILABLE, reason="numba not installed")
-def test_numba_kde_matches_numpy(kde_case):
-    points, data, bw = kde_case
-    np.testing.assert_allclose(
-        _kernels.kde_log_pdf_numba(points, data, bw),
-        _kernels.kde_log_pdf_numpy(points, data, bw),
-        rtol=1e-12,
-    )
-
-
 def test_pairwise_dists_backends_agree():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((80, 3))
-    numpy_d = _kernels.pairwise_dists_numpy(x)
     # oracle: direct norm computation
     oracle = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=-1)
-    np.testing.assert_allclose(numpy_d, oracle, atol=1e-12)
-    if _kernels.NUMBA_AVAILABLE:
-        original = _kernels.backend()
-        _kernels.set_backend("numba")
-        try:
-            np.testing.assert_allclose(_kernels.pairwise_dists(x), oracle, atol=1e-12)
-        finally:
-            _kernels.set_backend(original)
+    np.testing.assert_allclose(_kernels.pairwise_dists(x), oracle, atol=1e-12)
+
+
+def _loop_energy_stats(dists, groupings, n1):
+    """Reference: the within- and between-sample sums as explicit loops."""
+    b, n = groupings.shape
+    n2 = n - n1
+    out = np.empty(b)
+    for t in range(b):
+        s_xx = s_xy = s_yy = 0.0
+        for a in range(n):
+            row = dists[groupings[t, a]]
+            if a < n1:
+                for c in range(n):
+                    v = row[groupings[t, c]]
+                    if c < n1:
+                        s_xx += v
+                    else:
+                        s_xy += v
+            else:
+                for c in range(n1, n):
+                    s_yy += row[groupings[t, c]]
+        coef = n1 * n2 / (n1 + n2)
+        out[t] = coef * (2.0 * s_xy / (n1 * n2) - s_xx / (n1 * n1) - s_yy / (n2 * n2))
+    return out
 
 
 def test_energy_stats_backends_agree():
     rng = np.random.default_rng(13)
     pooled = rng.standard_normal((60, 2))
-    dists = _kernels.pairwise_dists_numpy(pooled)
+    dists = _kernels.pairwise_dists(pooled)
     groupings = np.vstack([np.arange(60)] +
                           [rng.permutation(60) for _ in range(20)]).astype(np.int64)
-    via_numpy = _kernels.energy_stats_numpy(dists, groupings, 25)
-    if _kernels.NUMBA_AVAILABLE:
-        via_numba = _kernels._energy_stats_nb(
-            np.ascontiguousarray(dists), np.ascontiguousarray(groupings), 25
-        )
-        np.testing.assert_allclose(via_numba, via_numpy, rtol=1e-12)
+    np.testing.assert_allclose(_kernels.energy_stats(dists, groupings, 25),
+                               _loop_energy_stats(dists, groupings, 25), rtol=1e-12)
 
 
 def test_energy_statistic_oracle_two_points():
     # two singleton groups at distance 2: statistic = (1*1/2) * (2*2) = 2
-    dists = _kernels.pairwise_dists_numpy(np.array([[0.0], [2.0]]))
-    stats = _kernels.energy_stats_numpy(dists, np.array([[0, 1]]), 1)
+    dists = _kernels.pairwise_dists(np.array([[0.0], [2.0]]))
+    stats = _kernels.energy_stats(dists, np.array([[0, 1]]), 1)
     assert stats[0] == pytest.approx(2.0)
-
-
-def test_backend_switching():
-    original = _kernels.backend()
-    try:
-        _kernels.set_backend("numpy")
-        assert _kernels.backend() == "numpy"
-        if _kernels.NUMBA_AVAILABLE:
-            _kernels.set_backend("numba")
-            assert _kernels.backend() == "numba"
-        with pytest.raises(ValueError):
-            _kernels.set_backend("cython")
-    finally:
-        _kernels.set_backend(original)
-
-
-def test_env_flag_parsing(monkeypatch):
-    monkeypatch.setenv("SIP_LAB_NUMBA", "0")
-    assert not _kernels._env_wants_numba()
-    monkeypatch.setenv("SIP_LAB_NUMBA", "off")
-    assert not _kernels._env_wants_numba()
-    monkeypatch.setenv("SIP_LAB_NUMBA", "1")
-    assert _kernels._env_wants_numba()
-    monkeypatch.delenv("SIP_LAB_NUMBA")
-    assert _kernels._env_wants_numba()

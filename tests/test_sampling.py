@@ -1,17 +1,10 @@
-"""Row-parallel sampling machinery: stream independence and bit-identity."""
+"""Per-row sampling machinery: stream independence and retry bookkeeping."""
 
 import numpy as np
 import pytest
 
-from sip_lab import GaussianParams, SampleBatch, bbe_linear, make_gaussian
-from sip_lab.sampling import (
-    KIND_PILOT,
-    KIND_ROWS,
-    resolve_workers,
-    rng_for,
-    run_rows,
-    stack_rows,
-)
+from sip_lab import SampleBatch
+from sip_lab.sampling import KIND_PILOT, KIND_ROWS, rng_for
 
 
 class TestStreams:
@@ -31,36 +24,6 @@ class TestStreams:
         assert not np.array_equal(a, b)
 
 
-class TestRunRows:
-    def test_results_in_row_order(self):
-        rows = run_rows(lambda i, rng: np.array([i, rng.random()]), 50, seed=1,
-                        workers=1)
-        np.testing.assert_array_equal([r[0] for r in rows], np.arange(50))
-
-    @pytest.mark.parametrize("workers", [1, 2, 4, 7])
-    def test_worker_count_invariance(self, workers):
-        baseline = run_rows(lambda i, rng: rng.random(3), 101, seed=5, workers=1)
-        candidate = run_rows(lambda i, rng: rng.random(3), 101, seed=5,
-                             workers=workers)
-        np.testing.assert_array_equal(np.vstack(baseline), np.vstack(candidate))
-
-    def test_multithreaded_sampler_bit_identical_under_stress(self):
-        # regression: a shared LAPACK factorization in the slab sampler raced
-        # under concurrent row workers
-        A = np.array([[1.0, 1.0]])
-        f_y = make_gaussian(GaussianParams([0.0], [[2.0]]))
-        solution = bbe_linear(A, f_y, bounds=([-1.0], [1.0]))
-        reference = solution.sample(2000, seed=43, workers=4)
-        for _ in range(10):
-            again = solution.sample(2000, seed=43, workers=4)
-            np.testing.assert_array_equal(again, reference)
-
-    def test_stack_rows_drops_nones(self):
-        data, dropped = stack_rows([np.ones(2), None, np.zeros(2)], width=2)
-        assert dropped == 1
-        np.testing.assert_array_equal(data, [[1, 1], [0, 0]])
-
-
 class TestRetryPolicy:
     def test_high_failure_rate_warns_and_drops(self):
         from sip_lab.solvers import _solve_rows
@@ -69,8 +32,8 @@ class TestRetryPolicy:
             return np.array([1.0]) if rng.random() < 0.3 else None
 
         with pytest.warns(RuntimeWarning, match="dropped"):
-            data, diag = _solve_rows(flaky, 400, seed=2, workers=1, retries=1,
-                                     pilot=0, label="flaky")
+            data, diag = _solve_rows(flaky, 400, seed=2, retries=1, pilot=0,
+                                     label="flaky")
         assert diag["failures"] > 0
         assert diag["rows_returned"] == data.shape[0] == 400 - diag["failures"]
 
@@ -80,24 +43,11 @@ class TestRetryPolicy:
         def flaky(rng):
             return np.array([1.0]) if rng.random() < 0.5 else None
 
-        data, diag = _solve_rows(flaky, 300, seed=3, workers=1, retries=10,
-                                 pilot=0, label="flaky")
+        data, diag = _solve_rows(flaky, 300, seed=3, retries=10, pilot=0,
+                                 label="flaky")
         # failing 10 draws in a row at p=0.5 is a 1-in-1024 event per row
         assert diag["failures"] <= 2
         assert diag["retries"] > 0
-
-
-class TestResolveWorkers:
-    def test_env_caps(self, monkeypatch):
-        monkeypatch.setenv("SIP_LAB_THREADS", "2")
-        assert resolve_workers(None) == 2
-        assert resolve_workers(8) == 2
-        assert resolve_workers(1) == 1
-
-    def test_default_without_env(self, monkeypatch):
-        monkeypatch.delenv("SIP_LAB_THREADS", raising=False)
-        assert resolve_workers(None) == 4
-        assert resolve_workers(2) == 2
 
 
 class TestSampleBatch:

@@ -547,6 +547,18 @@ class TestBjwRejection:
         with pytest.raises(PredictabilityError):
             bjw_rejection_sample(solution, 100, seed=79)
 
+    def test_give_up_error_names_rows_cap_bound_and_cause(self, monkeypatch):
+        # f_Y is far wider than the pushforward, so the ratio grows without
+        # bound in the tails and almost no proposal is accepted
+        monkeypatch.setattr(solvers, "REJECTION_MAX_PROPOSALS", 5)
+        initial = make_gaussian(GaussianParams([0.0], [[1.0]]))
+        f_y = make_gaussian(GaussianParams([0.0], [[100.0]]))
+        solution = bjw_density(initial, linear_map([[1.0]]), f_y, initial)
+        with pytest.raises(NonConvergenceError,
+                           match=r"\d+ of 20 rows accepted none of 5 proposals "
+                                 r"at bound [\d.e+]+; .*unbounded under the proposal"):
+            bjw_rejection_sample(solution, 20, seed=1)
+
 
 def _ratio_of(solution, proposal):
     def ratio(theta_rows):

@@ -18,6 +18,7 @@ import numpy as np
 
 from .densities import (
     GaussianParams,
+    draw,
     make_beta,
     make_gaussian,
     make_truncated_gaussian,
@@ -33,14 +34,13 @@ from .gaussian_algebra import (
     regression_predictive,
     stochastic_map_mean_solution,
 )
-from .sampling import KIND_ROWS, rng_for, theta_labels
+from .sampling import theta_labels
 from .solvers import (
     Branch,
     DomainPartition,
     bbe_linear,
     bbe_polar,
     bjw_density,
-    bjw_rejection_sample,
     bjw_sequential_update,
     cov_exact,
     cov_mixture_family,
@@ -191,7 +191,7 @@ def _run_bjw_gauss_linear(cfg: RunConfig) -> ExampleResult:
     solution = bjw_density(initial, fmap, f_y, pushforward_density(initial, fmap))
     closed = bjw_gaussian_linear(A, f_y.gaussian.mean, f_y.gaussian.cov,
                                  initial.gaussian.mean, initial.gaussian.cov)
-    samples = bjw_rejection_sample(solution, cfg.samples, cfg.seed).data
+    samples = solution.sample(cfg.samples, cfg.seed)
     sd = np.sqrt(np.diag(closed.cov))
     grid = GridSpec(tuple(closed.mean - 4 * sd), tuple(closed.mean + 4 * sd), cfg.grid)
     result = ExampleResult()
@@ -215,7 +215,7 @@ def _run_bjw_kde(cfg: RunConfig) -> ExampleResult:
                                  initial.gaussian.mean, initial.gaussian.cov)
     sd = np.sqrt(np.diag(closed.cov))
     grid = GridSpec(tuple(closed.mean - 4 * sd), tuple(closed.mean + 4 * sd), cfg.grid)
-    samples = bjw_rejection_sample(approx, cfg.samples, cfg.seed).data
+    samples = approx.sample(cfg.samples, cfg.seed)
     result = ExampleResult()
     result.tables["samples"] = (theta_labels(2), samples)
     result.tables["grid"] = _density_grid_table(approx.density, grid,
@@ -232,7 +232,7 @@ def _run_bjw_sequential(cfg: RunConfig) -> ExampleResult:
     f_y1 = make_gaussian(GaussianParams([0.3], [[0.16]]))
     f_y2 = make_gaussian(GaussianParams([-0.2], [[0.36]]))
     single, double = bjw_sequential_update(initial, fmap, f_y1, f_y2)
-    samples = bjw_rejection_sample(double, cfg.samples, cfg.seed, proposal=initial).data
+    samples = double.sample(cfg.samples, cfg.seed)
     grid = GridSpec((-2.5, -2.5), (2.5, 2.5), cfg.grid)
     result = ExampleResult()
     result.tables["samples"] = (theta_labels(2), samples)
@@ -255,7 +255,7 @@ def _run_stochastic_map_mean(cfg: RunConfig) -> ExampleResult:
                                   np.concatenate([[spec.mu0], np.zeros(n)]),
                                   np.diag([spec.sigma02] + [spec.sigma_eps2] * n))
     solution_density = make_gaussian(literal)
-    samples = solution_density.sample(rng_for(cfg.seed, KIND_ROWS, 0), cfg.samples)
+    samples = draw(solution_density, cfg.samples, cfg.seed).data
     result = ExampleResult()
     labels = ("mean_m",) + tuple(f"eps_{i + 1}" for i in range(n))
     result.tables["samples"] = (labels, samples)
@@ -334,7 +334,7 @@ def _run_regression_compare(cfg: RunConfig) -> ExampleResult:
                                      threshold=1e-12, comparison="le"))
 
     density = make_gaussian(cov_solution)
-    samples = density.sample(rng_for(cfg.seed, KIND_ROWS, 0), cfg.samples)
+    samples = draw(density, cfg.samples, cfg.seed).data
     result.tables["samples"] = (theta_labels(2), samples)
     sd = np.sqrt(np.diag(cov_solution.cov))
     grid = GridSpec(tuple(cov_solution.mean - 4 * sd),
@@ -347,11 +347,11 @@ def _run_intuitive_demo(cfg: RunConfig) -> ExampleResult:
     fmap = linear_map(np.array([[1.0, 1.0]]))
     f_y = make_gaussian(GaussianParams([0.0], [[2.0]]))
     f_aux = make_gaussian(GaussianParams([0.0], [[1.0]]))
-    solution = intuitive_sample(fmap, f_y, f_aux, m=cfg.samples, seed=cfg.seed)
-    data = solution.samples.data
+    solution = intuitive_sample(fmap, f_y, f_aux)
+    data = solution.sample(cfg.samples, cfg.seed)
     grid = GridSpec((-6.0, -4.0), (6.0, 4.0), cfg.grid)
     result = ExampleResult()
-    result.tables["samples"] = (solution.samples.labels, data)
+    result.tables["samples"] = (theta_labels(2), data)
     result.tables["grid"] = _density_grid_table(solution.density, grid)
     result.checks.append(pushforward_check(data, fmap, f_y, seed=cfg.seed))
     images = data.sum(axis=1)

@@ -251,8 +251,6 @@ def square_map(lo: float = 0.0, hi: float = 1.0) -> ForwardMap:
 
     def func(theta):
         theta = np.asarray(theta)
-        if theta.ndim == 1:
-            return theta * theta
         return theta * theta
 
     def jac(theta):

@@ -8,10 +8,11 @@ constructions for the two linear/quadratic worked examples, and ratio-form
 updates of an initial density (exact or KDE-approximated) with rejection
 sampling.
 
-Every sampler draws row i from its own generator stream (seed, kind, i),
-so results depend only on (seed, row count).  The root-solving and contour
-samplers run the rows one after another; the rejection sampler advances
-all rows in lockstep with one ratio evaluation per round.
+Every solution draws through ``sample(n, seed) -> (n, p)``, which records its
+counters in ``diagnostics``: row by row for the root-solving and contour
+solutions (:func:`_row_sampler`), by lockstep rejection for ratio-form ones
+(:func:`bjw_density`).  Row i draws from its own generator stream
+(seed, kind, i), so results depend only on (seed, row count).
 """
 
 from __future__ import annotations
@@ -66,15 +67,15 @@ FAILURE_WARN_RATE = 0.05
 class SipSolution:
     """A solved inverse problem: a density, provenance, and diagnostics.
 
-    ``sample`` (when present) is a callable ``(n, seed) -> (n, p) array``
-    with deterministic per-row streams.  Ratio-form solutions keep their
+    ``sample`` is set by every solver: a callable ``(n, seed) -> (n, p)
+    array`` with deterministic per-row streams, which records the counters
+    of its last draw in ``diagnostics``.  Ratio-form solutions keep their
     building blocks in ``parts`` so the rejection sampler can reuse them.
     """
 
     density: Density
     method: str
     sample: object = None
-    samples: SampleBatch = None
     diagnostics: dict = field(default_factory=dict)
     parts: dict = field(default_factory=dict)
 
@@ -201,6 +202,20 @@ def _solve_rows(attempt, m: int, seed: int, retries: int = ROW_RETRIES,
     return data, diag
 
 
+def _row_sampler(solution: SipSolution, attempt, label: str,
+                 pilot: int = PILOT_SIZE) -> SipSolution:
+    """Attach ``sample(n, seed)``, which solves n rows with ``attempt``."""
+
+    def sample(n, seed):
+        # looked up by module-global name, so perfbench's tracer sees each draw
+        data, diag = _solve_rows(attempt, n, seed, pilot=pilot, label=label)
+        solution.diagnostics.update(diag)
+        return data
+
+    solution.sample = sample
+    return solution
+
+
 # ---------------------------------------------------------------------------
 # Exact change-of-variables solutions (p = q)
 # ---------------------------------------------------------------------------
@@ -227,7 +242,6 @@ def cov_exact(fmap: ForwardMap, f_y: Density) -> SipSolution:
 
     density = Density(fmap.p, fmap.domain, log_pdf_fn=log_pdf_fn,
                       name=f"cov[{fmap.name}]")
-    solution = SipSolution(density=density, method="CoV")
 
     def attempt(rng):
         y = f_y.sample(rng, 1)[0]
@@ -237,13 +251,7 @@ def cov_exact(fmap: ForwardMap, f_y: Density) -> SipSolution:
         except NonConvergenceError:
             return None
 
-    def sample(n, seed):
-        data, diag = _solve_rows(attempt, n, seed, label="cov_exact")
-        solution.diagnostics.update(diag)
-        return data
-
-    solution.sample = sample
-    return solution
+    return _row_sampler(SipSolution(density, "CoV"), attempt, "cov_exact")
 
 
 @dataclass(frozen=True)
@@ -315,7 +323,6 @@ def cov_mixture_family(fmap: ForwardMap, f_y: Density, partition: DomainPartitio
 
     density = Density(fmap.p, fmap.domain, log_pdf_fn=log_pdf_fn,
                       name=f"cov_mixture[{fmap.name}]")
-    solution = SipSolution(density=density, method="CoV-mixture")
 
     def attempt(rng):
         y = f_y.sample(rng, 1)[0]
@@ -336,13 +343,7 @@ def cov_mixture_family(fmap: ForwardMap, f_y: Density, partition: DomainPartitio
         pick = rng.choice(len(candidates), p=weights / total)
         return candidates[pick]
 
-    def sample(n, seed):
-        data, diag = _solve_rows(attempt, n, seed, label="cov_mixture")
-        solution.diagnostics.update(diag)
-        return data
-
-    solution.sample = sample
-    return solution
+    return _row_sampler(SipSolution(density, "CoV-mixture"), attempt, "cov_mixture")
 
 
 # ---------------------------------------------------------------------------
@@ -350,15 +351,16 @@ def cov_mixture_family(fmap: ForwardMap, f_y: Density, partition: DomainPartitio
 # ---------------------------------------------------------------------------
 
 
-def intuitive_sample(fmap: ForwardMap, f_y: Density, f_aux: Density | None,
-                     m: int, seed: int) -> SipSolution:
-    """Sample the solution whose trailing p - q coordinates are drawn freely.
+def intuitive_sample(fmap: ForwardMap, f_y: Density,
+                     f_aux: Density | None) -> SipSolution:
+    """The solution whose trailing p - q coordinates are drawn freely.
 
-    Per row: draw the observable value and the trailing coordinates
-    independently, then root-solve for the leading block.  The observable
-    image of the output is independent of the trailing coordinates by
-    construction.  Rows that fail Newton after retries (fresh draws each
-    time) are dropped and counted; a 512-draw pilot aborts early when the
+    Per row of ``sample(n, seed)``: draw the observable value and the
+    trailing coordinates independently, then root-solve for the leading
+    block.  The observable image of the output is independent of the
+    trailing coordinates by construction.  Rows that fail Newton after
+    retries (fresh draws each time) are dropped and counted; a 512-draw
+    pilot makes ``sample`` raise ``NoSolutionError`` early when the
     observable support is unreachable.
     """
     p, q = fmap.p, fmap.q
@@ -380,8 +382,6 @@ def intuitive_sample(fmap: ForwardMap, f_y: Density, f_aux: Density | None,
             return None
         return np.concatenate([head, tail])
 
-    data, diag = _solve_rows(attempt, m, seed, label="intuitive_sample")
-
     def log_pdf_fn(pts):
         jac_head = jacobian_batch(fmap, pts)[:, :, :q]
         dets = np.abs(np.linalg.det(jac_head))
@@ -393,17 +393,7 @@ def intuitive_sample(fmap: ForwardMap, f_y: Density, f_aux: Density | None,
 
     density = Density(p, fmap.domain, log_pdf_fn=log_pdf_fn,
                       name=f"intuitive[{fmap.name}]")
-    batch = SampleBatch(data=data, labels=theta_labels(p), seed=seed)
-    solution = SipSolution(density=density, method="Intuitive", samples=batch,
-                           diagnostics=diag)
-
-    def sample(n, seed):
-        fresh, diag2 = _solve_rows(attempt, n, seed, label="intuitive_sample")
-        solution.diagnostics.update(diag2)
-        return fresh
-
-    solution.sample = sample
-    return solution
+    return _row_sampler(SipSolution(density, "Intuitive"), attempt, "intuitive_sample")
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +448,6 @@ def bbe_linear(A, f_y: Density, bounds=None) -> SipSolution:
         return f_y.log_pdf(pts @ A.T) + log_slab + log_det
 
     density = Density(p, support, log_pdf_fn=log_pdf_fn, name="bbe_linear")
-    solution = SipSolution(density=density, method="BBE")
 
     def attempt(rng):
         y = f_y.sample(rng, 1)[0]
@@ -469,13 +458,7 @@ def bbe_linear(A, f_y: Density, bounds=None) -> SipSolution:
             rhs = y
         return aug_inv @ rhs
 
-    def sample(n, seed):
-        data, diag = _solve_rows(attempt, n, seed, pilot=0, label="bbe_linear")
-        solution.diagnostics.update(diag)
-        return data
-
-    solution.sample = sample
-    return solution
+    return _row_sampler(SipSolution(density, "BBE"), attempt, "bbe_linear", pilot=0)
 
 
 def polar_arc(r):
@@ -532,7 +515,6 @@ def bbe_polar(f_y: Density) -> SipSolution:
             return f_y.log_pdf(y) + np.log(angular_conditional(phi, r))
 
     density = Density(2, support, log_pdf_fn=log_pdf_fn, name="bbe_polar")
-    solution = SipSolution(density=density, method="BBE")
 
     def attempt(rng):
         y = f_y.sample(rng, 1)[0, 0]
@@ -541,13 +523,7 @@ def bbe_polar(f_y: Density) -> SipSolution:
         phi = phi1 + rng.random() * (phi2 - phi1)
         return np.array([r * math.cos(phi), r * math.sin(phi)])
 
-    def sample(n, seed):
-        data, diag = _solve_rows(attempt, n, seed, pilot=0, label="bbe_polar")
-        solution.diagnostics.update(diag)
-        return data
-
-    solution.sample = sample
-    return solution
+    return _row_sampler(SipSolution(density, "BBE"), attempt, "bbe_polar", pilot=0)
 
 
 # ---------------------------------------------------------------------------
@@ -578,13 +554,17 @@ def kde_pushforward(initial: Density, fmap: ForwardMap, m: int, seed: int,
 
 
 def bjw_density(initial: Density, fmap: ForwardMap, f_y: Density,
-                pushforward: Density, method: str = None) -> SipSolution:
+                pushforward: Density, method: str = None,
+                proposal: Density = None) -> SipSolution:
     """Ratio-form solution: initial(theta) * f_Y(g(theta)) / pushforward(g(theta)).
 
     Exact when ``pushforward`` is the true image of the initial density;
     approximate when it is a KDE estimate.  The returned density is left
-    unnormalized (it integrates to one only in the exact case) and has no
-    direct sampler; use :func:`bjw_rejection_sample`.
+    unnormalized (it integrates to one only in the exact case).  Its
+    ``sample(n, seed)`` draws by :func:`bjw_rejection_sample` against
+    ``proposal``, which defaults to ``initial``; a chained update, whose
+    initial is itself ratio-form and has no sampler, passes a sampleable
+    ancestor instead.
     """
     if method is None:
         method = "BJW-KDE" if pushforward.name == "kde" else "BJW-analytic"
@@ -608,21 +588,23 @@ def bjw_density(initial: Density, fmap: ForwardMap, f_y: Density,
 
     density = Density(initial.dim, initial.support, pdf_fn=pdf_fn,
                       name=f"bjw[{fmap.name}]")
-    return SipSolution(density=density, method=method,
-                       parts={"initial": initial, "fmap": fmap, "f_y": f_y,
-                              "pushforward": pushforward})
+    solution = SipSolution(density=density, method=method,
+                           parts={"proposal": initial if proposal is None else proposal,
+                                  "f_y": f_y, "pushforward": pushforward})
+    solution.sample = lambda n, seed: bjw_rejection_sample(solution, n, seed).data
+    return solution
 
 
 def bjw_rejection_sample(solution: SipSolution, m: int, seed: int,
-                         pilot: int = PILOT_SIZE,
-                         proposal: Density = None) -> SampleBatch:
-    """Draw from a ratio-form solution by rejection against a proposal density.
+                         pilot: int = PILOT_SIZE) -> SampleBatch:
+    """Draw from a ratio-form solution by rejection against its proposal density.
 
-    The proposal defaults to the solution's initial density (for chained
-    updates, whose initial is itself ratio-form, pass a sampleable ancestor
-    instead).  The bound is 1.2 times the largest pilot ratio; if a later
-    proposal exceeds it, the bound is doubled and the whole run redone
-    (with a warning), keeping the output deterministic in (seed, m).
+    The proposal is ``solution.parts["proposal"]``, set by
+    :func:`bjw_density`: the initial density, or the sampleable ancestor
+    given there for a chained update.  The bound is 1.2 times the largest
+    pilot ratio; if a later proposal exceeds it, the bound is doubled and
+    the whole run redone (with a warning), keeping the output deterministic
+    in (seed, m).
 
     Row i proposes and accepts from its own stream (seed, KIND_ROWS, i).  All
     pending rows advance in lockstep: each round draws one proposal per
@@ -631,19 +613,19 @@ def bjw_rejection_sample(solution: SipSolution, m: int, seed: int,
     ran one after another.
     """
     parts = solution.parts
-    if not {"initial", "fmap", "f_y", "pushforward"} <= parts.keys():
+    if not {"proposal", "f_y", "pushforward"} <= parts.keys():
         raise ValueError("solution was not built by bjw_density")
-    initial = proposal if proposal is not None else parts["initial"]
-    if not initial.has_sampler:
+    proposal = parts["proposal"]
+    if not proposal.has_sampler:
         raise ValueError(
-            "proposal density has no sampler; pass a sampleable proposal "
-            "(e.g. the original initial density of a chained update)"
+            "proposal density has no sampler; pass a sampleable proposal to "
+            "bjw_density (e.g. the original initial density of a chained update)"
         )
     f_y, pushforward = parts["f_y"], parts["pushforward"]
 
     def ratio(theta_rows):
         numer = solution.density.pdf(theta_rows)  # raises on predictability violation
-        denom = initial.pdf(theta_rows)
+        denom = proposal.pdf(theta_rows)
         out = np.zeros(theta_rows.shape[0])
         ok = denom > 0
         out[ok] = numer[ok] / denom[ok]
@@ -659,7 +641,7 @@ def bjw_rejection_sample(solution: SipSolution, m: int, seed: int,
                 f"({int(np.sum(mass <= 0))}/{pilot} probe draws)"
             )
 
-    pilot_ratios = ratio(initial.sample(rng_for(seed, KIND_PILOT, 0), pilot))
+    pilot_ratios = ratio(proposal.sample(rng_for(seed, KIND_PILOT, 0), pilot))
     peak = float(pilot_ratios.max())
     if peak <= 0:
         raise PredictabilityError(
@@ -669,7 +651,7 @@ def bjw_rejection_sample(solution: SipSolution, m: int, seed: int,
     bound = 1.2 * peak
 
     while True:
-        accepted, n_proposals, over = _reject_rows(initial, ratio, bound, m, seed)
+        accepted, n_proposals, over = _reject_rows(proposal, ratio, bound, m, seed)
         if not over:
             break
         warnings.warn(
@@ -685,24 +667,24 @@ def bjw_rejection_sample(solution: SipSolution, m: int, seed: int,
         "bound": bound,
         "seed": seed,
     })
-    return SampleBatch(data=accepted, labels=theta_labels(initial.dim), seed=seed)
+    return SampleBatch(data=accepted, labels=theta_labels(proposal.dim), seed=seed)
 
 
-def _reject_rows(initial: Density, ratio, bound: float, m: int, seed: int):
+def _reject_rows(proposal: Density, ratio, bound: float, m: int, seed: int):
     """One rejection pass over m rows; returns (rows, proposals, over bound).
 
     A row ends at its first accepted proposal, or at its first proposal
     whose ratio exceeds the bound (which flags the whole pass as over).
     """
     rngs = [rng_for(seed, KIND_ROWS, i) for i in range(m)]
-    out = np.empty((m, initial.dim))
+    out = np.empty((m, proposal.dim))
     pending = list(range(m))
     n_proposals = 0
     over = False
     for _ in range(REJECTION_MAX_PROPOSALS):
         if not pending:
             break
-        theta = np.vstack([initial.sample(rngs[i], 1) for i in pending])
+        theta = np.vstack([proposal.sample(rngs[i], 1) for i in pending])
         n_proposals += len(pending)
         still = []
         for i, row, r in zip(pending, theta, ratio(theta).tolist()):
@@ -737,5 +719,5 @@ def bjw_sequential_update(initial: Density, fmap: ForwardMap, f_y1: Density,
     single = bjw_density(initial, fmap, f_y2, initial_pushforward)
     intermediate = bjw_density(initial, fmap, f_y1, initial_pushforward)
     double = bjw_density(intermediate.density, fmap, f_y2, f_y1,
-                         method=intermediate.method)
+                         method=intermediate.method, proposal=initial)
     return single, double

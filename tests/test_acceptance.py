@@ -228,8 +228,8 @@ def test_criterion_07_intuitive_instance():
     f_y = make_gaussian(GaussianParams([0.0], [[2.0]]))
     f_aux = make_gaussian(GaussianParams([0.0], [[1.0]]))
     m = 100_000
-    solution = intuitive_sample(fmap, f_y, f_aux, m=m, seed=641)
-    data = solution.samples.data
+    solution = intuitive_sample(fmap, f_y, f_aux)
+    data = solution.sample(m, 641)
     rows = data.shape[0]
 
     var1 = data[:, 0].var(ddof=1)

@@ -231,9 +231,10 @@ class TestCovMixtureFamily:
 class TestIntuitiveSample:
     def test_square_identity_map_reproduces_observable(self):
         f_y = make_gaussian(GaussianParams([0.5], [[2.0]]))
-        solution = intuitive_sample(identity_map(1), f_y, None, m=4000, seed=23)
+        solution = intuitive_sample(identity_map(1), f_y, None)
+        data = solution.sample(4000, 23)
         assert solution.diagnostics["failures"] == 0
-        _, p_value = ks_test_1d(solution.samples.data[:, 0],
+        _, p_value = ks_test_1d(data[:, 0],
                                 lambda v: f_y.marginal_cdf(0, v))
         assert p_value >= 0.01
 
@@ -243,8 +244,8 @@ class TestIntuitiveSample:
         fmap = linear_map([[1.0, 1.0]])
         f_y = make_gaussian(GaussianParams([0.0], [[2.0]]))
         f_aux = make_gaussian(GaussianParams([0.0], [[1.0]]))
-        solution = intuitive_sample(fmap, f_y, f_aux, m=30_000, seed=29)
-        data = solution.samples.data
+        solution = intuitive_sample(fmap, f_y, f_aux)
+        data = solution.sample(30_000, 29)
         m = data.shape[0]
         var1 = data[:, 0].var(ddof=1)
         cov12 = np.cov(data.T)[0, 1]
@@ -261,7 +262,7 @@ class TestIntuitiveSample:
         fmap = linear_map([[1.0, 1.0]])
         f_y = make_gaussian(GaussianParams([0.0], [[2.0]]))
         f_aux = make_gaussian(GaussianParams([0.0], [[1.0]]))
-        solution = intuitive_sample(fmap, f_y, f_aux, m=50, seed=97)
+        solution = intuitive_sample(fmap, f_y, f_aux)
         joint = make_gaussian(GaussianParams([0.0, 0.0],
                                              [[3.0, -1.0], [-1.0, 1.0]]))
         pts = np.random.default_rng(4).normal(size=(300, 2)) * 2
@@ -272,19 +273,20 @@ class TestIntuitiveSample:
         fmap = linear_map([[1.0, 1.0]])
         f_y = make_gaussian(GaussianParams([0.0], [[2.0]]))
         f_aux = make_gaussian(GaussianParams([0.0], [[1.0]]))
-        solution = intuitive_sample(fmap, f_y, f_aux, m=20_000, seed=31)
-        data = solution.samples.data
+        solution = intuitive_sample(fmap, f_y, f_aux)
+        data = solution.sample(20_000, 31)
         corr = np.corrcoef(data.sum(axis=1), data[:, 1])[0, 1]
         assert abs(corr) < 3.0 / math.sqrt(data.shape[0])
 
     def test_square_matrix_map_matches_exact_pullback(self):
         X = np.array([[1.0, -1.0], [1.0, 1.0]])
         f_y = make_gaussian(GaussianParams([-1.0, 1.0], np.eye(2)))
-        solution = intuitive_sample(linear_map(X), f_y, None, m=4000, seed=37)
+        solution = intuitive_sample(linear_map(X), f_y, None)
+        data = solution.sample(4000, 37)
         closed = cov_linear_gaussian(X, f_y.gaussian)
         target = make_gaussian(closed)
         for j in range(2):
-            _, p_value = ks_test_1d(solution.samples.data[:, j],
+            _, p_value = ks_test_1d(data[:, j],
                                     lambda v, j=j: target.marginal_cdf(j, v))
             assert p_value >= 0.01
 
@@ -292,14 +294,15 @@ class TestIntuitiveSample:
         fmap = linear_map([[1.0, 1.0]])
         with pytest.raises(ValueError, match="p - q"):
             intuitive_sample(fmap, make_uniform([0.0], [1.0]),
-                             make_uniform([0.0, 0.0], [1.0, 1.0]), m=10, seed=0)
+                             make_uniform([0.0, 0.0], [1.0, 1.0]))
 
     def test_unreachable_observable_aborts_in_pilot(self):
         # the map's range on (0, 1) is (0, 1); target mass sits on (2, 3)
         fmap = square_map(0.0, 1.0)
         f_y = make_uniform([2.0], [3.0])
+        solution = intuitive_sample(fmap, f_y, None)
         with pytest.raises(NoSolutionError):
-            intuitive_sample(fmap, f_y, None, m=100, seed=1)
+            solution.sample(100, 1)
 
 
 class TestBbeLinear:
@@ -572,7 +575,7 @@ def _ratio_of(solution, proposal):
     return ratio
 
 
-def _per_row_rejection(solution, m, seed, pilot=PILOT_SIZE, proposal=None):
+def _per_row_rejection(solution, m, seed, pilot=PILOT_SIZE):
     """Reference rejection sampler: one row at a time, one ratio call per proposal.
 
     Row i runs to acceptance (or to its first proposal over the bound) on
@@ -580,7 +583,7 @@ def _per_row_rejection(solution, m, seed, pilot=PILOT_SIZE, proposal=None):
     bound is redone with the bound doubled.  Returns (rows, proposals of
     the last pass, bound).
     """
-    initial = proposal if proposal is not None else solution.parts["initial"]
+    initial = solution.parts["proposal"]
     ratio = _ratio_of(solution, initial)
     pilot_draws = initial.sample(rng_for(seed, KIND_PILOT, 0), pilot)
     bound = 1.2 * float(ratio(pilot_draws).max())
@@ -626,8 +629,8 @@ class TestRejectionMatchesPerRowReference:
         f_y1 = make_gaussian(GaussianParams([0.3], [[0.16]]))
         f_y2 = make_gaussian(GaussianParams([-0.2], [[0.36]]))
         _, double = bjw_sequential_update(initial, fmap, f_y1, f_y2)
-        batch = bjw_rejection_sample(double, 300, seed=5, proposal=initial)
-        rows, proposals, _ = _per_row_rejection(double, 300, seed=5, proposal=initial)
+        batch = bjw_rejection_sample(double, 300, seed=5)
+        rows, proposals, _ = _per_row_rejection(double, 300, seed=5)
         np.testing.assert_array_equal(batch.data, rows)
         assert double.diagnostics["proposals"] == proposals
 
@@ -635,7 +638,7 @@ class TestRejectionMatchesPerRowReference:
         # two pilot draws rarely come near the ratio's peak, so the first
         # bound is too low and the run is redone with a doubled bound
         solution = self._gauss_linear()
-        initial = solution.parts["initial"]
+        initial = solution.parts["proposal"]
         with pytest.warns(RuntimeWarning, match="doubling") as record:
             batch = bjw_rejection_sample(solution, 300, seed=11, pilot=2)
         doublings = sum("doubling" in str(w.message) for w in record)
@@ -705,11 +708,40 @@ class TestSequentialUpdate:
                                two_branch_partition(), MixtureWeights([0.3, 0.7])),
     lambda: intuitive_sample(linear_map([[1.0, 1.0]]),
                              make_gaussian(GaussianParams([0.0], [[2.0]])),
-                             make_gaussian(GaussianParams([0.0], [[1.0]])), m=10, seed=1),
+                             make_gaussian(GaussianParams([0.0], [[1.0]]))),
     lambda: bbe_linear([[-1.0 / 3.0, 4.0 / 3.0]], make_truncated_gaussian(0.5, 0.25, 0.0, 1.0),
                        bounds=([-1.0], [1.0])),
     lambda: bbe_polar(make_beta(8.0, 12.0)),
-], ids=["cov_exact", "cov_mixture_family", "intuitive_sample", "bbe_linear", "bbe_polar"])
+    lambda: _bjw_gauss_linear(pushforward_density),
+    lambda: _bjw_gauss_linear(lambda initial, fmap: kde_pushforward(initial, fmap, 500, 2)),
+    lambda: bjw_sequential_update(make_gaussian(GaussianParams([0.0, 0.0], np.eye(2))),
+                                  linear_map([[1.0, 1.0]]),
+                                  make_gaussian(GaussianParams([0.3], [[0.16]])),
+                                  make_gaussian(GaussianParams([-0.2], [[0.36]])))[1],
+], ids=["cov_exact", "cov_mixture_family", "intuitive_sample", "bbe_linear", "bbe_polar",
+        "bjw_density_analytic", "bjw_density_kde", "bjw_double_update"])
 def test_sample_accepts_seed_by_keyword(build):
     solution = build()
-    np.testing.assert_array_equal(solution.sample(200, seed=5), solution.sample(200, 5))
+    first = solution.sample(200, seed=5)
+    assert first.shape == (200, solution.density.dim)
+    np.testing.assert_array_equal(first, solution.sample(200, 5))
+
+
+def _bjw_gauss_linear(make_pushforward):
+    initial = make_gaussian(GaussianParams([0.0, 0.0], np.eye(2)))
+    fmap = linear_map([[1.0, 1.0]])
+    f_y = make_gaussian(GaussianParams([0.25], [[0.25]]))
+    return bjw_density(initial, fmap, f_y, make_pushforward(initial, fmap))
+
+
+def test_intuitive_sample_draws_nothing_until_sampled(monkeypatch):
+    def no_rows(*args, **kwargs):
+        raise AssertionError("rows drawn")
+
+    monkeypatch.setattr(solvers, "_solve_rows", no_rows)
+    solution = intuitive_sample(linear_map([[1.0, 1.0]]),
+                                make_gaussian(GaussianParams([0.0], [[2.0]])),
+                                make_gaussian(GaussianParams([0.0], [[1.0]])))
+    assert solution.diagnostics == {}
+    with pytest.raises(AssertionError, match="rows drawn"):
+        solution.sample(10, 1)

@@ -98,7 +98,7 @@ class TestPushforwardCheck:
         fmap = linear_map([[1.0, 1.0]])
         f_y = make_gaussian(GaussianParams([0.0], [[2.0]]))
         f_aux = make_gaussian(GaussianParams([0.0], [[1.0]]))
-        solution = intuitive_sample(fmap, f_y, f_aux, m=4000, seed=21)
+        solution = intuitive_sample(fmap, f_y, f_aux)
         wrong_target = make_gaussian(GaussianParams([0.0], [[4.0]]))
         report = pushforward_check(solution.sample(4000, 22), fmap, wrong_target,
                                    seed=22)

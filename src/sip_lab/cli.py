@@ -2,8 +2,8 @@
 
 Each example writes solution samples, grid density values, and a check
 report; the process exits 0 only when every check passes (1 on a failed
-check, 2 on an unknown example).  Identical (config, seed) pairs produce
-byte-identical files.
+check, 2 on an unknown example or an invalid flag value).  Identical
+(config, seed) pairs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -90,6 +90,8 @@ class RunConfig:
             raise ValueError("--grid must be at least 2")
         if self.format not in ("csv", "json"):
             raise ValueError("--format must be csv or json")
+        if not 0.0 <= self.w <= 1.0:
+            raise ValueError(f"--w must lie in [0, 1], got {self.w}")
 
     def meta(self) -> dict:
         return {
@@ -469,9 +471,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    kwargs = {k: v for k, v in vars(args).items() if v is not None}
-    cfg = RunConfig(**kwargs)
+    parser = build_parser()
+    try:
+        cfg = RunConfig(**vars(parser.parse_args(argv)))
+    except ValueError as err:  # a flag value out of range: usage error, exit 2
+        parser.error(str(err))
     return run_example(cfg)
 
 

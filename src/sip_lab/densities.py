@@ -1,9 +1,11 @@
 """Probability densities over R^d: abstraction plus the concrete families used here.
 
 Every density carries an axis-aligned box support (optionally sharpened by an
-indicator predicate), vectorized ``pdf``/``log_pdf``, an optional sampler
-taking a caller-owned generator, and, when available, analytic per-marginal
-CDFs for goodness-of-fit testing.  Densities are immutable after
+indicator predicate), vectorized ``pdf``/``log_pdf`` driven by one log-space
+function, an optional sampler taking a caller-owned generator, and, when
+available, analytic per-marginal CDFs for goodness-of-fit testing.  Mixtures
+combine their components with ``logsumexp``, so no density takes the log of
+a ``pdf`` that has underflowed to zero.  Densities are immutable after
 construction.
 """
 
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, gammaln, ndtr, ndtri
+from scipy.special import betainc, gammaln, logsumexp, ndtr, ndtri
 
 from . import _kernels
 from .errors import DomainError, NotPositiveDefiniteError
@@ -108,12 +110,14 @@ class GaussianParams:
 
 @dataclass(frozen=True)
 class MixtureWeights:
-    """Nonnegative weights summing to one."""
+    """Finite, nonnegative weights summing to one."""
 
     weights: np.ndarray
 
     def __post_init__(self):
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        if not np.all(np.isfinite(w)):
+            raise ValueError(f"mixture weights must be finite, got {w}")
         if np.any(w < 0):
             raise ValueError(f"negative mixture weight in {w}")
         total = w.sum()
@@ -128,20 +132,16 @@ class MixtureWeights:
 class Density:
     """Evaluable probability density with declared support.
 
-    Exactly one of ``log_pdf_fn``/``pdf_fn`` drives evaluation; the other is
-    derived so that ``exp(log_pdf) == pdf`` holds identically.  Both core
-    functions receive an (n, d) array of in-support points and return (n,)
-    values; the wrappers zero the density (log: ``-inf``) outside support.
+    ``log_pdf_fn`` drives all evaluation: it receives an (n, d) array of
+    in-support points and returns (n,) log densities, and ``pdf`` is its
+    ``exp``.  The wrappers zero the density (log: ``-inf``) outside support.
     """
 
-    def __init__(self, dim, support, log_pdf_fn=None, pdf_fn=None, sample_fn=None,
+    def __init__(self, dim, support, log_pdf_fn, sample_fn=None,
                  marginal_cdfs=None, name="", gaussian=None):
-        if (log_pdf_fn is None) == (pdf_fn is None):
-            raise ValueError("provide exactly one of log_pdf_fn / pdf_fn")
         self.dim = int(dim)
         self.support = support
         self._log_pdf_fn = log_pdf_fn
-        self._pdf_fn = pdf_fn
         self._sample_fn = sample_fn
         self._marginal_cdfs = marginal_cdfs
         self.name = name
@@ -160,10 +160,7 @@ class Density:
         out = np.zeros(pts.shape[0])
         mask = self.support.contains(pts)
         if mask.any():
-            if self._pdf_fn is not None:
-                out[mask] = self._pdf_fn(pts[mask])
-            else:
-                out[mask] = np.exp(self._log_pdf_fn(pts[mask]))
+            out[mask] = np.exp(self._log_pdf_fn(pts[mask]))
         return float(out[0]) if single else out
 
     def log_pdf(self, x) -> np.ndarray | float:
@@ -171,11 +168,7 @@ class Density:
         out = np.full(pts.shape[0], -np.inf)
         mask = self.support.contains(pts)
         if mask.any():
-            if self._log_pdf_fn is not None:
-                out[mask] = self._log_pdf_fn(pts[mask])
-            else:
-                with np.errstate(divide="ignore"):
-                    out[mask] = np.log(self._pdf_fn(pts[mask]))
+            out[mask] = self._log_pdf_fn(pts[mask])
         return float(out[0]) if single else out
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -316,8 +309,10 @@ def make_uniform(lower, upper) -> Density:
 def make_mixture(components: list[Density], w: MixtureWeights) -> Density:
     """Finite mixture: pdf(x) = sum_i w_i pdf_i(x).
 
-    The sampler draws a component index and then one draw from that
-    component, sequentially on the caller's generator.
+    Evaluated in log space as ``logsumexp`` over log w_i + log pdf_i(x) of
+    the components with w_i > 0, so far tails stay finite.  The sampler
+    draws a component index and then one draw from that component,
+    sequentially on the caller's generator.
     """
     if not isinstance(w, MixtureWeights):
         w = MixtureWeights(np.asarray(w, dtype=float))
@@ -337,12 +332,10 @@ def make_mixture(components: list[Density], w: MixtureWeights) -> Density:
             mask |= c.support.contains(pts)
         return mask
 
-    def pdf_fn(pts):
-        out = np.zeros(pts.shape[0])
-        for wi, c in zip(weights, components):
-            if wi > 0:
-                out += wi * c.pdf(pts)
-        return out
+    def log_pdf_fn(pts):
+        terms = [math.log(wi) + c.log_pdf(pts)
+                 for wi, c in zip(weights, components) if wi > 0]
+        return logsumexp(terms, axis=0)
 
     sampleable = all(c.has_sampler for c in components)
 
@@ -360,7 +353,7 @@ def make_mixture(components: list[Density], w: MixtureWeights) -> Density:
     def marginal_cdfs(j, x):
         return sum(wi * c.marginal_cdf(j, x) for wi, c in zip(weights, components))
 
-    return Density(d, Support(lower, upper, indicator=indicator), pdf_fn=pdf_fn,
+    return Density(d, Support(lower, upper, indicator=indicator), log_pdf_fn=log_pdf_fn,
                    sample_fn=sample_fn if sampleable else None,
                    marginal_cdfs=marginal_cdfs if cdfable else None,
                    name="mixture")

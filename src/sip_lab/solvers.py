@@ -221,6 +221,13 @@ def _row_sampler(solution: SipSolution, attempt, label: str,
 # ---------------------------------------------------------------------------
 
 
+def _pullback_log_pdf(fmap: ForwardMap, f_y: Density, pts: np.ndarray) -> np.ndarray:
+    """Change of variables: log f_Y(g(theta)) + log|det| of the leading q Jacobian columns."""
+    dets = np.abs(np.linalg.det(jacobian_batch(fmap, pts)[:, :, :fmap.q]))
+    with np.errstate(divide="ignore"):
+        return f_y.log_pdf(eval_batch(fmap, pts)) + np.log(dets)
+
+
 def cov_exact(fmap: ForwardMap, f_y: Density) -> SipSolution:
     """Exact pullback density f_Y(g(theta)) |det dg/dtheta| for square maps.
 
@@ -235,12 +242,8 @@ def cov_exact(fmap: ForwardMap, f_y: Density) -> SipSolution:
             "use intuitive_sample or a ratio-form update instead"
         )
 
-    def log_pdf_fn(pts):
-        dets = np.abs(np.linalg.det(jacobian_batch(fmap, pts)))
-        with np.errstate(divide="ignore"):
-            return f_y.log_pdf(eval_batch(fmap, pts)) + np.log(dets)
-
-    density = Density(fmap.p, fmap.domain, log_pdf_fn=log_pdf_fn,
+    density = Density(fmap.p, fmap.domain,
+                      log_pdf_fn=lambda pts: _pullback_log_pdf(fmap, f_y, pts),
                       name=f"cov[{fmap.name}]")
 
     def attempt(rng):
@@ -297,14 +300,8 @@ def cov_mixture_family(fmap: ForwardMap, f_y: Density, partition: DomainPartitio
             f"{len(w)} weights for {partition.n_weighted} weighted branches"
         )
 
-    branch_weight = []
-    idx = 0
-    for branch in partition.branches:
-        if branch.weighted:
-            branch_weight.append(float(w.weights[idx]))
-            idx += 1
-        else:
-            branch_weight.append(1.0)
+    weighted = iter(w.weights.tolist())
+    branch_weight = [next(weighted) if b.weighted else 1.0 for b in partition.branches]
 
     probes = domain_probe_points(fmap, count=32)
     membership = np.stack([np.asarray(b.member(probes), dtype=bool)
@@ -317,9 +314,8 @@ def cov_mixture_family(fmap: ForwardMap, f_y: Density, partition: DomainPartitio
         for wt, branch in zip(branch_weight, partition.branches):
             mask = np.asarray(branch.member(pts), dtype=bool)
             weight[mask] = wt
-        dets = np.abs(np.linalg.det(jacobian_batch(fmap, pts)))
         with np.errstate(divide="ignore"):
-            return f_y.log_pdf(eval_batch(fmap, pts)) + np.log(dets) + np.log(weight)
+            return _pullback_log_pdf(fmap, f_y, pts) + np.log(weight)
 
     density = Density(fmap.p, fmap.domain, log_pdf_fn=log_pdf_fn,
                       name=f"cov_mixture[{fmap.name}]")
@@ -383,10 +379,7 @@ def intuitive_sample(fmap: ForwardMap, f_y: Density,
         return np.concatenate([head, tail])
 
     def log_pdf_fn(pts):
-        jac_head = jacobian_batch(fmap, pts)[:, :, :q]
-        dets = np.abs(np.linalg.det(jac_head))
-        with np.errstate(divide="ignore"):
-            out = f_y.log_pdf(eval_batch(fmap, pts)) + np.log(dets)
+        out = _pullback_log_pdf(fmap, f_y, pts)
         if n_aux:
             out = out + f_aux.log_pdf(pts[:, q:])
         return out
@@ -560,20 +553,23 @@ def bjw_density(initial: Density, fmap: ForwardMap, f_y: Density,
 
     Exact when ``pushforward`` is the true image of the initial density;
     approximate when it is a KDE estimate.  The returned density is left
-    unnormalized (it integrates to one only in the exact case).  Its
-    ``sample(n, seed)`` draws by :func:`bjw_rejection_sample` against
-    ``proposal``, which defaults to ``initial``; a chained update, whose
-    initial is itself ratio-form and has no sampler, passes a sampleable
-    ancestor instead.
+    unnormalized (it integrates to one only in the exact case), and is
+    evaluated in log space, so it stays finite far into the tails; it raises
+    ``PredictabilityError`` where the pushforward vanishes under a positive
+    numerator.  Its ``sample(n, seed)`` draws by :func:`bjw_rejection_sample`
+    against ``proposal``, which defaults to ``initial``; a chained update,
+    whose initial is itself ratio-form and has no sampler, passes a
+    sampleable ancestor instead.
     """
     if method is None:
         method = "BJW-KDE" if pushforward.name == "kde" else "BJW-analytic"
 
-    def pdf_fn(pts):
+    def log_pdf_fn(pts):
         images = eval_batch(fmap, pts)
-        numer = initial.pdf(pts) * f_y.pdf(images)
-        denom = pushforward.pdf(images)
-        bad = (numer > 0) & (denom <= 0)
+        numer = initial.log_pdf(pts) + f_y.log_pdf(images)
+        denom = pushforward.log_pdf(images)
+        ok = numer > -np.inf
+        bad = ok & (denom == -np.inf)
         if np.any(bad):
             where = pts[np.argmax(bad)]
             raise PredictabilityError(
@@ -581,12 +577,11 @@ def bjw_density(initial: Density, fmap: ForwardMap, f_y: Density,
                 f"(theta={where}); the observable density is not predictable "
                 "from the initial one"
             )
-        out = np.zeros(pts.shape[0])
-        ok = numer > 0
-        out[ok] = numer[ok] / denom[ok]
+        out = np.full(pts.shape[0], -np.inf)
+        out[ok] = numer[ok] - denom[ok]
         return out
 
-    density = Density(initial.dim, initial.support, pdf_fn=pdf_fn,
+    density = Density(initial.dim, initial.support, log_pdf_fn=log_pdf_fn,
                       name=f"bjw[{fmap.name}]")
     solution = SipSolution(density=density, method=method,
                            parts={"proposal": initial if proposal is None else proposal,
@@ -604,7 +599,8 @@ def bjw_rejection_sample(solution: SipSolution, m: int, seed: int,
     given there for a chained update.  The bound is 1.2 times the largest
     pilot ratio; if a later proposal exceeds it, the bound is doubled and
     the whole run redone (with a warning), keeping the output deterministic
-    in (seed, m).
+    in (seed, m).  A ratio that overflows raises ``PredictabilityError``
+    naming theta instead of doubling the bound without end.
 
     Row i proposes and accepts from its own stream (seed, KIND_ROWS, i).  All
     pending rows advance in lockstep: each round draws one proposal per
@@ -626,9 +622,14 @@ def bjw_rejection_sample(solution: SipSolution, m: int, seed: int,
     def ratio(theta_rows):
         numer = solution.density.pdf(theta_rows)  # raises on predictability violation
         denom = proposal.pdf(theta_rows)
-        out = np.zeros(theta_rows.shape[0])
-        ok = denom > 0
-        out[ok] = numer[ok] / denom[ok]
+        out = np.divide(numer, denom, out=np.zeros_like(numer), where=denom > 0)
+        finite = np.isfinite(out)
+        if not finite.all():
+            raise PredictabilityError(
+                "ratio to the proposal is not finite "
+                f"(theta={theta_rows[np.argmin(finite)]}); the pushforward "
+                "density is too narrow for the observable density"
+            )
         return out
 
     # predictability probe on observable draws

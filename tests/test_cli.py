@@ -32,6 +32,17 @@ def test_config_validation():
         RunConfig(example="two-to-one", seed=-1)
     with pytest.raises(ValueError):
         RunConfig(example="nope")
+    with pytest.raises(ValueError):
+        RunConfig(example="two-to-one", w=float("nan"))
+    with pytest.raises(ValueError):
+        RunConfig(example="two-to-one", w=1.5)
+
+
+def test_invalid_flag_exits_2(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["two-to-one", "--samples", "0"])
+    assert err.value.code == 2
+    assert "--samples" in capsys.readouterr().err
 
 
 def test_parser_registers_all_examples():

@@ -123,6 +123,8 @@ class TestMixture:
     def test_bad_weights_rejected(self):
         with pytest.raises(ValueError, match="sum"):
             MixtureWeights([0.5, 0.6])
+        with pytest.raises(ValueError, match="finite"):
+            MixtureWeights([np.nan, 1.0])
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -139,6 +141,17 @@ class TestMixture:
         pts = RNG(3).random(500)
         expected = sum(w * c.pdf(pts) for w, c in zip(weights, comps))
         np.testing.assert_allclose(mix.pdf(pts), expected, rtol=1e-14, atol=1e-300)
+
+    def test_far_tail_log_pdf_finite(self):
+        # both components' pdfs underflow to 0 at x = 40; their logs do not
+        comps = [make_gaussian(GaussianParams([0.0], [[1.0]])),
+                 make_gaussian(GaussianParams([1.0], [[0.5]]))]
+        mix = make_mixture(comps, MixtureWeights([0.4, 0.6]))
+        expected = np.logaddexp(math.log(0.4) + comps[0].log_pdf(40.0),
+                                math.log(0.6) + comps[1].log_pdf(40.0))
+        assert mix.pdf(40.0) == 0.0
+        assert np.isfinite(mix.log_pdf(40.0))
+        assert mix.log_pdf(40.0) == pytest.approx(expected, rel=1e-14)
 
 
 class TestKde:

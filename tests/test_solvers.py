@@ -506,6 +506,17 @@ class TestBjwDensity:
             bad.density.pdf(np.array([[1.5]]))
         assert solution.density.pdf(0.5) > 0
 
+    def test_log_pdf_matches_closed_form_in_far_tails(self):
+        # the pdf-space numerator underflows to 0 at the first two points
+        A, fmap, initial, f_y = self._instance()
+        solution = bjw_density(initial, fmap, f_y, pushforward_density(initial, fmap))
+        closed = make_gaussian(bjw_gaussian_linear(A, f_y.gaussian.mean, f_y.gaussian.cov,
+                                                   initial.gaussian.mean,
+                                                   initial.gaussian.cov))
+        pts = np.array([[10.0, 10.0], [20.0, 20.0], [-20.0, 25.0]])
+        np.testing.assert_allclose(solution.density.log_pdf(pts), closed.log_pdf(pts),
+                                   rtol=1e-10)
+
 
 class TestBjwRejection:
     def test_constant_ratio_acceptance_rate(self):
@@ -561,6 +572,16 @@ class TestBjwRejection:
                            match=r"\d+ of 20 rows accepted none of 5 proposals "
                                  r"at bound [\d.e+]+; .*unbounded under the proposal"):
             bjw_rejection_sample(solution, 20, seed=1)
+
+    def test_ratio_overflow_raises_predictability_error(self):
+        # the pushforward N(0, 0.05^2) is far narrower than f_Y's reach, so
+        # the ratio overflows (or the pushforward underflows) in the tails
+        initial = make_gaussian(GaussianParams([0.0], [[1.0]]))
+        f_y = make_gaussian(GaussianParams([0.0], [[0.01]]))
+        narrow_push = make_gaussian(GaussianParams([0.0], [[0.05**2]]))
+        solution = bjw_density(initial, identity_map(1), f_y, narrow_push)
+        with pytest.raises(PredictabilityError, match="theta="):
+            bjw_rejection_sample(solution, 50, seed=1)
 
 
 def _ratio_of(solution, proposal):
@@ -668,6 +689,13 @@ class TestSequentialUpdate:
         report = grid_compare(single.density.pdf(pts), double.density.pdf(pts), grid,
                               tol=1e-8)
         assert report.passed, report.details
+
+    def test_double_equals_single_in_far_tails(self):
+        fmap, initial, f_y1, f_y2 = self._setup()
+        single, double = bjw_sequential_update(initial, fmap, f_y1, f_y2)
+        pts = np.array([[10.0, 10.0], [20.0, 20.0]])
+        np.testing.assert_allclose(double.density.log_pdf(pts), single.density.log_pdf(pts),
+                                   rtol=1e-10)
 
     def test_same_observable_trivially_equal(self):
         fmap, initial, f_y1, _ = self._setup()

@@ -9,8 +9,10 @@ updates of an initial density (exact or KDE-approximated) with rejection
 sampling.
 
 Every solution draws through ``sample(n, seed) -> (n, p)``, which records its
-counters in ``diagnostics``: row by row for the root-solving and contour
-solutions (:func:`_row_sampler`), by lockstep rejection for ratio-form ones
+counters in ``diagnostics``.  Rows advance in lockstep: the root-solving and
+contour solutions solve all pending rows of a block at once, with one damped
+Newton over all of them where a root is needed (:func:`_row_sampler`), and
+ratio-form solutions score all pending proposals at once
 (:func:`bjw_density`).  Row i draws from its own generator stream
 (seed, kind, i), so results depend only on (seed, row count).
 """
@@ -40,7 +42,6 @@ from .forward_maps import (
     ForwardMap,
     domain_probe_points,
     eval_batch,
-    jacobian_at,
     jacobian_batch,
     null_space_rows,
 )
@@ -57,9 +58,12 @@ from .sampling import (
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
+NEWTON_HALVINGS = 30
 ROW_RETRIES = 10
+ROW_BLOCK = 4096  # rows whose generators are live at once
 PILOT_SIZE = 512
 REJECTION_MAX_PROPOSALS = 100_000  # per row
+REJECTION_MAX_DOUBLINGS = 10  # of the bound, each redoing the whole run
 FAILURE_WARN_RATE = 0.05
 
 
@@ -90,11 +94,10 @@ def newton_solve(fmap: ForwardMap, y_target, theta_tail=None, theta0=None,
                  return_iterations: bool = False):
     """Solve g(theta_head, theta_tail) = y_target for the leading q coordinates.
 
-    Damped Newton iteration on the left q x q Jacobian block with step
-    halving; converged when the residual infinity norm is below
-    ``tol * (1 + ||y||_inf)``.  Raises ``NonConvergenceError`` when the
-    iteration budget is exhausted or the iterate leaves the domain, so
-    callers can retry from a new start.
+    One row of :func:`_newton_rows`, started from ``theta0`` (by default the
+    middle of the domain box clipped to [-1, 1]).  Raises
+    ``NonConvergenceError`` when that row fails, so callers can retry from a
+    new start.
     """
     q = fmap.q
     y_target = np.atleast_1d(np.asarray(y_target, dtype=float))
@@ -109,97 +112,174 @@ def newton_solve(fmap: ForwardMap, y_target, theta_tail=None, theta0=None,
     else:
         head = np.array(np.atleast_1d(theta0)[:q], dtype=float)
 
-    target_scale = 1.0 + np.max(np.abs(y_target))
-    theta = np.concatenate([head, tail])
-    resid = y_target - np.atleast_1d(fmap.func(theta))
-    norm = np.max(np.abs(resid))
-    iterations = 0
-    while not (norm <= tol * target_scale):
-        if iterations >= max_iter or not np.isfinite(norm):
-            raise NonConvergenceError(
-                f"no convergence after {iterations} iterations (residual {norm:.3e})"
-            )
-        jac_head = jacobian_at(fmap, theta)[:, :q]
-        try:
-            delta = np.linalg.solve(jac_head, resid)
-        except np.linalg.LinAlgError as err:
-            raise NonConvergenceError("singular Jacobian block at iterate") from err
+    heads, ok, iterations = _newton_rows(fmap, y_target[None], tail[None], head[None],
+                                         tol=tol, max_iter=max_iter)
+    if not ok[0]:
+        raise NonConvergenceError(
+            f"damped Newton found no in-domain root of g = {y_target} from "
+            f"{head} (stopped after {iterations[0]} iterations)"
+        )
+    if return_iterations:
+        return heads[0], int(iterations[0])
+    return heads[0]
+
+
+def _newton_rows(fmap: ForwardMap, y: np.ndarray, tail: np.ndarray, start: np.ndarray,
+                 tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER):
+    """Damped Newton for k rows in lockstep: g(head_i, tail_i) = y_i.
+
+    ``y`` is (k, q), ``tail`` (k, p - q) and ``start`` (k, q).  Each row runs
+    Newton on the left q x q Jacobian block with step halving, converged
+    when its residual infinity norm is below ``tol * (1 + ||y_i||_inf)``.
+    Every test is a mask over rows, so a row iterates exactly as it would
+    alone: it fails when its iteration budget runs out, its residual is not
+    finite, its Jacobian block is singular, ``NEWTON_HALVINGS`` halvings do
+    not reduce its residual, or it converges outside the domain.  Returns (heads (k, q),
+    ok (k,), iterations (k,)).
+    """
+    q = fmap.q
+    theta = np.hstack([start, tail])
+    threshold = tol * (1.0 + np.max(np.abs(y), axis=1))
+    resid = y - eval_batch(fmap, theta)
+    norm = np.max(np.abs(resid), axis=1)
+    ok = np.ones(theta.shape[0], dtype=bool)
+    iterations = np.zeros(theta.shape[0], dtype=int)
+    live = np.flatnonzero(~(norm <= threshold))
+    while live.size:
+        stuck = (iterations[live] >= max_iter) | ~np.isfinite(norm[live])
+        ok[live[stuck]] = False
+        live = live[~stuck]
+        if not live.size:
+            break
+        delta, solved = _solve_blocks(jacobian_batch(fmap, theta[live])[:, :, :q],
+                                      resid[live])
+        ok[live[~solved]] = False
+        live, delta = live[solved], delta[solved]
+        # step halving: rows leave ``search`` at their first improving step
+        search = np.arange(live.size)
         step = 1.0
-        for _ in range(30):
-            cand = theta.copy()
-            cand[:q] = theta[:q] + step * delta
-            cand_resid = y_target - np.atleast_1d(fmap.func(cand))
-            cand_norm = np.max(np.abs(cand_resid))
-            if np.isfinite(cand_norm) and cand_norm < norm:
-                theta, resid, norm = cand, cand_resid, cand_norm
+        for _ in range(NEWTON_HALVINGS):
+            rows = live[search]
+            cand = theta[rows]
+            cand[:, :q] = theta[rows, :q] + step * delta[search]
+            cand_resid = y[rows] - eval_batch(fmap, cand)
+            cand_norm = np.max(np.abs(cand_resid), axis=1)
+            better = np.isfinite(cand_norm) & (cand_norm < norm[rows])
+            accepted = rows[better]
+            theta[accepted], resid[accepted], norm[accepted] = \
+                cand[better], cand_resid[better], cand_norm[better]
+            search = search[~better]
+            if not search.size:
                 break
             step *= 0.5
-        else:
-            raise NonConvergenceError("step halving failed to reduce the residual")
-        iterations += 1
-
-    if not fmap.domain.contains(theta.reshape(1, -1))[0]:
-        raise NonConvergenceError("converged to a point outside the domain")
-    if return_iterations:
-        return theta[:q], iterations
-    return theta[:q]
+        ok[live[search]] = False
+        stepped = np.delete(live, search)
+        iterations[stepped] += 1
+        live = stepped[~(norm[stepped] <= threshold[stepped])]
+    done = np.flatnonzero(ok)
+    ok[done] = fmap.domain.contains(theta[done])
+    return theta[:, :q], ok, iterations
 
 
-def _draw_start(rng: np.random.Generator, fmap: ForwardMap, q: int) -> np.ndarray:
-    # uniform on the head block of the domain box; standard normal on
-    # unbounded coordinates
+def _solve_blocks(jac: np.ndarray, resid: np.ndarray):
+    """Solve each (q, q) system of a stack; a singular one fails only its row."""
+    try:
+        return np.linalg.solve(jac, resid[:, :, None])[:, :, 0], \
+            np.ones(jac.shape[0], dtype=bool)
+    except np.linalg.LinAlgError:
+        delta = np.zeros_like(resid)
+        solved = np.ones(jac.shape[0], dtype=bool)
+        for i in range(jac.shape[0]):
+            try:
+                delta[i] = np.linalg.solve(jac[i], resid[i])
+            except np.linalg.LinAlgError:
+                solved[i] = False
+        return delta, solved
+
+
+def _draw_starts(rngs, fmap: ForwardMap) -> np.ndarray:
+    """Newton starts for the head block, one row per generator.
+
+    Uniform on the head block of the domain box; standard normal on
+    unbounded coordinates.  Each generator draws q uniforms, then q normals.
+    """
+    q = fmap.q
     lo = fmap.domain.lower[:q]
     hi = fmap.domain.upper[:q]
     finite = np.isfinite(lo) & np.isfinite(hi)
-    out = np.empty(q)
-    u = rng.random(q)
-    z = rng.standard_normal(q)
-    out[finite] = lo[finite] + u[finite] * (hi[finite] - lo[finite])
-    out[~finite] = z[~finite]
+    u = np.array([rng.random(q) for rng in rngs])
+    out = np.array([rng.standard_normal(q) for rng in rngs])
+    out[:, finite] = lo[finite] + u[:, finite] * (hi[finite] - lo[finite])
     return out
 
 
 def _solve_rows(attempt, m: int, seed: int, retries: int = ROW_RETRIES,
                 pilot: int = PILOT_SIZE, label: str = "solver"):
-    """Run ``attempt(rng) -> row | None`` per row with retry/drop bookkeeping."""
+    """Solve m rows in lockstep with retry/drop bookkeeping.
 
-    def row_fn(rng):
-        for k in range(retries):
-            row = attempt(rng)
-            if row is not None:
-                return row, k
-        return None, retries
-
+    ``attempt(rngs) -> (rows (k, p), ok (k,))`` makes one attempt at k rows,
+    drawing row i's inputs from ``rngs[i]`` only; the values of rows that
+    are not ok are ignored.  Row i's generator is ``rng_for(seed, kind, i)``.
+    Each round attempts every pending row of a block of ``ROW_BLOCK`` rows at
+    once and only failed rows try again, up to ``retries`` attempts, so
+    every stream is consumed exactly as if the rows ran one after another.
+    A pilot of ``pilot`` rows on their own streams raises ``NoSolutionError``
+    if any of them fails every attempt.  Returns (rows, diagnostics).
+    """
     if pilot:
-        pilot_rows = [row_fn(rng_for(seed, KIND_PILOT, i)) for i in range(pilot)]
-        bad = sum(1 for row, _ in pilot_rows if row is None)
+        _, solved, _ = _lockstep_rows(attempt, pilot, seed, KIND_PILOT, retries)
+        bad = pilot - int(solved.sum())
         if bad:
             raise NoSolutionError(
                 f"{label}: {bad}/{pilot} pilot draws from the observable density "
                 "had no solvable pre-image; the map range may not cover the support"
             )
 
-    results = [row_fn(rng_for(seed, KIND_ROWS, i)) for i in range(m)]
-    rows = [row for row, _ in results]
-    retries_used = sum(k for _, k in results)
-    kept = [r for r in rows if r is not None]
-    failures = m - len(kept)
+    rows, solved, retries_used = _lockstep_rows(attempt, m, seed, KIND_ROWS, retries)
+    kept = int(solved.sum())
+    failures = m - kept
     failure_rate = failures / m if m else 0.0
     if failure_rate > FAILURE_WARN_RATE:
         warnings.warn(
             f"{label}: {failures}/{m} rows dropped after {retries} retries each",
             RuntimeWarning,
         )
-    data = np.vstack(kept) if kept else np.empty((0, 0))
+    data = rows[solved] if kept else np.empty((0, 0))
     diag = {
         "rows_requested": m,
-        "rows_returned": len(kept),
+        "rows_returned": kept,
         "failures": failures,
         "failure_rate": failure_rate,
         "retries": retries_used,
         "seed": seed,
     }
     return data, diag
+
+
+def _lockstep_rows(attempt, m: int, seed: int, kind: int, retries: int):
+    """Rows 0..m-1 of one stream kind, block by block.
+
+    Returns (rows (m, p), solved (m,), failed attempts); a row that fails
+    every attempt counts ``retries`` failed attempts.
+    """
+    rows = None
+    solved = np.zeros(m, dtype=bool)
+    failed = 0
+    for first in range(0, m, ROW_BLOCK):
+        index = np.arange(first, min(first + ROW_BLOCK, m))
+        rngs = [rng_for(seed, kind, i) for i in index]
+        pending = np.arange(index.size)
+        for _ in range(retries):
+            if not pending.size:
+                break
+            out, ok = attempt([rngs[i] for i in pending])
+            if rows is None:
+                rows = np.empty((m, out.shape[1]))
+            rows[index[pending[ok]]] = out[ok]
+            solved[index[pending[ok]]] = True
+            pending = pending[~ok]
+            failed += pending.size
+    return rows, solved, failed
 
 
 def _row_sampler(solution: SipSolution, attempt, label: str,
@@ -246,13 +326,11 @@ def cov_exact(fmap: ForwardMap, f_y: Density) -> SipSolution:
                       log_pdf_fn=lambda pts: _pullback_log_pdf(fmap, f_y, pts),
                       name=f"cov[{fmap.name}]")
 
-    def attempt(rng):
-        y = f_y.sample(rng, 1)[0]
-        start = _draw_start(rng, fmap, fmap.q)
-        try:
-            return newton_solve(fmap, y, theta0=start)
-        except NonConvergenceError:
-            return None
+    def attempt(rngs):
+        y = np.vstack([f_y.sample(rng, 1) for rng in rngs])
+        heads, ok, _ = _newton_rows(fmap, y, np.empty((len(rngs), 0)),
+                                    _draw_starts(rngs, fmap))
+        return heads, ok
 
     return _row_sampler(SipSolution(density, "CoV"), attempt, "cov_exact")
 
@@ -261,9 +339,9 @@ def cov_exact(fmap: ForwardMap, f_y: Density) -> SipSolution:
 class Branch:
     """One invertible piece of a many-to-one map.
 
-    ``member`` takes (n, p) points to a boolean mask; ``inverse`` maps one
-    observable point back into this piece.  One-to-one pieces (weight
-    fixed at 1) are marked ``weighted=False``.
+    ``member`` takes (n, p) points to a boolean mask; ``inverse`` maps
+    (k, q) observable points back into this piece as (k, p) points.
+    One-to-one pieces (weight fixed at 1) are marked ``weighted=False``.
     """
 
     member: object
@@ -289,7 +367,9 @@ def cov_mixture_family(fmap: ForwardMap, f_y: Density, partition: DomainPartitio
 
     Pieces whose images overlap share the mixture weights; pieces where the
     map is one-to-one carry weight 1.  Every member of the family pushes
-    forward to the same observable density.
+    forward to the same observable density.  The sampler inverts every
+    branch and tests membership and the domain for all pending rows at
+    once; each row then picks one of its pre-images on its own stream.
     """
     if fmap.p != fmap.q:
         raise ValueError("mixture family requires a square map")
@@ -301,7 +381,8 @@ def cov_mixture_family(fmap: ForwardMap, f_y: Density, partition: DomainPartitio
         )
 
     weighted = iter(w.weights.tolist())
-    branch_weight = [next(weighted) if b.weighted else 1.0 for b in partition.branches]
+    branch_weight = np.array([next(weighted) if b.weighted else 1.0
+                              for b in partition.branches])
 
     probes = domain_probe_points(fmap, count=32)
     membership = np.stack([np.asarray(b.member(probes), dtype=bool)
@@ -320,24 +401,24 @@ def cov_mixture_family(fmap: ForwardMap, f_y: Density, partition: DomainPartitio
     density = Density(fmap.p, fmap.domain, log_pdf_fn=log_pdf_fn,
                       name=f"cov_mixture[{fmap.name}]")
 
-    def attempt(rng):
-        y = f_y.sample(rng, 1)[0]
-        candidates = []
-        weights = []
-        for wt, branch in zip(branch_weight, partition.branches):
-            theta = np.atleast_1d(np.asarray(branch.inverse(y), dtype=float))
-            pt = theta.reshape(1, -1)
-            if branch.member(pt)[0] and fmap.domain.contains(pt)[0]:
-                candidates.append(theta)
-                weights.append(wt)
-        if not candidates:
-            return None
-        weights = np.asarray(weights)
-        total = weights.sum()
-        if total <= 0:  # this family member puts no mass on y's pre-images
-            return None
-        pick = rng.choice(len(candidates), p=weights / total)
-        return candidates[pick]
+    def attempt(rngs):
+        k = len(rngs)
+        y = np.vstack([f_y.sample(rng, 1) for rng in rngs])
+        pieces = [np.asarray(b.inverse(y), dtype=float).reshape(k, fmap.p)
+                  for b in partition.branches]
+        valid = np.stack([np.asarray(b.member(theta), dtype=bool) & fmap.domain.contains(theta)
+                          for b, theta in zip(partition.branches, pieces)], axis=1)
+        rows = np.empty((k, fmap.p))
+        ok = np.zeros(k, dtype=bool)
+        for i, rng in enumerate(rngs):
+            index = np.flatnonzero(valid[i])
+            weights = branch_weight[index]
+            total = weights.sum()
+            if total <= 0:  # no pre-image, or this family member puts no mass on them
+                continue
+            rows[i] = pieces[index[rng.choice(index.size, p=weights / total)]][i]
+            ok[i] = True
+        return rows, ok
 
     return _row_sampler(SipSolution(density, "CoV-mixture"), attempt, "cov_mixture")
 
@@ -353,8 +434,9 @@ def intuitive_sample(fmap: ForwardMap, f_y: Density,
 
     Per row of ``sample(n, seed)``: draw the observable value and the
     trailing coordinates independently, then root-solve for the leading
-    block.  The observable image of the output is independent of the
-    trailing coordinates by construction.  Rows that fail Newton after
+    block, for all pending rows of a block in one damped Newton.  The
+    observable image of the output is independent of the trailing
+    coordinates by construction.  Rows that fail Newton after
     retries (fresh draws each time) are dropped and counted; a 512-draw
     pilot makes ``sample`` raise ``NoSolutionError`` early when the
     observable support is unreachable.
@@ -368,15 +450,12 @@ def intuitive_sample(fmap: ForwardMap, f_y: Density,
         got = None if f_aux is None else f_aux.dim
         raise ValueError(f"f_aux must have dimension p - q = {n_aux}, got {got}")
 
-    def attempt(rng):
-        y = f_y.sample(rng, 1)[0]
-        tail = f_aux.sample(rng, 1)[0] if n_aux else np.empty(0)
-        start = _draw_start(rng, fmap, q)
-        try:
-            head = newton_solve(fmap, y, theta_tail=tail, theta0=start)
-        except NonConvergenceError:
-            return None
-        return np.concatenate([head, tail])
+    def attempt(rngs):
+        y = np.vstack([f_y.sample(rng, 1) for rng in rngs])
+        tail = np.vstack([f_aux.sample(rng, 1) for rng in rngs]) if n_aux \
+            else np.empty((len(rngs), 0))
+        heads, ok, _ = _newton_rows(fmap, y, tail, _draw_starts(rngs, fmap))
+        return np.hstack([heads, tail]), ok
 
     def log_pdf_fn(pts):
         out = _pullback_log_pdf(fmap, f_y, pts)
@@ -442,14 +521,14 @@ def bbe_linear(A, f_y: Density, bounds=None) -> SipSolution:
 
     density = Density(p, support, log_pdf_fn=log_pdf_fn, name="bbe_linear")
 
-    def attempt(rng):
-        y = f_y.sample(rng, 1)[0]
+    def attempt(rngs):
+        rhs = np.vstack([f_y.sample(rng, 1) for rng in rngs])
         if n_aux:
-            c = lower + rng.random(n_aux) * (upper - lower)
-            rhs = np.concatenate([y, c])
-        else:
-            rhs = y
-        return aug_inv @ rhs
+            u = np.array([rng.random(n_aux) for rng in rngs])
+            rhs = np.hstack([rhs, lower + u * (upper - lower)])
+        # a stack of matrix-vector products rounds as the one-row product does
+        rows = np.matmul(aug_inv, rhs[:, :, None])[:, :, 0]
+        return rows, np.ones(len(rngs), dtype=bool)
 
     return _row_sampler(SipSolution(density, "BBE"), attempt, "bbe_linear", pilot=0)
 
@@ -509,12 +588,16 @@ def bbe_polar(f_y: Density) -> SipSolution:
 
     density = Density(2, support, log_pdf_fn=log_pdf_fn, name="bbe_polar")
 
-    def attempt(rng):
-        y = f_y.sample(rng, 1)[0, 0]
-        r = math.sqrt(2.0 * y)
+    def attempt(rngs):
+        y = np.array([f_y.sample(rng, 1)[0, 0] for rng in rngs])
+        u = np.array([rng.random() for rng in rngs])
+        r = np.sqrt(2.0 * y)
         phi1, phi2 = polar_arc(r)
-        phi = phi1 + rng.random() * (phi2 - phi1)
-        return np.array([r * math.cos(phi), r * math.sin(phi)])
+        phi = phi1 + u * (phi2 - phi1)
+        # math.cos and math.sin: the platform libm, as in the one-row sampler
+        rows = np.array([(ri * math.cos(fi), ri * math.sin(fi))
+                         for ri, fi in zip(r.tolist(), phi.tolist())])
+        return rows, np.ones(len(rngs), dtype=bool)
 
     return _row_sampler(SipSolution(density, "BBE"), attempt, "bbe_polar", pilot=0)
 
@@ -600,7 +683,8 @@ def bjw_rejection_sample(solution: SipSolution, m: int, seed: int,
     pilot ratio; if a later proposal exceeds it, the bound is doubled and
     the whole run redone (with a warning), keeping the output deterministic
     in (seed, m).  A ratio that overflows raises ``PredictabilityError``
-    naming theta instead of doubling the bound without end.
+    naming theta instead of doubling the bound without end, and so does a
+    run still over the bound after ``REJECTION_MAX_DOUBLINGS`` doublings.
 
     Row i proposes and accepts from its own stream (seed, KIND_ROWS, i).  All
     pending rows advance in lockstep: each round draws one proposal per
@@ -620,9 +704,11 @@ def bjw_rejection_sample(solution: SipSolution, m: int, seed: int,
     f_y, pushforward = parts["f_y"], parts["pushforward"]
 
     def ratio(theta_rows):
-        numer = solution.density.pdf(theta_rows)  # raises on predictability violation
-        denom = proposal.pdf(theta_rows)
-        out = np.divide(numer, denom, out=np.zeros_like(numer), where=denom > 0)
+        # an overflow is reported below as a typed error, not as a warning
+        with np.errstate(over="ignore"):
+            numer = solution.density.pdf(theta_rows)  # raises on predictability violation
+            denom = proposal.pdf(theta_rows)
+            out = np.divide(numer, denom, out=np.zeros_like(numer), where=denom > 0)
         finite = np.isfinite(out)
         if not finite.all():
             raise PredictabilityError(
@@ -651,10 +737,17 @@ def bjw_rejection_sample(solution: SipSolution, m: int, seed: int,
         )
     bound = 1.2 * peak
 
+    doublings = 0
     while True:
         accepted, n_proposals, over = _reject_rows(proposal, ratio, bound, m, seed)
         if not over:
             break
+        if doublings == REJECTION_MAX_DOUBLINGS:
+            raise PredictabilityError(
+                f"a ratio still exceeds the bound {bound:.6g} after {doublings} "
+                "doublings; the ratio is likely unbounded under the proposal"
+            )
+        doublings += 1
         warnings.warn(
             f"observed ratio exceeded bound {bound:.6g}; doubling and "
             "redoing the run",

@@ -28,8 +28,9 @@ class TestRetryPolicy:
     def test_high_failure_rate_warns_and_drops(self):
         from sip_lab.solvers import _solve_rows
 
-        def flaky(rng):
-            return np.array([1.0]) if rng.random() < 0.3 else None
+        def flaky(rngs):
+            ok = np.array([rng.random() < 0.3 for rng in rngs])
+            return np.ones((len(rngs), 1)), ok
 
         with pytest.warns(RuntimeWarning, match="dropped"):
             data, diag = _solve_rows(flaky, 400, seed=2, retries=1, pilot=0,
@@ -40,8 +41,9 @@ class TestRetryPolicy:
     def test_retries_recover_rows(self):
         from sip_lab.solvers import _solve_rows
 
-        def flaky(rng):
-            return np.array([1.0]) if rng.random() < 0.5 else None
+        def flaky(rngs):
+            ok = np.array([rng.random() < 0.5 for rng in rngs])
+            return np.ones((len(rngs), 1)), ok
 
         data, diag = _solve_rows(flaky, 300, seed=3, retries=10, pilot=0,
                                  label="flaky")

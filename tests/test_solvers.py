@@ -1,7 +1,9 @@
 """Solvers: root finding, exact pullbacks, branch mixtures, Monte Carlo
 solutions, slab/arc constructions, and ratio-form updates."""
 
+import collections
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,7 +44,8 @@ from sip_lab import (
     square_map,
 )
 from sip_lab import solvers
-from sip_lab.forward_maps import eval_batch, polar_quadratic_map
+from sip_lab.forward_maps import eval_batch, jacobian_at, null_space_rows, \
+    polar_quadratic_map
 from sip_lab.sampling import KIND_FIT, KIND_PILOT, KIND_ROWS, rng_for
 from sip_lab.solvers import PILOT_SIZE, angular_conditional, polar_arc
 
@@ -117,6 +120,25 @@ class TestNewtonSolve:
             y = func(truth)
             head = newton_solve(fmap, y, theta0=truth + rng.normal(scale=0.2, size=2))
             assert np.max(np.abs(y - func(head))) <= 1e-10 * (1 + np.abs(y).max())
+
+
+class TestNewtonRows:
+    def test_singular_jacobian_fails_only_its_row(self):
+        # g'(0) = 0 for theta^2, so the row started at 0 has a singular block
+        fmap = square_map(-1.0, 1.0)
+        heads, ok, _ = solvers._newton_rows(fmap, np.full((3, 1), 0.25), np.empty((3, 0)),
+                                            np.array([[0.9], [0.0], [-0.9]]))
+        np.testing.assert_array_equal(ok, [True, False, True])
+        np.testing.assert_allclose(heads[[0, 2], 0], [0.5, -0.5], atol=1e-10)
+
+    def test_iteration_budget_fails_only_its_row(self):
+        fmap = square_map(-1.0, 1.0)
+        heads, ok, iterations = solvers._newton_rows(
+            fmap, np.full((2, 1), 0.25), np.empty((2, 0)), np.array([[0.5], [1e-3]]),
+            max_iter=3)
+        np.testing.assert_array_equal(ok, [True, False])
+        np.testing.assert_array_equal(iterations, [0, 3])
+        assert heads[0, 0] == 0.5
 
 
 class TestCovExact:
@@ -580,8 +602,10 @@ class TestBjwRejection:
         f_y = make_gaussian(GaussianParams([0.0], [[0.01]]))
         narrow_push = make_gaussian(GaussianParams([0.0], [[0.05**2]]))
         solution = bjw_density(initial, identity_map(1), f_y, narrow_push)
-        with pytest.raises(PredictabilityError, match="theta="):
-            bjw_rejection_sample(solution, 50, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # the typed error alone
+            with pytest.raises(PredictabilityError, match="theta="):
+                bjw_rejection_sample(solution, 50, seed=1)
 
 
 def _ratio_of(solution, proposal):
@@ -671,6 +695,284 @@ class TestRejectionMatchesPerRowReference:
         np.testing.assert_array_equal(batch.data, rows)
         assert solution.diagnostics["proposals"] == proposals
         assert solution.diagnostics["bound"] == bound
+
+    def test_bound_doublings_capped(self, monkeypatch):
+        # the setup of test_bound_doubling needs five doublings
+        monkeypatch.setattr(solvers, "REJECTION_MAX_DOUBLINGS", 4)
+        solution = self._gauss_linear()
+        with pytest.warns(RuntimeWarning, match="doubling"):
+            with pytest.raises(PredictabilityError,
+                               match=r"exceeds the bound [\d.e+]+ after 4 doublings"):
+                bjw_rejection_sample(solution, 300, seed=11, pilot=2)
+
+
+def _per_row_newton(fmap, y, tail, theta0, counts):
+    """Reference damped Newton: one row, one scalar map call at a time.
+
+    Returns the head, or None where the row solvers retry.  ``counts``
+    tallies the halved steps and the failures by cause.
+    """
+    q = fmap.q
+    target_scale = 1.0 + np.max(np.abs(y))
+    theta = np.concatenate([theta0, tail])
+    resid = y - np.atleast_1d(fmap.func(theta))
+    norm = np.max(np.abs(resid))
+    iterations = 0
+    while not (norm <= 1e-10 * target_scale):
+        if iterations >= 50 or not np.isfinite(norm):
+            counts["budget"] += 1
+            return None
+        try:
+            delta = np.linalg.solve(jacobian_at(fmap, theta)[:, :q], resid)
+        except np.linalg.LinAlgError:
+            counts["singular"] += 1
+            return None
+        step = 1.0
+        for _ in range(30):
+            cand = theta.copy()
+            cand[:q] = theta[:q] + step * delta
+            cand_resid = y - np.atleast_1d(fmap.func(cand))
+            cand_norm = np.max(np.abs(cand_resid))
+            if np.isfinite(cand_norm) and cand_norm < norm:
+                theta, resid, norm = cand, cand_resid, cand_norm
+                break
+            step *= 0.5
+            counts["halved"] += 1
+        else:
+            counts["halving"] += 1
+            return None
+        iterations += 1
+    if not fmap.domain.contains(theta.reshape(1, -1))[0]:
+        counts["domain"] += 1
+        return None
+    return theta[:q]
+
+
+def _per_row_start(rng, fmap):
+    q = fmap.q
+    lo, hi = fmap.domain.lower[:q], fmap.domain.upper[:q]
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    out = np.empty(q)
+    u = rng.random(q)
+    z = rng.standard_normal(q)
+    out[finite] = lo[finite] + u[finite] * (hi[finite] - lo[finite])
+    out[~finite] = z[~finite]
+    return out
+
+
+def _per_row_solve(attempt, m, seed, retries=solvers.ROW_RETRIES):
+    """Reference row solver: row i retries on stream (seed, KIND_ROWS, i) until
+    ``attempt(rng)`` returns a row, before row i + 1 starts.  (The pilot runs
+    on other streams and leaves the rows unchanged, so it is left out.)"""
+    rows, failures, retries_used = [], 0, 0
+    for i in range(m):
+        rng = rng_for(seed, KIND_ROWS, i)
+        for k in range(retries):
+            row = attempt(rng)
+            if row is not None:
+                rows.append(row)
+                retries_used += k
+                break
+        else:
+            failures += 1
+            retries_used += retries
+    return np.vstack(rows), {"rows_returned": len(rows), "failures": failures,
+                             "retries": retries_used}
+
+
+def _per_row_cov_exact(fmap, f_y, counts):
+    def attempt(rng):
+        y = f_y.sample(rng, 1)[0]
+        start = _per_row_start(rng, fmap)
+        return _per_row_newton(fmap, y, np.empty(0), start, counts)
+
+    return attempt
+
+
+def _per_row_intuitive(fmap, f_y, f_aux, counts):
+    def attempt(rng):
+        y = f_y.sample(rng, 1)[0]
+        tail = f_aux.sample(rng, 1)[0]
+        start = _per_row_start(rng, fmap)
+        head = _per_row_newton(fmap, y, tail, start, counts)
+        return None if head is None else np.concatenate([head, tail])
+
+    return attempt
+
+
+def _per_row_mixture(fmap, f_y, partition, w):
+    weighted = iter(w)
+    branch_weight = [next(weighted) if b.weighted else 1.0 for b in partition.branches]
+
+    def attempt(rng):
+        y = f_y.sample(rng, 1)[0]
+        candidates, weights = [], []
+        for wt, branch in zip(branch_weight, partition.branches):
+            theta = np.atleast_1d(np.asarray(branch.inverse(y), dtype=float))
+            pt = theta.reshape(1, -1)
+            if branch.member(pt)[0] and fmap.domain.contains(pt)[0]:
+                candidates.append(theta)
+                weights.append(wt)
+        if not candidates:
+            return None
+        weights = np.asarray(weights)
+        total = weights.sum()
+        if total <= 0:
+            return None
+        return candidates[rng.choice(len(candidates), p=weights / total)]
+
+    return attempt
+
+
+def _per_row_bbe_linear(A, f_y, lower, upper):
+    aug_inv = np.linalg.inv(np.vstack([A, null_space_rows(A)]))
+
+    def attempt(rng):
+        y = f_y.sample(rng, 1)[0]
+        c = lower + rng.random(lower.shape[0]) * (upper - lower)
+        return aug_inv @ np.concatenate([y, c])
+
+    return attempt
+
+
+def _per_row_bbe_polar(f_y):
+    def attempt(rng):
+        y = f_y.sample(rng, 1)[0, 0]
+        r = math.sqrt(2.0 * y)
+        phi1, phi2 = polar_arc(r)
+        phi = phi1 + rng.random() * (phi2 - phi1)
+        return np.array([r * math.cos(phi), r * math.sin(phi)])
+
+    return attempt
+
+
+def _cubic_map():
+    """g(theta) = theta_1^3 + theta_1 + theta_2 / 2, one point per call, FD Jacobian."""
+    from sip_lab.densities import unbounded_support
+    from sip_lab.forward_maps import ForwardMap
+
+    def func(theta):
+        return np.array([theta[0] ** 3 + theta[0] + 0.5 * theta[1]])
+
+    return ForwardMap(p=2, q=1, func=func, domain=unbounded_support(2), name="cubic")
+
+
+class TestRowSolversMatchPerRowReference:
+    """The lockstep row solvers consume every row stream as the per-row ones
+    did, and return the same rows bit for bit.
+
+    The linear maps here have entries of +-1, whose products are exact: a
+    BLAS matrix product over many rows may round a sum of inexact products
+    differently from the product for one row, so the lockstep Newton matches
+    the one-point iteration bit for bit on maps whose batched evaluation
+    matches their one-point evaluation (elementwise maps, maps that are not
+    vectorized, linear maps with exact products).
+    """
+
+    def _check(self, solution, reference, m, seed):
+        rows = solution.sample(m, seed)
+        ref_rows, ref_diag = _per_row_solve(reference, m, seed)
+        np.testing.assert_array_equal(rows, ref_rows)
+        for key in ("rows_returned", "failures", "retries"):
+            assert solution.diagnostics[key] == ref_diag[key], key
+        return ref_diag
+
+    def test_cov_exact_linear(self):
+        fmap = linear_map([[1.0, -1.0], [1.0, 1.0]])
+        f_y = make_gaussian(GaussianParams([-1.0, 1.0], np.eye(2)))
+        counts = collections.Counter()
+        self._check(cov_exact(fmap, f_y), _per_row_cov_exact(fmap, f_y, counts), 400, 3)
+
+    def test_cov_exact_square_map_halves_and_retries(self):
+        # y < 0 has no root (step halving stalls near 0) and y > 1 has its
+        # roots outside (-1, 1); starts near 0 overshoot and halve
+        fmap = square_map(-1.0, 1.0)
+        f_y = make_uniform([-0.2], [1.2])
+        counts = collections.Counter()
+        diag = self._check(cov_exact(fmap, f_y), _per_row_cov_exact(fmap, f_y, counts),
+                           400, 5)
+        assert diag["retries"] > 0
+        assert counts["halved"] > 0 and counts["halving"] > 0 and counts["domain"] > 0
+
+    def test_m_not_a_multiple_of_the_block(self, monkeypatch):
+        monkeypatch.setattr(solvers, "ROW_BLOCK", 64)
+        fmap = square_map(-1.0, 1.0)
+        f_y = make_uniform([-0.2], [1.2])
+        counts = collections.Counter()
+        self._check(cov_exact(fmap, f_y), _per_row_cov_exact(fmap, f_y, counts), 301, 7)
+
+    def test_intuitive_sum_map(self):
+        fmap = linear_map([[1.0, 1.0]])
+        f_y = make_gaussian(GaussianParams([0.0], [[2.0]]))
+        f_aux = make_gaussian(GaussianParams([0.0], [[1.0]]))
+        counts = collections.Counter()
+        self._check(intuitive_sample(fmap, f_y, f_aux),
+                    _per_row_intuitive(fmap, f_y, f_aux, counts), 400, 11)
+
+    def test_intuitive_map_not_vectorized(self):
+        fmap = _cubic_map()
+        f_y = make_gaussian(GaussianParams([0.0], [[4.0]]))
+        f_aux = make_gaussian(GaussianParams([0.0], [[1.0]]))
+        counts = collections.Counter()
+        self._check(intuitive_sample(fmap, f_y, f_aux),
+                    _per_row_intuitive(fmap, f_y, f_aux, counts), 200, 13)
+
+    @pytest.mark.parametrize("w", [0.0, 0.5])
+    @pytest.mark.parametrize("partition,lo", [(two_branch_partition, -1.0),
+                                              (three_branch_partition, -0.5)],
+                             ids=["two_branch", "three_branch"])
+    def test_cov_mixture_family(self, partition, lo, w):
+        fmap = square_map(lo, 1.0)
+        f_y = make_uniform([0.0], [1.0])
+        weights = [w, 1.0 - w]
+        self._check(cov_mixture_family(fmap, f_y, partition(), MixtureWeights(weights)),
+                    _per_row_mixture(fmap, f_y, partition(), weights), 400, 17)
+
+    def test_bbe_linear(self):
+        A = np.array([[-1.0 / 3.0, 4.0 / 3.0]])
+        f_y = make_truncated_gaussian(0.5, 0.25, 0.0, 1.0)
+        lower, upper = np.array([-1.0]), np.array([1.0])
+        self._check(bbe_linear(A, f_y, bounds=(lower, upper)),
+                    _per_row_bbe_linear(A, f_y, lower, upper), 400, 19)
+
+    def test_bbe_polar(self):
+        f_y = make_beta(8.0, 12.0)
+        self._check(bbe_polar(f_y), _per_row_bbe_polar(f_y), 400, 23)
+
+
+    def test_general_linear_map_agrees_to_rounding(self):
+        # inexact products: the batched map evaluation may round differently
+        fmap = linear_map([[2.0, 0.3], [0.7, 1.1]])
+        f_y = make_gaussian(GaussianParams([-1.0, 1.0], np.eye(2)))
+        rows = cov_exact(fmap, f_y).sample(400, 3)
+        ref_rows, _ = _per_row_solve(_per_row_cov_exact(fmap, f_y, collections.Counter()),
+                                     400, 3)
+        np.testing.assert_allclose(rows, ref_rows, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cov_exact(linear_map([[1.0, -1.0], [1.0, 1.0]]),
+                      make_gaussian(GaussianParams([-1.0, 1.0], np.eye(2)))),
+    lambda: intuitive_sample(linear_map([[1.0, 1.0]]),
+                             make_gaussian(GaussianParams([0.0], [[2.0]])),
+                             make_gaussian(GaussianParams([0.0], [[1.0]]))),
+], ids=["cov_exact", "intuitive_sample"])
+def test_map_calls_do_not_grow_with_rows(monkeypatch, build):
+    def no_newton_solve(*args, **kwargs):
+        raise AssertionError("newton_solve called")
+
+    calls = []
+
+    def counted_eval_batch(fmap, pts):
+        calls[-1] += 1
+        return eval_batch(fmap, pts)
+
+    monkeypatch.setattr(solvers, "newton_solve", no_newton_solve)
+    monkeypatch.setattr(solvers, "eval_batch", counted_eval_batch)
+    for m in (2000, 4000):
+        calls.append(0)
+        assert build().sample(m, 1).shape[0] == m
+    assert calls[0] == calls[1] > 0
 
 
 class TestSequentialUpdate:

@@ -393,8 +393,8 @@ def _write_csv(path: Path, labels, rows: np.ndarray) -> None:
     with open(path, "w", newline="") as handle:
         handle.write(",".join(labels) + "\n")
         for start in range(0, rows.shape[0], CSV_BLOCK_ROWS):
-            block = rows[start:start + CSV_BLOCK_ROWS].tolist()
-            handle.writelines(line % tuple(row) for row in block)
+            block = rows[start:start + CSV_BLOCK_ROWS]
+            handle.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def _json_ready(obj):

@@ -2,7 +2,8 @@
 
 Every row of a Monte Carlo solver gets its own generator, seeded from
 ``(root seed, stream kind, row index)``, so a row's draws depend only on
-those three numbers and not on which rows ran before it.
+those three numbers and not on which rows ran before it.  Row i's generator,
+``PCG64(SeedSequence([seed, kind, i]))``, is seeded a block at a time by :func:`rng_streams`.
 """
 
 from __future__ import annotations
@@ -50,5 +51,55 @@ def theta_labels(p: int) -> tuple[str, ...]:
 
 def rng_for(seed: int, kind: int, index: int) -> np.random.Generator:
     """Independent generator for one logical stream of a root seed."""
-    ss = np.random.SeedSequence([int(seed), int(kind), int(index)])
-    return np.random.Generator(np.random.PCG64(ss))
+    return rng_streams(seed, kind, index, index + 1)[0]
+
+
+def rng_streams(seed: int, kind: int, first: int, stop: int) -> list[np.random.Generator]:
+    """``[rng_for(seed, kind, i) for i in range(first, stop)]``, seeded in one pass.
+
+    Runs ``SeedSequence([seed, kind, i]).generate_state(4, uint64)`` step for step on
+    uint32 arrays, one element per i.  Negative numbers and i >= 2**32 raise ValueError.
+    """
+    if min(seed, kind, first) < 0 or not first <= stop <= 2 ** 32:
+        raise ValueError(f"stream ({seed}, {kind}, [{first}, {stop})) is out of range")
+    head = [n >> shift & 0xFFFFFFFF for n in (int(seed), int(kind))
+            for shift in range(0, max(n.bit_length(), 1), 32)]  # 32-bit words, low first
+    index = np.arange(first, stop, dtype=np.uint32)
+    entropy = [np.full_like(index, w) for w in head] + [index] + [0 * index] * (3 - len(head))
+    a = _constants(0x43B0D7E5, 0x931E8875, 4 * len(entropy))  # hashmix call c uses a[c:c + 2]
+    pool = _hash(np.stack(entropy[:4]), a[:5])  # a pool of 4 words
+    for src in range(4):  # mix every pool word into every other one
+        others, c = [dst for dst in range(4) if dst != src], 4 + 3 * src
+        pool[others] = _mix(pool[others], _hash(pool[src], a[c:c + 4]))
+    for c, word in enumerate(entropy[4:], start=4):  # entropy words past the pool
+        pool = _mix(pool, _hash(word, a[4 * c:4 * c + 5]))
+    state = _hash(np.vstack([pool, pool]), _constants(0x8B51F9DD, 0x58F38DED, 8))
+    state = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_State(row))) for row in state]
+
+
+def _constants(const: int, mult: int, count: int) -> np.ndarray:
+    """A SeedSequence hash constant and its next ``count`` values, as a column."""
+    run = np.array([const] + [mult] * count, dtype=np.uint32)
+    return np.multiply.accumulate(run, dtype=np.uint32)[:, None]
+
+
+def _hash(value, run):
+    """SeedSequence's hashmix of ``value`` with each consecutive pair of ``run``."""
+    value = (value ^ run[:-1]) * run[1:]
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):  # SeedSequence's mix
+    out = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+    return out ^ (out >> 16)
+
+
+class _State(np.random.bit_generator.ISeedSequence):
+    """Hands ``PCG64`` one row's precomputed ``generate_state(4, uint64)``."""
+
+    def __init__(self, state):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state

@@ -53,6 +53,7 @@ from .sampling import (
     KIND_ROWS,
     SampleBatch,
     rng_for,
+    rng_streams,
     theta_labels,
 )
 
@@ -244,7 +245,7 @@ def _solve_rows(attempt, m: int, seed: int, retries: int = ROW_RETRIES,
             f"{label}: {failures}/{m} rows dropped after {retries} retries each",
             RuntimeWarning,
         )
-    data = rows[solved] if kept else np.empty((0, 0))
+    data = rows[solved] if m else np.empty((0, 0))
     diag = {
         "rows_requested": m,
         "rows_returned": kept,
@@ -266,17 +267,16 @@ def _lockstep_rows(attempt, m: int, seed: int, kind: int, retries: int):
     solved = np.zeros(m, dtype=bool)
     failed = 0
     for first in range(0, m, ROW_BLOCK):
-        index = np.arange(first, min(first + ROW_BLOCK, m))
-        rngs = [rng_for(seed, kind, i) for i in index]
-        pending = np.arange(index.size)
+        rngs = rng_streams(seed, kind, first, min(first + ROW_BLOCK, m))
+        pending = np.arange(len(rngs))
         for _ in range(retries):
             if not pending.size:
                 break
             out, ok = attempt([rngs[i] for i in pending])
             if rows is None:
                 rows = np.empty((m, out.shape[1]))
-            rows[index[pending[ok]]] = out[ok]
-            solved[index[pending[ok]]] = True
+            rows[first + pending[ok]] = out[ok]
+            solved[first + pending[ok]] = True
             pending = pending[~ok]
             failed += pending.size
     return rows, solved, failed
@@ -290,7 +290,7 @@ def _row_sampler(solution: SipSolution, attempt, label: str,
         # looked up by module-global name, so perfbench's tracer sees each draw
         data, diag = _solve_rows(attempt, n, seed, pilot=pilot, label=label)
         solution.diagnostics.update(diag)
-        return data
+        return data.reshape(-1, solution.density.dim)  # (0, p) when n is 0
 
     solution.sample = sample
     return solution
@@ -404,20 +404,19 @@ def cov_mixture_family(fmap: ForwardMap, f_y: Density, partition: DomainPartitio
     def attempt(rngs):
         k = len(rngs)
         y = np.vstack([f_y.sample(rng, 1) for rng in rngs])
-        pieces = [np.asarray(b.inverse(y), dtype=float).reshape(k, fmap.p)
-                  for b in partition.branches]
+        pieces = np.stack([np.asarray(b.inverse(y), dtype=float).reshape(k, fmap.p)
+                           for b in partition.branches])
         valid = np.stack([np.asarray(b.member(theta), dtype=bool) & fmap.domain.contains(theta)
                           for b, theta in zip(partition.branches, pieces)], axis=1)
+        weights = np.where(valid, branch_weight, 0.0)
+        total = weights.sum(axis=1)  # the zeros leave each row's sum as it was
+        ok = total > 0  # else no pre-image, or this family member puts no mass on them
+        # rng.choice(pre-images, p=weights / total) for every ok row, one random() each
+        u = np.array([rng.random() for rng, has in zip(rngs, ok) if has])
+        cdf = np.cumsum(weights[ok] / total[ok, None], axis=1)
+        pick = np.argmax(cdf / cdf[:, -1:] > u[:, None], axis=1)
         rows = np.empty((k, fmap.p))
-        ok = np.zeros(k, dtype=bool)
-        for i, rng in enumerate(rngs):
-            index = np.flatnonzero(valid[i])
-            weights = branch_weight[index]
-            total = weights.sum()
-            if total <= 0:  # no pre-image, or this family member puts no mass on them
-                continue
-            rows[i] = pieces[index[rng.choice(index.size, p=weights / total)]][i]
-            ok[i] = True
+        rows[ok] = pieces[pick, np.flatnonzero(ok)]
         return rows, ok
 
     return _row_sampler(SipSolution(density, "CoV-mixture"), attempt, "cov_mixture")
@@ -770,7 +769,7 @@ def _reject_rows(proposal: Density, ratio, bound: float, m: int, seed: int):
     A row ends at its first accepted proposal, or at its first proposal
     whose ratio exceeds the bound (which flags the whole pass as over).
     """
-    rngs = [rng_for(seed, KIND_ROWS, i) for i in range(m)]
+    rngs = rng_streams(seed, KIND_ROWS, 0, m)
     out = np.empty((m, proposal.dim))
     pending = list(range(m))
     n_proposals = 0

@@ -16,7 +16,7 @@ from scipy.special import kolmogorov
 from . import _kernels
 from .densities import Density
 from .forward_maps import eval_batch
-from .sampling import KIND_PERMUTATION, KIND_PROBE, rng_for
+from .sampling import KIND_PERMUTATION, KIND_PROBE, rng_for, rng_streams
 
 ENERGY_MAX_GROUP = 1024
 
@@ -152,8 +152,8 @@ def energy_distance_test(x: np.ndarray, y: np.ndarray, n_permutations: int = 200
 
     groupings = np.empty((n_permutations + 1, total), dtype=np.int64)
     groupings[0] = np.arange(total)
-    for k in range(n_permutations):
-        groupings[k + 1] = rng_for(seed, KIND_PERMUTATION, k).permutation(total)
+    for k, rng in enumerate(rng_streams(seed, KIND_PERMUTATION, 0, n_permutations)):
+        groupings[k + 1] = rng.permutation(total)
 
     stats = _kernels.energy_stats(dists, groupings, n1)
     observed = stats[0]

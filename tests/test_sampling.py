@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from sip_lab import SampleBatch
-from sip_lab.sampling import KIND_PILOT, KIND_ROWS, rng_for
+from sip_lab.sampling import KIND_PILOT, KIND_ROWS, rng_for, rng_streams
+from sip_lab.solvers import ROW_BLOCK
+
+
+def seed_sequence_stream(seed, kind, index):
+    """The stream as numpy seeds it, one SeedSequence per row."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, kind, index])))
 
 
 class TestStreams:
@@ -22,6 +28,38 @@ class TestStreams:
         a = rng_for(7, KIND_ROWS, 3).random(5)
         b = rng_for(7, KIND_PILOT, 3).random(5)
         assert not np.array_equal(a, b)
+
+
+class TestRngStreams:
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 + 5, 2**70 + 3])
+    def test_first_draws_match_seed_sequence(self, seed):
+        for kind in range(5):
+            for first, stop in [(0, 3), (5, 9), (ROW_BLOCK - 2, ROW_BLOCK + 3)]:
+                streams = rng_streams(seed, kind, first, stop)
+                assert len(streams) == stop - first
+                for index, rng in zip(range(first, stop), streams):
+                    reference = seed_sequence_stream(seed, kind, index)
+                    assert rng.random() == reference.random()
+                    assert rng.standard_normal() == reference.standard_normal()
+
+    def test_one_row_and_last_index(self):
+        last = 2**32 - 1
+        for rng, index in [(rng_for(7, KIND_ROWS, 3), 3), (rng_for(7, KIND_ROWS, last), last)]:
+            np.testing.assert_array_equal(
+                rng.random(4), seed_sequence_stream(7, KIND_ROWS, index).random(4))
+
+    def test_empty_range(self):
+        assert rng_streams(7, KIND_ROWS, 5, 5) == []
+
+    def test_out_of_range_raises(self):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence([-1, KIND_ROWS, 0])  # the rule being mirrored
+        with pytest.raises(ValueError):
+            rng_streams(-1, KIND_ROWS, 0, 3)
+        with pytest.raises(ValueError):
+            rng_for(7, KIND_ROWS, 2**32)
+        with pytest.raises(ValueError):
+            rng_streams(7, KIND_ROWS, 2**32 - 1, 2**32 + 1)
 
 
 class TestRetryPolicy:

@@ -46,7 +46,7 @@ from sip_lab import (
 from sip_lab import solvers
 from sip_lab.forward_maps import eval_batch, jacobian_at, null_space_rows, \
     polar_quadratic_map
-from sip_lab.sampling import KIND_FIT, KIND_PILOT, KIND_ROWS, rng_for
+from sip_lab.sampling import KIND_FIT, KIND_PILOT, KIND_ROWS, rng_for, rng_streams
 from sip_lab.solvers import PILOT_SIZE, angular_conditional, polar_arc
 
 
@@ -928,6 +928,18 @@ class TestRowSolversMatchPerRowReference:
         self._check(cov_mixture_family(fmap, f_y, partition(), MixtureWeights(weights)),
                     _per_row_mixture(fmap, f_y, partition(), weights), 400, 17)
 
+    def test_cov_mixture_family_rows_without_mass_retry(self):
+        # on (-0.5, 1) the only pre-image of y > 0.25 is +sqrt(y), which
+        # carries weight 0 here, so those rows fail and draw again
+        fmap = square_map(-0.5, 1.0)
+        f_y = make_uniform([0.0], [0.3])
+        weights = [1.0, 0.0]
+        diag = self._check(cov_mixture_family(fmap, f_y, two_branch_partition(),
+                                              MixtureWeights(weights)),
+                           _per_row_mixture(fmap, f_y, two_branch_partition(), weights),
+                           400, 29)
+        assert diag["retries"] > 0
+
     def test_bbe_linear(self):
         A = np.array([[-1.0 / 3.0, 4.0 / 3.0]])
         f_y = make_truncated_gaussian(0.5, 0.25, 0.0, 1.0)
@@ -972,6 +984,22 @@ def test_map_calls_do_not_grow_with_rows(monkeypatch, build):
     for m in (2000, 4000):
         calls.append(0)
         assert build().sample(m, 1).shape[0] == m
+    assert calls[0] == calls[1] > 0
+
+
+def test_stream_seeding_calls_do_not_grow_with_rows(monkeypatch):
+    calls = []
+
+    def counted_rng_streams(*args):
+        calls[-1] += 1
+        return rng_streams(*args)
+
+    monkeypatch.setattr(solvers, "rng_streams", counted_rng_streams)
+    solution = cov_exact(linear_map([[1.0, -1.0], [1.0, 1.0]]),
+                         make_gaussian(GaussianParams([-1.0, 1.0], np.eye(2))))
+    for m in (2000, 4000):
+        calls.append(0)
+        assert solution.sample(m, 1).shape[0] == m
     assert calls[0] == calls[1] > 0
 
 
@@ -1031,7 +1059,7 @@ class TestSequentialUpdate:
         assert p_value >= 0.01
 
 
-@pytest.mark.parametrize("build", [
+_ROW_SOLVERS = [
     lambda: cov_exact(linear_map([[2.0, 0.0], [1.0, 1.0]]),
                       make_gaussian(GaussianParams([0.0, 1.0], np.eye(2)))),
     lambda: cov_mixture_family(square_map(-1.0, 1.0), make_uniform([0.0], [1.0]),
@@ -1042,19 +1070,40 @@ class TestSequentialUpdate:
     lambda: bbe_linear([[-1.0 / 3.0, 4.0 / 3.0]], make_truncated_gaussian(0.5, 0.25, 0.0, 1.0),
                        bounds=([-1.0], [1.0])),
     lambda: bbe_polar(make_beta(8.0, 12.0)),
+]
+_ROW_SOLVER_IDS = ["cov_exact", "cov_mixture_family", "intuitive_sample", "bbe_linear",
+                   "bbe_polar"]
+
+
+@pytest.mark.parametrize("build", _ROW_SOLVERS + [
     lambda: _bjw_gauss_linear(pushforward_density),
     lambda: _bjw_gauss_linear(lambda initial, fmap: kde_pushforward(initial, fmap, 500, 2)),
     lambda: bjw_sequential_update(make_gaussian(GaussianParams([0.0, 0.0], np.eye(2))),
                                   linear_map([[1.0, 1.0]]),
                                   make_gaussian(GaussianParams([0.3], [[0.16]])),
                                   make_gaussian(GaussianParams([-0.2], [[0.36]])))[1],
-], ids=["cov_exact", "cov_mixture_family", "intuitive_sample", "bbe_linear", "bbe_polar",
-        "bjw_density_analytic", "bjw_density_kde", "bjw_double_update"])
+], ids=_ROW_SOLVER_IDS + ["bjw_density_analytic", "bjw_density_kde", "bjw_double_update"])
 def test_sample_accepts_seed_by_keyword(build):
     solution = build()
     first = solution.sample(200, seed=5)
     assert first.shape == (200, solution.density.dim)
     np.testing.assert_array_equal(first, solution.sample(200, 5))
+
+
+@pytest.mark.parametrize("build", _ROW_SOLVERS, ids=_ROW_SOLVER_IDS)
+def test_sample_of_no_rows_keeps_the_columns(build):
+    solution = build()
+    assert solution.sample(0, 1).shape == (0, solution.density.dim)
+
+
+def test_rows_all_dropped_keep_the_columns():
+    def never(rngs):
+        return np.ones((len(rngs), 3)), np.zeros(len(rngs), dtype=bool)
+
+    with pytest.warns(RuntimeWarning, match="dropped"):
+        data, diag = solvers._solve_rows(never, 20, seed=1, retries=2, pilot=0)
+    assert data.shape == (0, 3)
+    assert diag["rows_returned"] == 0
 
 
 def _bjw_gauss_linear(make_pushforward):

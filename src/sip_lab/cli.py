@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -92,19 +93,15 @@ class RunConfig:
             raise ValueError("--format must be csv or json")
         if not 0.0 <= self.w <= 1.0:
             raise ValueError(f"--w must lie in [0, 1], got {self.w}")
+        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
+            raise ValueError(f"--sigma must be positive and finite, got {self.sigma}")
+        if not math.isfinite(self.xstar):
+            raise ValueError(f"--xstar must be finite, got {self.xstar}")
+        if self.n < 1:
+            raise ValueError("--n must be at least 1")
 
     def meta(self) -> dict:
-        return {
-            "example": self.example,
-            "samples": self.samples,
-            "seed": self.seed,
-            "format": self.format,
-            "grid": self.grid,
-            "w": self.w,
-            "sigma": self.sigma,
-            "xstar": self.xstar,
-            "n": self.n,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}
 
 
 @dataclass
@@ -450,22 +447,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Re-run the worked inverse-problem examples and verify them.",
     )
     sub = parser.add_subparsers(dest="example", required=True, metavar="EXAMPLE")
+    default = {f.name: f.default for f in fields(RunConfig)}
     for name in EXAMPLES:
         sp = sub.add_parser(name, help=f"run the {name} example")
-        sp.add_argument("--samples", type=int, default=10_000)
-        sp.add_argument("--seed", type=int, default=7)
-        sp.add_argument("--out", type=Path, default=Path("sip_lab_out"))
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--grid", type=int, default=128)
+        sp.add_argument("--samples", type=int, default=default["samples"])
+        sp.add_argument("--seed", type=int, default=default["seed"])
+        sp.add_argument("--out", type=Path, default=default["out"])
+        sp.add_argument("--format", choices=("csv", "json"), default=default["format"])
+        sp.add_argument("--grid", type=int, default=default["grid"])
         if name == "two-to-one":
-            sp.add_argument("--w", type=float, default=0.5,
+            sp.add_argument("--w", type=float, default=default["w"],
                             help="mixture weight on the negative branch")
         if name in ("cov-linear-mvn", "regression-compare"):
-            sp.add_argument("--sigma", type=float, default=1.0)
+            sp.add_argument("--sigma", type=float, default=default["sigma"])
         if name == "regression-compare":
-            sp.add_argument("--xstar", type=float, default=2.0)
+            sp.add_argument("--xstar", type=float, default=default["xstar"])
         if name == "stochastic-map-mean":
-            sp.add_argument("--n", type=int, default=10,
+            sp.add_argument("--n", type=int, default=default["n"],
                             help="number of replicate observables")
     return parser
 

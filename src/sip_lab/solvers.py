@@ -9,12 +9,14 @@ updates of an initial density (exact or KDE-approximated) with rejection
 sampling.
 
 Every solution draws through ``sample(n, seed) -> (n, p)``, which records its
-counters in ``diagnostics``.  Rows advance in lockstep: the root-solving and
-contour solutions solve all pending rows of a block at once, with one damped
-Newton over all of them where a root is needed (:func:`_row_sampler`), and
-ratio-form solutions score all pending proposals at once
-(:func:`bjw_density`).  Row i draws from its own generator stream
-(seed, kind, i), so results depend only on (seed, row count).
+counters in ``diagnostics``.  Every sampler, rejection included, advances the
+pending rows of a block of ``ROW_BLOCK`` rows in lockstep through one loop,
+:func:`_lockstep_rows`: the root-solving and contour solutions solve all of
+them at once, with one damped Newton over all of them where a root is needed
+(:func:`_row_sampler`), and ratio-form solutions score all of their
+proposals with one ratio evaluation (:func:`bjw_rejection_sample`).  Row i
+draws from its own generator stream (seed, kind, i), so results depend only
+on (seed, row count).
 """
 
 from __future__ import annotations
@@ -91,8 +93,7 @@ class SipSolution:
 
 
 def newton_solve(fmap: ForwardMap, y_target, theta_tail=None, theta0=None,
-                 tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER,
-                 return_iterations: bool = False):
+                 tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER):
     """Solve g(theta_head, theta_tail) = y_target for the leading q coordinates.
 
     One row of :func:`_newton_rows`, started from ``theta0`` (by default the
@@ -120,8 +121,6 @@ def newton_solve(fmap: ForwardMap, y_target, theta_tail=None, theta0=None,
             f"damped Newton found no in-domain root of g = {y_target} from "
             f"{head} (stopped after {iterations[0]} iterations)"
         )
-    if return_iterations:
-        return heads[0], int(iterations[0])
     return heads[0]
 
 
@@ -258,10 +257,12 @@ def _solve_rows(attempt, m: int, seed: int, retries: int = ROW_RETRIES,
 
 
 def _lockstep_rows(attempt, m: int, seed: int, kind: int, retries: int):
-    """Rows 0..m-1 of one stream kind, block by block.
+    """Rows 0..m-1 of one stream kind, block by block: the one row loop.
 
-    Returns (rows (m, p), solved (m,), failed attempts); a row that fails
-    every attempt counts ``retries`` failed attempts.
+    ``attempt`` is as for :func:`_solve_rows`; only the ``ROW_BLOCK``
+    generators of the current block are live at once.  Returns (rows (m, p),
+    solved (m,), failed attempts); a row that fails every attempt counts
+    ``retries`` failed attempts.
     """
     rows = None
     solved = np.zeros(m, dtype=bool)
@@ -313,26 +314,19 @@ def cov_exact(fmap: ForwardMap, f_y: Density) -> SipSolution:
 
     Requires the map to be one-to-one on its domain (the density is only
     normalized in that case; many-to-one maps belong to
-    :func:`cov_mixture_family`).  The sampler draws an observable value
-    and root-solves the map from a uniform start in the domain box.
+    :func:`cov_mixture_family`).  This is :func:`intuitive_sample` with no
+    trailing coordinates: the sampler draws an observable value and
+    root-solves the map from a uniform start in the domain box.
     """
     if fmap.p != fmap.q:
         raise ValueError(
             f"exact pullback needs p = q (got p={fmap.p}, q={fmap.q}); "
             "use intuitive_sample or a ratio-form update instead"
         )
-
-    density = Density(fmap.p, fmap.domain,
-                      log_pdf_fn=lambda pts: _pullback_log_pdf(fmap, f_y, pts),
-                      name=f"cov[{fmap.name}]")
-
-    def attempt(rngs):
-        y = np.vstack([f_y.sample(rng, 1) for rng in rngs])
-        heads, ok, _ = _newton_rows(fmap, y, np.empty((len(rngs), 0)),
-                                    _draw_starts(rngs, fmap))
-        return heads, ok
-
-    return _row_sampler(SipSolution(density, "CoV"), attempt, "cov_exact")
+    solution = intuitive_sample(fmap, f_y, None)
+    solution.method = "CoV"
+    solution.density.name = f"cov[{fmap.name}]"
+    return solution
 
 
 @dataclass(frozen=True)
@@ -685,11 +679,13 @@ def bjw_rejection_sample(solution: SipSolution, m: int, seed: int,
     naming theta instead of doubling the bound without end, and so does a
     run still over the bound after ``REJECTION_MAX_DOUBLINGS`` doublings.
 
-    Row i proposes and accepts from its own stream (seed, KIND_ROWS, i).  All
-    pending rows advance in lockstep: each round draws one proposal per
-    row, scores the round with one ratio evaluation, and draws one
-    uniform per row, so every stream is consumed exactly as if the rows
-    ran one after another.
+    Row i proposes and accepts from its own stream (seed, KIND_ROWS, i).  The
+    pending rows of each block of ``ROW_BLOCK`` rows advance in lockstep
+    (:func:`_lockstep_rows`): each round draws one proposal per row, scores
+    the round with one ratio evaluation, and draws one uniform per row, so
+    every stream is consumed exactly as if the rows ran one after another.
+    A row that accepts none of ``REJECTION_MAX_PROPOSALS`` proposals raises
+    ``NonConvergenceError``.
     """
     parts = solution.parts
     if not {"proposal", "f_y", "pushforward"} <= parts.keys():
@@ -736,9 +732,28 @@ def bjw_rejection_sample(solution: SipSolution, m: int, seed: int,
         )
     bound = 1.2 * peak
 
+    def attempt(rngs):
+        # a ratio over the bound ends its row and flags the pass as over
+        nonlocal over
+        theta = np.vstack([proposal.sample(rng, 1) for rng in rngs])
+        r = ratio(theta)
+        u = np.array([rng.random() for rng in rngs])
+        high = r > bound
+        over = over or bool(high.any())
+        return theta, high | (u * bound <= r)
+
     doublings = 0
     while True:
-        accepted, n_proposals, over = _reject_rows(proposal, ratio, bound, m, seed)
+        over = False
+        rows, accepted, failed = _lockstep_rows(attempt, m, seed, KIND_ROWS,
+                                                REJECTION_MAX_PROPOSALS)
+        if not accepted.all():
+            raise NonConvergenceError(
+                f"rejection sampler gave up: {m - int(accepted.sum())} of {m} rows "
+                f"accepted none of {REJECTION_MAX_PROPOSALS} proposals at bound "
+                f"{bound:.6g}; the ratio is likely unbounded under the proposal, so "
+                "no finite bound accepts at a usable rate"
+            )
         if not over:
             break
         if doublings == REJECTION_MAX_DOUBLINGS:
@@ -754,49 +769,15 @@ def bjw_rejection_sample(solution: SipSolution, m: int, seed: int,
         )
         bound *= 2.0
 
+    n_proposals = m + failed  # every row's last proposal ended it
     solution.diagnostics.update({
         "acceptance_rate": m / n_proposals if n_proposals else float("nan"),
         "proposals": n_proposals,
         "bound": bound,
         "seed": seed,
     })
-    return SampleBatch(data=accepted, labels=theta_labels(proposal.dim), seed=seed)
-
-
-def _reject_rows(proposal: Density, ratio, bound: float, m: int, seed: int):
-    """One rejection pass over m rows; returns (rows, proposals, over bound).
-
-    A row ends at its first accepted proposal, or at its first proposal
-    whose ratio exceeds the bound (which flags the whole pass as over).
-    """
-    rngs = rng_streams(seed, KIND_ROWS, 0, m)
-    out = np.empty((m, proposal.dim))
-    pending = list(range(m))
-    n_proposals = 0
-    over = False
-    for _ in range(REJECTION_MAX_PROPOSALS):
-        if not pending:
-            break
-        theta = np.vstack([proposal.sample(rngs[i], 1) for i in pending])
-        n_proposals += len(pending)
-        still = []
-        for i, row, r in zip(pending, theta, ratio(theta).tolist()):
-            if r > bound:
-                over = True
-                out[i] = row
-            elif rngs[i].random() * bound <= r:
-                out[i] = row
-            else:
-                still.append(i)
-        pending = still
-    if pending:
-        raise NonConvergenceError(
-            f"rejection sampler gave up: {len(pending)} of {m} rows accepted none "
-            f"of {REJECTION_MAX_PROPOSALS} proposals at bound {bound:.6g}; the "
-            "ratio is likely unbounded under the proposal, so no finite bound "
-            "accepts at a usable rate"
-        )
-    return out, n_proposals, over
+    data = rows if m else np.empty((0, proposal.dim))
+    return SampleBatch(data=data, labels=theta_labels(proposal.dim), seed=seed)
 
 
 def bjw_sequential_update(initial: Density, fmap: ForwardMap, f_y1: Density,

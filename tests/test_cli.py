@@ -1,6 +1,8 @@
 """CLI contract: files, formats, exit codes, determinism."""
 
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,13 +38,26 @@ def test_config_validation():
         RunConfig(example="two-to-one", w=float("nan"))
     with pytest.raises(ValueError):
         RunConfig(example="two-to-one", w=1.5)
+    with pytest.raises(ValueError):
+        RunConfig(example="stochastic-map-mean", n=0)
+    for sigma in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            RunConfig(example="cov-linear-mvn", sigma=sigma)
+    for xstar in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            RunConfig(example="regression-compare", xstar=xstar)
 
 
 def test_invalid_flag_exits_2(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["two-to-one", "--samples", "0"])
-    assert err.value.code == 2
-    assert "--samples" in capsys.readouterr().err
+    for argv in (["two-to-one", "--samples", "0"],
+                 ["stochastic-map-mean", "--n", "0"],
+                 ["cov-linear-mvn", "--sigma", "0"],
+                 ["cov-linear-mvn", "--sigma", "nan"],
+                 ["regression-compare", "--xstar", "nan"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert argv[1] in capsys.readouterr().err
 
 
 def test_parser_registers_all_examples():
@@ -106,13 +121,19 @@ def test_subprocess_runs_byte_identical(tmp_path):
     import subprocess
     import sys
 
+    import sip_lab
+
+    # the child imports the same sip_lab, installed or not
+    package_parent = str(Path(sip_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_parent, os.environ.get("PYTHONPATH")])))
     outs = []
     for tag in ("a", "b"):
         out = tmp_path / tag
         result = subprocess.run(
             [sys.executable, "-m", "sip_lab.cli", "two-to-one", "--samples",
              "300", "--seed", "5", "--grid", "16", "--out", str(out)],
-            capture_output=True,
+            capture_output=True, env=env,
         )
         assert result.returncode == 0, result.stderr.decode()
         outs.append({p.name: p.read_bytes() for p in out.iterdir()})

@@ -73,10 +73,10 @@ class TestNewtonSolve:
     def test_affine_one_iteration(self):
         fmap = linear_map(np.array([[2.0, 0.5], [0.0, 1.0]]))
         y = np.array([1.0, -2.0])
-        head, iters = newton_solve(fmap, y, theta0=[5.0, 5.0],
-                                   return_iterations=True)
-        assert iters == 1
-        np.testing.assert_allclose(fmap.matrix @ head, y, atol=1e-12)
+        heads, _, iterations = solvers._newton_rows(fmap, y[None], np.empty((1, 0)),
+                                                     np.array([[5.0, 5.0]]))
+        assert iterations.tolist() == [1]
+        np.testing.assert_allclose(fmap.matrix @ heads[0], y, atol=1e-12)
 
     @pytest.mark.parametrize("start,root", [(1.0, 0.5), (-1.0, -0.5)])
     def test_square_root_branch_follows_start(self, start, root):
@@ -660,13 +660,16 @@ class TestRejectionMatchesPerRowReference:
         f_y = make_gaussian(GaussianParams([0.25], [[0.25]]))
         return bjw_density(initial, fmap, f_y, pushforward_density(initial, fmap))
 
-    def test_gauss_linear_instance(self):
-        solution = self._gauss_linear()
-        batch = bjw_rejection_sample(solution, 300, seed=3)
-        rows, proposals, bound = _per_row_rejection(solution, 300, seed=3)
-        np.testing.assert_array_equal(batch.data, rows)
-        assert solution.diagnostics["proposals"] == proposals
-        assert solution.diagnostics["bound"] == bound
+    def test_gauss_linear_instance(self, monkeypatch):
+        # the second case spans several blocks, the last one partial
+        for block, m in ((solvers.ROW_BLOCK, 300), (64, 301)):
+            monkeypatch.setattr(solvers, "ROW_BLOCK", block)
+            solution = self._gauss_linear()
+            batch = bjw_rejection_sample(solution, m, seed=3)
+            rows, proposals, bound = _per_row_rejection(solution, m, seed=3)
+            np.testing.assert_array_equal(batch.data, rows)
+            assert solution.diagnostics["proposals"] == proposals
+            assert solution.diagnostics["bound"] == bound
 
     def test_chained_double_update(self):
         fmap = linear_map(np.array([[1.0, 1.0]]))
@@ -1075,14 +1078,19 @@ _ROW_SOLVER_IDS = ["cov_exact", "cov_mixture_family", "intuitive_sample", "bbe_l
                    "bbe_polar"]
 
 
-@pytest.mark.parametrize("build", _ROW_SOLVERS + [
+_RATIO_SOLVERS = [
     lambda: _bjw_gauss_linear(pushforward_density),
     lambda: _bjw_gauss_linear(lambda initial, fmap: kde_pushforward(initial, fmap, 500, 2)),
     lambda: bjw_sequential_update(make_gaussian(GaussianParams([0.0, 0.0], np.eye(2))),
                                   linear_map([[1.0, 1.0]]),
                                   make_gaussian(GaussianParams([0.3], [[0.16]])),
                                   make_gaussian(GaussianParams([-0.2], [[0.36]])))[1],
-], ids=_ROW_SOLVER_IDS + ["bjw_density_analytic", "bjw_density_kde", "bjw_double_update"])
+]
+_RATIO_SOLVER_IDS = ["bjw_density_analytic", "bjw_density_kde", "bjw_double_update"]
+
+
+@pytest.mark.parametrize("build", _ROW_SOLVERS + _RATIO_SOLVERS,
+                         ids=_ROW_SOLVER_IDS + _RATIO_SOLVER_IDS)
 def test_sample_accepts_seed_by_keyword(build):
     solution = build()
     first = solution.sample(200, seed=5)
@@ -1090,7 +1098,8 @@ def test_sample_accepts_seed_by_keyword(build):
     np.testing.assert_array_equal(first, solution.sample(200, 5))
 
 
-@pytest.mark.parametrize("build", _ROW_SOLVERS, ids=_ROW_SOLVER_IDS)
+@pytest.mark.parametrize("build", _ROW_SOLVERS + _RATIO_SOLVERS,
+                         ids=_ROW_SOLVER_IDS + _RATIO_SOLVER_IDS)
 def test_sample_of_no_rows_keeps_the_columns(build):
     solution = build()
     assert solution.sample(0, 1).shape == (0, solution.density.dim)

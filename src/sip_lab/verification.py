@@ -117,12 +117,16 @@ def ks_test_1d(samples, cdf) -> tuple[float, float]:
 
     Returns (D, p) where D is the sup distance between the empirical and
     analytic CDFs and p comes from the asymptotic Kolmogorov distribution
-    (trustworthy from a few dozen samples up).
+    (trustworthy from a few dozen samples up).  Raises ValueError for no
+    samples, a NaN sample, or a CDF that is non-monotone on the samples.
     """
     samples = np.sort(np.asarray(samples, dtype=float).ravel())
     n = samples.shape[0]
     if n < 1:
         raise ValueError("need at least one sample")
+    missing = int(np.count_nonzero(np.isnan(samples)))
+    if missing:
+        raise ValueError(f"{missing} of the {n} samples are NaN")
     values = np.asarray(cdf(samples), dtype=float)
     if np.any(np.diff(values) < -1e-12):
         raise ValueError("cdf probe is non-monotone on the sample points")
@@ -136,26 +140,46 @@ def ks_test_1d(samples, cdf) -> tuple[float, float]:
 
 def energy_distance_test(x: np.ndarray, y: np.ndarray, n_permutations: int = 200,
                          seed: int = 0) -> tuple[float, float]:
-    """Two-sample energy-distance permutation test.
+    """Two-sample energy-distance permutation test (Szekely & Rizzo).
 
-    Groups larger than ENERGY_MAX_GROUP are truncated to their leading rows
-    (the rows are iid, so this only costs power).  Permutation k uses the
-    generator stream (seed, permutation-kind, k), so the p-value is
-    deterministic and independent of execution order.
+    ``x`` and ``y`` are (n, d) arrays of observations; a 1-D array is n
+    scalar observations.  Groups larger than ENERGY_MAX_GROUP are truncated
+    to their leading rows (the rows are iid, so this only costs power).
+    Permutation k uses the generator stream (seed, permutation-kind, k), so
+    the p-value is deterministic and independent of execution order.  The
+    statistics come from ``_kernels.energy_stats``, which walks the pooled
+    distance matrix in blocks and never holds it whole.
+
+    Raises ValueError for input of more than two dimensions, an empty group,
+    a non-finite row among those tested, or fewer than one permutation.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))[:ENERGY_MAX_GROUP]
-    y = np.atleast_2d(np.asarray(y, dtype=float))[:ENERGY_MAX_GROUP]
-    n1 = x.shape[0]
-    pooled = np.vstack([x, y])
+    if n_permutations < 1:
+        raise ValueError(f"need at least one permutation, got {n_permutations}")
+    groups = []
+    for name, sample in (("x", x), ("y", y)):
+        sample = np.asarray(sample, dtype=float)
+        if sample.ndim > 2:
+            raise ValueError(f"{name} must be 1-D or 2-D, got shape {sample.shape}")
+        if sample.ndim < 2:
+            sample = sample.reshape(-1, 1)
+        sample = sample[:ENERGY_MAX_GROUP]
+        if sample.shape[0] == 0:
+            raise ValueError(f"{name} is empty: need at least one observation")
+        bad = int(np.count_nonzero(~np.all(np.isfinite(sample), axis=1)))
+        if bad:
+            raise ValueError(f"{name} has {bad} non-finite row(s) among the "
+                             f"{sample.shape[0]} tested")
+        groups.append(sample)
+    n1 = groups[0].shape[0]
+    pooled = np.vstack(groups)
     total = pooled.shape[0]
-    dists = _kernels.pairwise_dists(pooled)
 
     groupings = np.empty((n_permutations + 1, total), dtype=np.int64)
     groupings[0] = np.arange(total)
     for k, rng in enumerate(rng_streams(seed, KIND_PERMUTATION, 0, n_permutations)):
         groupings[k + 1] = rng.permutation(total)
 
-    stats = _kernels.energy_stats(dists, groupings, n1)
+    stats = _kernels.energy_stats(pooled, groupings, n1)
     observed = stats[0]
     p_value = float((1 + np.sum(stats[1:] >= observed)) / (n_permutations + 1))
     return float(observed), p_value

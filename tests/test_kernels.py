@@ -107,7 +107,13 @@ def test_pairwise_dists_backends_agree():
     x = rng.standard_normal((80, 3))
     # oracle: direct norm computation
     oracle = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=-1)
-    np.testing.assert_allclose(_kernels.pairwise_dists(x), oracle, atol=1e-12)
+    got = _kernels.pairwise_dists(x)
+    np.testing.assert_allclose(got, oracle, atol=1e-12)
+    assert np.array_equal(got, got.T) and np.all(np.diag(got) == 0.0)
+    # the rectangular form: rows of x against rows of another array
+    y = rng.standard_normal((31, 3))
+    oracle_xy = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=-1)
+    np.testing.assert_allclose(_kernels.pairwise_dists(x, y), oracle_xy, atol=1e-12)
 
 
 def _loop_energy_stats(dists, groupings, n1):
@@ -140,12 +146,47 @@ def test_energy_stats_backends_agree():
     dists = _kernels.pairwise_dists(pooled)
     groupings = np.vstack([np.arange(60)] +
                           [rng.permutation(60) for _ in range(20)]).astype(np.int64)
-    np.testing.assert_allclose(_kernels.energy_stats(dists, groupings, 25),
+    np.testing.assert_allclose(_kernels.energy_stats(pooled, groupings, 25),
                                _loop_energy_stats(dists, groupings, 25), rtol=1e-12)
 
 
 def test_energy_statistic_oracle_two_points():
     # two singleton groups at distance 2: statistic = (1*1/2) * (2*2) = 2
-    dists = _kernels.pairwise_dists(np.array([[0.0], [2.0]]))
-    stats = _kernels.energy_stats(dists, np.array([[0, 1]]), 1)
+    stats = _kernels.energy_stats(np.array([[0.0], [2.0]]), np.array([[0, 1]]), 1)
     assert stats[0] == pytest.approx(2.0)
+
+
+def _gather_energy_stats(pooled, groupings, n1):
+    """Reference: each grouping's within- and between-sample sums gathered
+    from the whole distance matrix, built from coordinate differences."""
+    dists = np.linalg.norm(pooled[:, None, :] - pooled[None, :, :], axis=-1)
+    n2 = pooled.shape[0] - n1
+    out = np.empty(groupings.shape[0])
+    for t, grouping in enumerate(groupings):
+        first, second = grouping[:n1], grouping[n1:]
+        s_xx = dists[np.ix_(first, first)].sum()
+        s_xy = dists[np.ix_(first, second)].sum()
+        s_yy = dists[np.ix_(second, second)].sum()
+        coef = n1 * n2 / (n1 + n2)
+        out[t] = coef * (2.0 * s_xy / (n1 * n2) - s_xx / (n1 * n1) - s_yy / (n2 * n2))
+    return out
+
+
+@pytest.mark.parametrize("n1, n2, d", [(700, 600, 3), (1, 513, 2), (257, 256, 1)])
+def test_energy_stats_across_block_edges(n1, n2, d):
+    # every size puts rows past the first ENERGY_BLOCK-row block; 1 + 513
+    # leaves a last block of two rows and 257 + 256 one of a single row.
+    # (A second sample of a single row would not do: s_yy = total - 2 zr + zdz
+    # then cancels to zero, and the rounding of total alone is ~1e-10 of the
+    # statistic, blocked or not.)
+    assert n1 + n2 > _kernels.ENERGY_BLOCK
+    rng = np.random.default_rng(17)
+    pooled = np.vstack([rng.standard_normal((n1, d)),
+                        rng.standard_normal((n2, d)) + 0.1])
+    n = n1 + n2
+    groupings = np.vstack([np.arange(n)] +
+                          [rng.permutation(n) for _ in range(15)]).astype(np.int64)
+    stats = _kernels.energy_stats(pooled, groupings, n1)
+    oracle = _gather_energy_stats(pooled, groupings, n1)
+    np.testing.assert_allclose(stats, oracle, rtol=0, atol=1e-11 * np.abs(oracle).max())
+    assert np.sum(stats[1:] >= stats[0]) == np.sum(oracle[1:] >= oracle[0])

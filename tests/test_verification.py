@@ -1,5 +1,7 @@
 """Verification harness: KS, energy distance, grid checks, report purity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,12 @@ class TestKsTest:
         with pytest.raises(ValueError):
             ks_test_1d(np.array([]), lambda v: v)
 
+    def test_nan_sample_rejected(self):
+        draws = np.random.default_rng(96).random(50)
+        draws[[3, 17]] = np.nan
+        with pytest.raises(ValueError, match="2 of the 50 samples are NaN"):
+            ks_test_1d(draws, lambda v: np.clip(v, 0, 1))
+
 
 class TestEnergyDistance:
     def test_same_distribution_passes(self):
@@ -71,6 +79,49 @@ class TestEnergyDistance:
         first = energy_distance_test(x, y, seed=9)
         second = energy_distance_test(x, y, seed=9)
         assert first == second
+
+    def test_one_dimensional_input_is_scalar_observations(self):
+        rng = np.random.default_rng(97)
+        x = rng.standard_normal(300)
+        y = rng.standard_normal(300) + 3.0
+        stat, p_value = energy_distance_test(x, y, n_permutations=200, seed=5)
+        assert p_value <= 0.01
+        assert (stat, p_value) == energy_distance_test(x[:, None], y[:, None],
+                                                       n_permutations=200, seed=5)
+
+    def test_malformed_input_rejected(self):
+        rng = np.random.default_rng(98)
+        x = rng.standard_normal((40, 2))
+        nan_row = x.copy()
+        nan_row[7, 1] = np.nan
+        inf_row = x.copy()
+        inf_row[0, 0] = np.inf
+        cases = [
+            (x[None], x, "1-D or 2-D"),
+            (x, np.empty((0, 2)), "y is empty"),
+            (np.empty(0), x[:, :1], "x is empty"),
+            (nan_row, x, "x has 1 non-finite row"),
+            (x, inf_row, "y has 1 non-finite row"),
+        ]
+        for a, b, message in cases:
+            with pytest.raises(ValueError, match=message):
+                energy_distance_test(a, b)
+        for n_permutations in (0, -1):
+            with pytest.raises(ValueError, match="at least one permutation"):
+                energy_distance_test(x, x, n_permutations=n_permutations)
+
+    def test_memory_holds_no_pooled_distance_matrix(self):
+        rng = np.random.default_rng(99)
+        x = rng.standard_normal((2000, 2))
+        y = rng.standard_normal((2000, 2))
+        tracemalloc.start()
+        try:
+            energy_distance_test(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # half of one 2048 x 2048 float64 matrix
+        assert peak < 16 * 2**20
 
 
 class TestPushforwardCheck:

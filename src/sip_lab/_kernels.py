@@ -129,11 +129,15 @@ def energy_stats(points: np.ndarray, groupings: np.ndarray, n1: int) -> np.ndarr
     matrix ``D`` give the rest.  ``D`` is never held whole: it is made one
     square block of ``ENERGY_BLOCK`` rows at a time over its upper block
     triangle, and each block off the diagonal counts for its mirror image.
+    ``z`` indexes the smaller sample (the statistic is symmetric): ``s_yy``
+    is a difference of sums over all n rows, which cancels when it is small.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     groupings = np.asarray(groupings, dtype=np.int64)
     n1 = int(n1)
     n = points.shape[0]
+    if n - n1 < n1:
+        groupings, n1 = groupings[:, ::-1], n - n1
     b = groupings.shape[0]
     n2 = n - n1
     z = np.zeros((n, b))

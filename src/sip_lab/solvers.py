@@ -6,17 +6,18 @@ a prescribed observable density: exact change-of-variables for square maps
 with trailing coordinates drawn independently, contour-slab and polar-arc
 constructions for the two linear/quadratic worked examples, and ratio-form
 updates of an initial density (exact or KDE-approximated) with rejection
-sampling.
+sampling.  The first three are one change of variables,
+:func:`_change_of_variables`: each declares a map theta -> (y, c) with its
+log Jacobian, a law f_C of c, and an inverse that maps a block of drawn
+(y, c) rows back to theta at once (one damped Newton where a root is needed).
 
 Every solution draws through ``sample(n, seed) -> (n, p)``, which records its
 counters in ``diagnostics``.  Every sampler, rejection included, advances the
 pending rows of a block of ``ROW_BLOCK`` rows in lockstep through one loop,
-:func:`_lockstep_rows`: the root-solving and contour solutions solve all of
-them at once, with one damped Newton over all of them where a root is needed
-(:func:`_row_sampler`), and ratio-form solutions score all of their
-proposals with one ratio evaluation (:func:`bjw_rejection_sample`).  Row i
-draws from its own generator stream (seed, kind, i), so results depend only
-on (seed, row count).
+:func:`_lockstep_rows`; ratio-form solutions score all of their proposals
+with one ratio evaluation (:func:`bjw_rejection_sample`).  Row i draws from
+its own generator stream (seed, kind, i), so results depend only on
+(seed, row count).
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .densities import (
     Support,
     fit_kde,
     make_gaussian,
+    make_uniform,
+    unbounded_support,
 )
 from .errors import (
     DomainError,
@@ -283,30 +286,88 @@ def _lockstep_rows(attempt, m: int, seed: int, kind: int, retries: int):
     return rows, solved, failed
 
 
-def _row_sampler(solution: SipSolution, attempt, label: str,
-                 pilot: int = PILOT_SIZE) -> SipSolution:
-    """Attach ``sample(n, seed)``, which solves n rows with ``attempt``."""
+def _change_of_variables(support: Support, q: int, f_y: Density, f_c: Density | None,
+                         forward, inverse, method: str, name: str,
+                         pilot: int = PILOT_SIZE) -> SipSolution:
+    """The solution that a reparameterization theta <-> (y, c) makes of f_Y f_C.
+
+    ``forward((n, p) theta) -> (y, c, log|det d(y, c)/d theta|)`` gives the
+    observable value, the p - q contour coordinates and the log Jacobian;
+    its density is f_Y(y) f_C(c) |det|, summed in log space in that order.
+    ``f_c=None`` means there are no contour coordinates.  Row i of
+    ``sample(n, seed)`` draws y from f_Y, then c from f_C, on its own
+    stream; ``inverse(y, c, rngs) -> (theta (k, p), ok (k,))`` maps all
+    pending rows back at once and may draw more from those streams (a
+    Newton start, a branch).  Rows that are not ok draw again.
+    """
+    p = support.dim
+    n_c = 0 if f_c is None else f_c.dim
+    if f_y.dim != q:
+        raise ValueError(f"{name}: observable density has dimension {f_y.dim}, expected q = {q}")
+    if n_c != p - q:
+        raise ValueError(f"{name}: contour density has dimension {n_c}, expected p - q = {p - q}")
+
+    def log_pdf_fn(pts):
+        y, c, log_det = forward(pts)
+        out = f_y.log_pdf(y)
+        if f_c is not None:
+            out = out + f_c.log_pdf(c)
+        return out + log_det
+
+    solution = SipSolution(Density(p, support, log_pdf_fn=log_pdf_fn, name=name), method)
+
+    def attempt(rngs):
+        y = np.vstack([f_y.sample(rng, 1) for rng in rngs])
+        c = np.empty((len(rngs), 0)) if f_c is None \
+            else np.vstack([f_c.sample(rng, 1) for rng in rngs])
+        return inverse(y, c, rngs)
 
     def sample(n, seed):
         # looked up by module-global name, so perfbench's tracer sees each draw
-        data, diag = _solve_rows(attempt, n, seed, pilot=pilot, label=label)
+        data, diag = _solve_rows(attempt, n, seed, pilot=pilot, label=name)
         solution.diagnostics.update(diag)
-        return data.reshape(-1, solution.density.dim)  # (0, p) when n is 0
+        return data.reshape(-1, p)  # (0, p) when n is 0
 
     solution.sample = sample
     return solution
 
 
 # ---------------------------------------------------------------------------
-# Exact change-of-variables solutions (p = q)
+# Root-solving solutions: T = (g(theta), theta_tail), inverted by Newton
 # ---------------------------------------------------------------------------
 
 
-def _pullback_log_pdf(fmap: ForwardMap, f_y: Density, pts: np.ndarray) -> np.ndarray:
-    """Change of variables: log f_Y(g(theta)) + log|det| of the leading q Jacobian columns."""
-    dets = np.abs(np.linalg.det(jacobian_batch(fmap, pts)[:, :, :fmap.q]))
-    with np.errstate(divide="ignore"):
-        return f_y.log_pdf(eval_batch(fmap, pts)) + np.log(dets)
+def _newton_solution(fmap: ForwardMap, f_y: Density, f_aux: Density | None,
+                     method: str, name: str) -> SipSolution:
+    """T = (g(theta), theta_tail) with f_C = f_aux, inverted by damped Newton
+    on the leading block from a random start in the domain box."""
+    q = fmap.q
+
+    def forward(pts):
+        dets = np.abs(np.linalg.det(jacobian_batch(fmap, pts)[:, :, :q]))
+        with np.errstate(divide="ignore"):
+            return eval_batch(fmap, pts), pts[:, q:], np.log(dets)
+
+    def inverse(y, tail, rngs):
+        heads, ok, _ = _newton_rows(fmap, y, tail, _draw_starts(rngs, fmap))
+        return np.hstack([heads, tail]), ok
+
+    return _change_of_variables(fmap.domain, q, f_y, f_aux, forward, inverse, method, name)
+
+
+def intuitive_sample(fmap: ForwardMap, f_y: Density,
+                     f_aux: Density | None) -> SipSolution:
+    """The solution whose trailing p - q coordinates are drawn freely.
+
+    Per row of ``sample(n, seed)``: draw the observable value and the
+    trailing coordinates independently, then root-solve for the leading
+    block.  The observable image of the output is independent of the
+    trailing coordinates by construction.  Rows that fail Newton after
+    retries (fresh draws each time) are dropped and counted; a 512-draw
+    pilot makes ``sample`` raise ``NoSolutionError`` early when the
+    observable support is unreachable.
+    """
+    return _newton_solution(fmap, f_y, f_aux, "Intuitive", f"intuitive[{fmap.name}]")
 
 
 def cov_exact(fmap: ForwardMap, f_y: Density) -> SipSolution:
@@ -323,10 +384,12 @@ def cov_exact(fmap: ForwardMap, f_y: Density) -> SipSolution:
             f"exact pullback needs p = q (got p={fmap.p}, q={fmap.q}); "
             "use intuitive_sample or a ratio-form update instead"
         )
-    solution = intuitive_sample(fmap, f_y, None)
-    solution.method = "CoV"
-    solution.density.name = f"cov[{fmap.name}]"
-    return solution
+    return _newton_solution(fmap, f_y, None, "CoV", f"cov[{fmap.name}]")
+
+
+# ---------------------------------------------------------------------------
+# Branch mixtures of exact solutions (p = q, many-to-one maps)
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -361,9 +424,11 @@ def cov_mixture_family(fmap: ForwardMap, f_y: Density, partition: DomainPartitio
 
     Pieces whose images overlap share the mixture weights; pieces where the
     map is one-to-one carry weight 1.  Every member of the family pushes
-    forward to the same observable density.  The sampler inverts every
-    branch and tests membership and the domain for all pending rows at
-    once; each row then picks one of its pre-images on its own stream.
+    forward to the same observable density.  T = g has no contour
+    coordinates; the branch weight joins the log Jacobian.  The sampler
+    inverts every branch and tests membership and the domain for all
+    pending rows at once; each row then picks one of its pre-images on its
+    own stream.
     """
     if fmap.p != fmap.q:
         raise ValueError("mixture family requires a square map")
@@ -384,20 +449,16 @@ def cov_mixture_family(fmap: ForwardMap, f_y: Density, partition: DomainPartitio
     if np.any(membership.sum(axis=0) > 1):
         raise ValueError("branch membership predicates overlap on probe points")
 
-    def log_pdf_fn(pts):
+    def forward(pts):
         weight = np.zeros(pts.shape[0])
         for wt, branch in zip(branch_weight, partition.branches):
-            mask = np.asarray(branch.member(pts), dtype=bool)
-            weight[mask] = wt
+            weight[np.asarray(branch.member(pts), dtype=bool)] = wt
+        dets = np.abs(np.linalg.det(jacobian_batch(fmap, pts)))
         with np.errstate(divide="ignore"):
-            return _pullback_log_pdf(fmap, f_y, pts) + np.log(weight)
+            return eval_batch(fmap, pts), None, np.log(dets) + np.log(weight)
 
-    density = Density(fmap.p, fmap.domain, log_pdf_fn=log_pdf_fn,
-                      name=f"cov_mixture[{fmap.name}]")
-
-    def attempt(rngs):
+    def inverse(y, c, rngs):
         k = len(rngs)
-        y = np.vstack([f_y.sample(rng, 1) for rng in rngs])
         pieces = np.stack([np.asarray(b.inverse(y), dtype=float).reshape(k, fmap.p)
                            for b in partition.branches])
         valid = np.stack([np.asarray(b.member(theta), dtype=bool) & fmap.domain.contains(theta)
@@ -413,52 +474,8 @@ def cov_mixture_family(fmap: ForwardMap, f_y: Density, partition: DomainPartitio
         rows[ok] = pieces[pick, np.flatnonzero(ok)]
         return rows, ok
 
-    return _row_sampler(SipSolution(density, "CoV-mixture"), attempt, "cov_mixture")
-
-
-# ---------------------------------------------------------------------------
-# Intuitive Monte Carlo solutions (p >= q)
-# ---------------------------------------------------------------------------
-
-
-def intuitive_sample(fmap: ForwardMap, f_y: Density,
-                     f_aux: Density | None) -> SipSolution:
-    """The solution whose trailing p - q coordinates are drawn freely.
-
-    Per row of ``sample(n, seed)``: draw the observable value and the
-    trailing coordinates independently, then root-solve for the leading
-    block, for all pending rows of a block in one damped Newton.  The
-    observable image of the output is independent of the trailing
-    coordinates by construction.  Rows that fail Newton after
-    retries (fresh draws each time) are dropped and counted; a 512-draw
-    pilot makes ``sample`` raise ``NoSolutionError`` early when the
-    observable support is unreachable.
-    """
-    p, q = fmap.p, fmap.q
-    n_aux = p - q
-    if n_aux == 0:
-        if f_aux is not None:
-            raise ValueError("map is square; f_aux must be None")
-    elif f_aux is None or f_aux.dim != n_aux:
-        got = None if f_aux is None else f_aux.dim
-        raise ValueError(f"f_aux must have dimension p - q = {n_aux}, got {got}")
-
-    def attempt(rngs):
-        y = np.vstack([f_y.sample(rng, 1) for rng in rngs])
-        tail = np.vstack([f_aux.sample(rng, 1) for rng in rngs]) if n_aux \
-            else np.empty((len(rngs), 0))
-        heads, ok, _ = _newton_rows(fmap, y, tail, _draw_starts(rngs, fmap))
-        return np.hstack([heads, tail]), ok
-
-    def log_pdf_fn(pts):
-        out = _pullback_log_pdf(fmap, f_y, pts)
-        if n_aux:
-            out = out + f_aux.log_pdf(pts[:, q:])
-        return out
-
-    density = Density(p, fmap.domain, log_pdf_fn=log_pdf_fn,
-                      name=f"intuitive[{fmap.name}]")
-    return _row_sampler(SipSolution(density, "Intuitive"), attempt, "intuitive_sample")
+    return _change_of_variables(fmap.domain, fmap.q, f_y, None, forward, inverse,
+                                "CoV-mixture", f"cov_mixture[{fmap.name}]")
 
 
 # ---------------------------------------------------------------------------
@@ -469,61 +486,33 @@ def intuitive_sample(fmap: ForwardMap, f_y: Density,
 def bbe_linear(A, f_y: Density, bounds=None) -> SipSolution:
     """Solution for g(theta) = A theta with uniform mass on contour slabs.
 
-    The observable coordinate is t = A theta; the null-space coordinate
-    c = A_perp theta is uniform on the box [l, u].  With constant bounds
-    the density is fully normalized:
+    T = (A theta, A_perp theta): the observable coordinate is t = A theta
+    and the null-space coordinate c = A_perp theta is uniform on the box
+    [l, u].  With constant bounds the density is fully normalized:
     f(theta) = f_Y(A theta) * prod(u - l)^-1 * |det [A; A_perp]| on the slab.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     q, p = A.shape
     perp = null_space_rows(A)
-    n_aux = p - q
-    if n_aux == 0:
-        aug = A
-        lower = np.empty(0)
-        upper = np.empty(0)
-    else:
-        if bounds is None:
-            raise ValueError("bounds (l, u) required when p > q")
-        lower = np.atleast_1d(np.asarray(bounds[0], dtype=float))
-        upper = np.atleast_1d(np.asarray(bounds[1], dtype=float))
-        if lower.shape[0] != n_aux or upper.shape[0] != n_aux:
-            raise ValueError(f"bounds must have length p - q = {n_aux}")
-        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-            raise ValueError("slab bounds must be finite")
-        if np.any(lower >= upper):
-            raise ValueError("need l < u in every contour coordinate")
-        aug = np.vstack([A, perp])
-
+    if bounds is None and p > q:
+        raise ValueError("bounds (l, u) required when p > q")
+    f_c = make_uniform(*(([], []) if bounds is None else bounds))
+    aug = np.vstack([A, perp])
     log_det = float(np.log(np.abs(np.linalg.det(aug))))
-    log_slab = -float(np.sum(np.log(upper - lower))) if n_aux else 0.0
     # precomputed inverse: [A; A_perp] is well conditioned by construction,
     # so one matvec per row is as accurate as a solve
     aug_inv = np.linalg.inv(aug)
 
-    def indicator(pts):
-        if n_aux == 0:
-            return np.ones(pts.shape[0], dtype=bool)
-        c = pts @ perp.T
-        return np.all((c >= lower) & (c <= upper), axis=1)
+    def forward(pts):
+        return pts @ A.T, pts @ perp.T, log_det
 
-    support = Support(np.full(p, -np.inf), np.full(p, np.inf), indicator=indicator)
-
-    def log_pdf_fn(pts):
-        return f_y.log_pdf(pts @ A.T) + log_slab + log_det
-
-    density = Density(p, support, log_pdf_fn=log_pdf_fn, name="bbe_linear")
-
-    def attempt(rngs):
-        rhs = np.vstack([f_y.sample(rng, 1) for rng in rngs])
-        if n_aux:
-            u = np.array([rng.random(n_aux) for rng in rngs])
-            rhs = np.hstack([rhs, lower + u * (upper - lower)])
+    def inverse(y, c, rngs):
         # a stack of matrix-vector products rounds as the one-row product does
-        rows = np.matmul(aug_inv, rhs[:, :, None])[:, :, 0]
+        rows = np.matmul(aug_inv, np.hstack([y, c])[:, :, None])[:, :, 0]
         return rows, np.ones(len(rngs), dtype=bool)
 
-    return _row_sampler(SipSolution(density, "BBE"), attempt, "bbe_linear", pilot=0)
+    return _change_of_variables(unbounded_support(p), q, f_y, f_c, forward, inverse,
+                                "BBE", "bbe_linear", pilot=0)
 
 
 def polar_arc(r):
@@ -558,41 +547,40 @@ def angular_conditional(phi, r):
 def bbe_polar(f_y: Density) -> SipSolution:
     """Solution for g(theta) = (theta1^2 + theta2^2)/2 on the unit square.
 
-    Radius plays the observable-indexing coordinate, polar angle the
-    contour coordinate with a uniform distribution on the admissible arc.
+    T = (r^2 / 2, (phi - phi1(r)) / (phi2(r) - phi1(r))): radius plays the
+    observable-indexing coordinate, polar angle the contour coordinate with
+    a uniform distribution on the admissible arc, so the log Jacobian is
+    that of the angular conditional.
     """
-    if f_y.dim != 1:
-        raise ValueError("observable density must be one-dimensional")
+
+    def forward(pts):
+        r = np.hypot(pts[:, 0], pts[:, 1])
+        phi = np.arctan2(pts[:, 1], pts[:, 0])
+        phi1, phi2 = polar_arc(r)
+        # 0/0 at the origin and at the corner, where the arc has no width
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (0.5 * r * r, (phi - phi1) / (phi2 - phi1),
+                    np.log(angular_conditional(phi, r)))
+
+    def inverse(y, c, rngs):
+        r = np.sqrt(2.0 * y[:, 0])
+        phi1, phi2 = polar_arc(r)
+        phi = phi1 + c[:, 0] * (phi2 - phi1)
+        # math.cos and math.sin: the platform libm, as in the one-row sampler
+        rows = np.array([(ri * math.cos(fi), ri * math.sin(fi))
+                         for ri, fi in zip(r.tolist(), phi.tolist())])
+        return rows, np.ones(len(rngs), dtype=bool)
+
+    solution = _change_of_variables(Support([0.0, 0.0], [1.0, 1.0]), 1, f_y,
+                                    make_uniform(0.0, 1.0), forward, inverse, "BBE",
+                                    "bbe_polar", pilot=0)
     if f_y.support.lower[0] < 0.0 or f_y.support.upper[0] > 1.0:
         raise DomainError(
             "observable support must lie within (0, 1): the map's range on "
             f"the unit square is (0, 1], got [{f_y.support.lower[0]}, "
             f"{f_y.support.upper[0]}]"
         )
-
-    support = Support([0.0, 0.0], [1.0, 1.0])
-
-    def log_pdf_fn(pts):
-        r = np.hypot(pts[:, 0], pts[:, 1])
-        phi = np.arctan2(pts[:, 1], pts[:, 0])
-        y = 0.5 * r * r
-        with np.errstate(divide="ignore"):
-            return f_y.log_pdf(y) + np.log(angular_conditional(phi, r))
-
-    density = Density(2, support, log_pdf_fn=log_pdf_fn, name="bbe_polar")
-
-    def attempt(rngs):
-        y = np.array([f_y.sample(rng, 1)[0, 0] for rng in rngs])
-        u = np.array([rng.random() for rng in rngs])
-        r = np.sqrt(2.0 * y)
-        phi1, phi2 = polar_arc(r)
-        phi = phi1 + u * (phi2 - phi1)
-        # math.cos and math.sin: the platform libm, as in the one-row sampler
-        rows = np.array([(ri * math.cos(fi), ri * math.sin(fi))
-                         for ri, fi in zip(r.tolist(), phi.tolist())])
-        return rows, np.ones(len(rngs), dtype=bool)
-
-    return _row_sampler(SipSolution(density, "BBE"), attempt, "bbe_polar", pilot=0)
+    return solution
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +625,10 @@ def bjw_density(initial: Density, fmap: ForwardMap, f_y: Density,
     whose initial is itself ratio-form and has no sampler, passes a
     sampleable ancestor instead.
     """
+    for role, density in (("observable", f_y), ("pushforward", pushforward)):
+        if density.dim != fmap.q:
+            raise ValueError(f"{role} density has dimension {density.dim}, "
+                             f"expected q = {fmap.q}")
     if method is None:
         method = "BJW-KDE" if pushforward.name == "kde" else "BJW-analytic"
 

@@ -176,9 +176,6 @@ def _gather_energy_stats(pooled, groupings, n1):
 def test_energy_stats_across_block_edges(n1, n2, d):
     # every size puts rows past the first ENERGY_BLOCK-row block; 1 + 513
     # leaves a last block of two rows and 257 + 256 one of a single row.
-    # (A second sample of a single row would not do: s_yy = total - 2 zr + zdz
-    # then cancels to zero, and the rounding of total alone is ~1e-10 of the
-    # statistic, blocked or not.)
     assert n1 + n2 > _kernels.ENERGY_BLOCK
     rng = np.random.default_rng(17)
     pooled = np.vstack([rng.standard_normal((n1, d)),
@@ -190,3 +187,18 @@ def test_energy_stats_across_block_edges(n1, n2, d):
     oracle = _gather_energy_stats(pooled, groupings, n1)
     np.testing.assert_allclose(stats, oracle, rtol=0, atol=1e-11 * np.abs(oracle).max())
     assert np.sum(stats[1:] >= stats[0]) == np.sum(oracle[1:] >= oracle[0])
+
+
+@pytest.mark.parametrize("n1, n2", [(513, 1), (1, 513)])
+def test_energy_stats_unequal_groups_keep_full_precision(n1, n2):
+    # a sample of one row has s_yy = total - 2 zr + zdz = 0 when z indexes
+    # the other sample, which left the rounding of total (~1e-10 of the
+    # statistic) in the result; z indexes the smaller sample in either order
+    rng = np.random.default_rng(19)
+    n = n1 + n2
+    pooled = rng.standard_normal((n, 2))
+    groupings = np.vstack([np.arange(n)] +
+                          [rng.permutation(n) for _ in range(15)]).astype(np.int64)
+    stats = _kernels.energy_stats(pooled, groupings, n1)
+    oracle = _gather_energy_stats(pooled, groupings, n1)
+    np.testing.assert_allclose(stats, oracle, rtol=0, atol=1e-13 * np.abs(oracle).max())

@@ -27,6 +27,7 @@ from sip_lab import (
     cov_exact,
     cov_linear_gaussian,
     cov_mixture_family,
+    energy_distance_test,
     grid_compare,
     identity_map,
     intuitive_sample,
@@ -608,6 +609,69 @@ class TestBjwRejection:
                 bjw_rejection_sample(solution, 50, seed=1)
 
 
+def _bjw_as_change_of_variables(initial, A, f_y):
+    """The linear-Gaussian ratio-form update as a change of variables.
+
+    T = (A theta, A_perp (I - K A) theta) with K = Sigma A' (A Sigma A')^-1:
+    c is the part of theta that y does not explain, Gaussian and independent
+    of y under the initial density, so initial = pushforward(y) f_C(c) |det T|
+    and the update initial * f_Y / pushforward is f_Y(y) f_C(c) |det T|.
+    """
+    mean, cov = initial.gaussian.mean, initial.gaussian.cov
+    q, p = A.shape
+    gain = cov @ A.T @ np.linalg.inv(A @ cov @ A.T)
+    M = null_space_rows(A) @ (np.eye(p) - gain @ A)
+    f_c = make_gaussian(GaussianParams(M @ mean, M @ cov @ M.T))
+    T = np.vstack([A, M])
+    log_det = np.log(abs(np.linalg.det(T)))
+    T_inv = np.linalg.inv(T)
+
+    def forward(pts):
+        return pts @ A.T, pts @ M.T, log_det
+
+    def inverse(y, c, rngs):
+        return np.hstack([y, c]) @ T_inv.T, np.ones(len(rngs), dtype=bool)
+
+    return solvers._change_of_variables(initial.support, q, f_y, f_c, forward, inverse,
+                                        "CoV", "bjw_as_cov", pilot=0)
+
+
+class TestRatioFormIsChangeOfVariables:
+    """The paper's claim that the ratio-form update is a change of variables,
+    on the CLI's bjw-gauss-linear instance and a correlated p = 3 one."""
+
+    INSTANCES = {
+        "cli_p2": ([[1.0, 1.0]], [0.0, 0.0], np.eye(2), [0.25], [[0.25]]),
+        "correlated_p3": ([[1.0, -0.5, 2.0]], [0.2, -0.1, 0.4],
+                          [[1.0, 0.3, -0.2], [0.3, 0.8, 0.1], [-0.2, 0.1, 0.6]],
+                          [1.1], [[0.9]]),
+    }
+
+    @pytest.fixture(params=sorted(INSTANCES))
+    def pair(self, request):
+        A, mean, cov, mu_y, cov_y = self.INSTANCES[request.param]
+        A = np.array(A)
+        initial = make_gaussian(GaussianParams(mean, cov))
+        f_y = make_gaussian(GaussianParams(mu_y, cov_y))
+        fmap = linear_map(A)
+        ratio_form = bjw_density(initial, fmap, f_y, pushforward_density(initial, fmap))
+        return ratio_form, _bjw_as_change_of_variables(initial, A, f_y)
+
+    def test_log_densities_agree(self, pair):
+        ratio_form, engine = pair
+        p = ratio_form.density.dim
+        pts = np.random.default_rng(61).normal(size=(500, p)) * 2.0
+        np.testing.assert_allclose(engine.density.log_pdf(pts),
+                                   ratio_form.density.log_pdf(pts), rtol=0, atol=1e-10)
+
+    def test_direct_draws_match_rejection_draws(self, pair):
+        ratio_form, engine = pair
+        direct = engine.sample(2000, seed=67)
+        rejected = ratio_form.sample(2000, seed=71)
+        _, p_value = energy_distance_test(direct, rejected, seed=73)
+        assert p_value >= 0.01
+
+
 def _ratio_of(solution, proposal):
     def ratio(theta_rows):
         numer = solution.density.pdf(theta_rows)
@@ -1133,3 +1197,22 @@ def test_intuitive_sample_draws_nothing_until_sampled(monkeypatch):
     assert solution.diagnostics == {}
     with pytest.raises(AssertionError, match="rows drawn"):
         solution.sample(10, 1)
+
+
+_UNIT_SQUARE = ([0.1, 0.1], [0.9, 0.9])
+
+
+@pytest.mark.parametrize("build, got, q", [
+    (lambda: cov_exact(linear_map(np.eye(2)), make_uniform([0.0], [1.0])), 1, 2),
+    (lambda: cov_mixture_family(square_map(-1.0, 1.0), make_uniform(*_UNIT_SQUARE),
+                                two_branch_partition(), MixtureWeights([0.5, 0.5])), 2, 1),
+    (lambda: intuitive_sample(linear_map([[1.0, 1.0]]), make_uniform(*_UNIT_SQUARE),
+                              make_uniform([0.0], [1.0])), 2, 1),
+    (lambda: bbe_linear([[1.0, 1.0]], make_uniform(*_UNIT_SQUARE),
+                        bounds=([-1.0], [1.0])), 2, 1),
+    (lambda: bbe_polar(make_uniform(*_UNIT_SQUARE)), 2, 1),
+    (lambda: _bjw_gauss_linear(lambda initial, fmap: make_uniform(*_UNIT_SQUARE)), 2, 1),
+], ids=_ROW_SOLVER_IDS + ["bjw_density"])
+def test_observable_dimension_checked_when_built(build, got, q):
+    with pytest.raises(ValueError, match=f"dimension {got}, expected q = {q}"):
+        build()

@@ -4,7 +4,7 @@ Library layout:
 
 - ``densities``: density abstraction and concrete families (Gaussian,
   truncated Gaussian, beta, uniform, mixtures, KDE)
-- ``forward_maps``: maps with Jacobian access, identity augmentation, and
+- ``forward_maps``: maps evaluated in batches, with Jacobian access and
   null-space bases
 - ``solvers``: exact change-of-variables (single branch and weighted
   branch families), independent-trailing-coordinate Monte Carlo,
@@ -39,9 +39,7 @@ from .errors import (
     SipLabError,
 )
 from .forward_maps import (
-    AugmentedMap,
     ForwardMap,
-    augment_identity,
     evaluate,
     identity_map,
     jacobian_at,

@@ -64,6 +64,9 @@ EXAMPLES = (
     "regression-compare",
     "intuitive-demo",
 )
+# examples undefined on one sample: bjw-kde fits a KDE bandwidth to the
+# draws, and intuitive-demo checks a correlation over them
+NEEDS_TWO_SAMPLES = ("bjw-kde", "intuitive-demo")
 
 
 @dataclass
@@ -83,8 +86,9 @@ class RunConfig:
         self.out = Path(self.out)
         if self.example not in EXAMPLES:
             raise ValueError(f"unknown example {self.example!r}; choose from {EXAMPLES}")
-        if self.samples < 1:
-            raise ValueError("--samples must be at least 1")
+        least = 2 if self.example in NEEDS_TWO_SAMPLES else 1
+        if self.samples < least:
+            raise ValueError(f"--samples must be at least {least} for {self.example}")
         if self.seed < 0:
             raise ValueError("--seed must be nonnegative")
         if self.grid < 2:

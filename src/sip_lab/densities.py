@@ -1,12 +1,12 @@
 """Probability densities over R^d: abstraction plus the concrete families used here.
 
-Every density carries an axis-aligned box support (optionally sharpened by an
-indicator predicate), vectorized ``pdf``/``log_pdf`` driven by one log-space
-function, an optional sampler taking a caller-owned generator, and, when
-available, analytic per-marginal CDFs for goodness-of-fit testing.  Mixtures
-combine their components with ``logsumexp``, so no density takes the log of
-a ``pdf`` that has underflowed to zero.  Densities are immutable after
-construction.
+Every density carries an axis-aligned box support, a vectorized ``log_pdf``
+driven by one log-space function (``pdf`` is its ``exp``), an optional
+sampler taking a caller-owned generator, and, when available, analytic
+per-marginal CDFs for goodness-of-fit testing.  Mixtures combine their
+components with ``logsumexp``, so no density takes the log of a ``pdf`` that
+has underflowed to zero, and a point inside the box but off every component
+gets log density ``-inf``.  Densities are immutable after construction.
 """
 
 from __future__ import annotations
@@ -44,11 +44,10 @@ def as_points(x, dim: int) -> tuple[np.ndarray, bool]:
 
 @dataclass(frozen=True)
 class Support:
-    """Axis-aligned box, optionally intersected with an indicator predicate."""
+    """Axis-aligned box; a density may still vanish at points inside it."""
 
     lower: np.ndarray
     upper: np.ndarray
-    indicator: object = None  # callable (n, d) -> bool mask, or None
 
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
@@ -70,10 +69,7 @@ class Support:
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        mask = np.all((pts >= self.lower) & (pts <= self.upper), axis=1)
-        if self.indicator is not None and mask.any():
-            mask = mask & np.asarray(self.indicator(pts), dtype=bool)
-        return mask
+        return np.all((pts >= self.lower) & (pts <= self.upper), axis=1)
 
 
 def unbounded_support(dim: int) -> Support:
@@ -133,8 +129,8 @@ class Density:
     """Evaluable probability density with declared support.
 
     ``log_pdf_fn`` drives all evaluation: it receives an (n, d) array of
-    in-support points and returns (n,) log densities, and ``pdf`` is its
-    ``exp``.  The wrappers zero the density (log: ``-inf``) outside support.
+    in-support points and returns (n,) log densities.  ``log_pdf`` is
+    ``-inf`` outside the support, and ``pdf`` is the ``exp`` of ``log_pdf``.
     """
 
     def __init__(self, dim, support, log_pdf_fn, sample_fn=None,
@@ -157,18 +153,18 @@ class Density:
 
     def pdf(self, x) -> np.ndarray | float:
         pts, single = as_points(x, self.dim)
-        out = np.zeros(pts.shape[0])
-        mask = self.support.contains(pts)
-        if mask.any():
-            out[mask] = np.exp(self._log_pdf_fn(pts[mask]))
+        out = self.log_pdf(pts)
+        np.exp(out, out=out)
         return float(out[0]) if single else out
 
     def log_pdf(self, x) -> np.ndarray | float:
         pts, single = as_points(x, self.dim)
-        out = np.full(pts.shape[0], -np.inf)
         mask = self.support.contains(pts)
-        if mask.any():
-            out[mask] = self._log_pdf_fn(pts[mask])
+        values = self._log_pdf_fn(pts[mask]) if mask.any() else -np.inf
+        # allocated after the log density returns, so its temporaries and
+        # this array are never live at once
+        out = np.full(pts.shape[0], -np.inf)
+        out[mask] = values
         return float(out[0]) if single else out
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -326,12 +322,6 @@ def make_mixture(components: list[Density], w: MixtureWeights) -> Density:
     lower = np.min([c.support.lower for c in components], axis=0)
     upper = np.max([c.support.upper for c in components], axis=0)
 
-    def indicator(pts):
-        mask = np.zeros(pts.shape[0], dtype=bool)
-        for c in components:
-            mask |= c.support.contains(pts)
-        return mask
-
     def log_pdf_fn(pts):
         terms = [math.log(wi) + c.log_pdf(pts)
                  for wi, c in zip(weights, components) if wi > 0]
@@ -353,7 +343,7 @@ def make_mixture(components: list[Density], w: MixtureWeights) -> Density:
     def marginal_cdfs(j, x):
         return sum(wi * c.marginal_cdf(j, x) for wi, c in zip(weights, components))
 
-    return Density(d, Support(lower, upper, indicator=indicator), log_pdf_fn=log_pdf_fn,
+    return Density(d, Support(lower, upper), log_pdf_fn=log_pdf_fn,
                    sample_fn=sample_fn if sampleable else None,
                    marginal_cdfs=marginal_cdfs if cdfable else None,
                    name="mixture")

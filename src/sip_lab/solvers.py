@@ -235,7 +235,9 @@ def _solve_rows(attempt, m: int, seed: int, retries: int = ROW_RETRIES,
         if bad:
             raise NoSolutionError(
                 f"{label}: {bad}/{pilot} pilot draws from the observable density "
-                "had no solvable pre-image; the map range may not cover the support"
+                "had no solvable pre-image; the map range may not cover the support, "
+                "or the leading q x q block of the Jacobian may be singular (reorder "
+                "theta so that the coordinates the map depends on come first)"
             )
 
     rows, solved, retries_used = _lockstep_rows(attempt, m, seed, KIND_ROWS, retries)
@@ -365,7 +367,8 @@ def intuitive_sample(fmap: ForwardMap, f_y: Density,
     trailing coordinates by construction.  Rows that fail Newton after
     retries (fresh draws each time) are dropped and counted; a 512-draw
     pilot makes ``sample`` raise ``NoSolutionError`` early when the
-    observable support is unreachable.
+    observable support is unreachable or the leading q x q Jacobian block
+    is singular.
     """
     return _newton_solution(fmap, f_y, f_aux, "Intuitive", f"intuitive[{fmap.name}]")
 

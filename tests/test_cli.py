@@ -50,6 +50,8 @@ def test_config_validation():
 
 def test_invalid_flag_exits_2(capsys):
     for argv in (["two-to-one", "--samples", "0"],
+                 ["bjw-kde", "--samples", "1"],
+                 ["intuitive-demo", "--samples", "1"],
                  ["stochastic-map-mean", "--n", "0"],
                  ["cov-linear-mvn", "--sigma", "0"],
                  ["cov-linear-mvn", "--sigma", "nan"],

@@ -1,6 +1,7 @@
 """Density families: frozen oracle values, invariants, and error paths."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,21 @@ class TestMixture:
         pts = RNG(3).random(500)
         expected = sum(w * c.pdf(pts) for w, c in zip(weights, comps))
         np.testing.assert_allclose(mix.pdf(pts), expected, rtol=1e-14, atol=1e-300)
+
+    def test_gap_between_components_has_no_mass(self):
+        # 1.5 lies inside the mixture's support box but off both components
+        mix = make_mixture(
+            [make_uniform([0.0], [1.0]), make_uniform([2.0], [3.0])],
+            MixtureWeights([0.3, 0.7]),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mix.pdf(1.5) == 0.0
+            assert mix.log_pdf(1.5) == -np.inf
+            values = mix.pdf([0.5, 1.5, 2.5])
+            assert values[1] == 0.0
+            np.testing.assert_allclose(values[[0, 2]], [0.3, 0.7], rtol=1e-14)
+            np.testing.assert_array_equal(mix.log_pdf([1.2, 1.5]), [-np.inf, -np.inf])
 
     def test_far_tail_log_pdf_finite(self):
         # both components' pdfs underflow to 0 at x = 40; their logs do not

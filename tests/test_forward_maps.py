@@ -1,4 +1,4 @@
-"""Forward maps: evaluation, Jacobians, augmentation, null spaces."""
+"""Forward maps: evaluation, Jacobians, identity augmentation, null spaces."""
 
 import dataclasses
 
@@ -7,18 +7,23 @@ import pytest
 
 from sip_lab import (
     DomainError,
+    GaussianParams,
+    NoSolutionError,
     RankDeficiencyError,
-    augment_identity,
+    cov_exact,
     evaluate,
     identity_map,
+    intuitive_sample,
     jacobian_at,
     linear_map,
+    make_gaussian,
+    newton_solve,
     null_space_rows,
     polar_quadratic_map,
     square_map,
 )
-from sip_lab.densities import Support
-from sip_lab.forward_maps import ForwardMap, domain_probe_points, row_rank
+from sip_lab.densities import unbounded_support
+from sip_lab.forward_maps import ForwardMap, domain_probe_points, eval_batch, jacobian_batch
 
 
 class TestEvaluate:
@@ -63,6 +68,13 @@ class TestJacobian:
         np.testing.assert_allclose(jacobian_at(fd_map, theta),
                                    jacobian_at(fmap, theta), rtol=1e-6)
 
+    def test_scalar_map_without_jacobian(self):
+        # one (p,) point per call and a float back: looped rows, central FD
+        fmap = ForwardMap(p=2, q=1, func=lambda t: float(t[0] * t[1]),
+                          domain=unbounded_support(2))
+        np.testing.assert_array_equal(evaluate(fmap, [2.0, 3.0]), [6.0])
+        np.testing.assert_allclose(jacobian_at(fmap, [2.0, 3.0]), [[3.0, 2.0]], rtol=1e-8)
+
     @pytest.mark.parametrize("builder", [polar_quadratic_map,
                                          lambda: square_map(-2.0, 2.0),
                                          lambda: linear_map([[0.7, -1.2], [0.1, 2.0]])])
@@ -80,63 +92,146 @@ class TestJacobian:
                                        atol=1e-6 * max(1.0, np.abs(analytic).max()))
 
 
+def _batch_only(fn):
+    """``fn`` refusing a single (p,) point, as a vectorized map may."""
+
+    def wrapped(theta):
+        if np.ndim(theta) != 2:
+            raise ValueError(f"batch-only map called with shape {np.shape(theta)}")
+        return fn(theta)
+
+    return wrapped
+
+
 def _random_quadratic_map(rng, p, q):
-    """Map with linear + quadratic parts and an exact Jacobian."""
+    """Batch-only map with linear + quadratic parts and an exact Jacobian."""
     A = rng.normal(size=(q, p))
     B = rng.normal(size=(q, p, p)) * 0.3
 
     def func(theta):
-        theta = np.asarray(theta)
-        return A @ theta + 0.5 * np.einsum("kij,i,j->k", B, theta, theta)
+        return theta @ A.T + 0.5 * np.einsum("kij,ni,nj->nk", B, theta, theta)
 
     def jac(theta):
-        theta = np.asarray(theta)
-        return A + 0.5 * np.einsum("kij,i->kj", B + B.transpose(0, 2, 1), theta)
+        return A + 0.5 * np.einsum("kij,ni->nkj", B + B.transpose(0, 2, 1), theta)
 
-    return ForwardMap(p=p, q=q, func=func, jac=jac,
-                      domain=Support(np.full(p, -np.inf), np.full(p, np.inf)))
+    return ForwardMap(p=p, q=q, func=_batch_only(func), jac=_batch_only(jac),
+                      domain=unbounded_support(p), vectorized=True)
+
+
+def _batch_only_cubic(analytic=True):
+    """g(theta) = theta_1^3 + theta_1 + theta_2 / 2, increasing in theta_1."""
+
+    def func(theta):
+        return theta[:, :1] ** 3 + theta[:, :1] + 0.5 * theta[:, 1:]
+
+    def jac(theta):
+        d1 = 3.0 * theta[:, 0] ** 2 + 1.0
+        return np.stack([d1, np.full_like(d1, 0.5)], axis=1)[:, None, :]
+
+    return ForwardMap(p=2, q=1, func=_batch_only(func),
+                      jac=_batch_only(jac) if analytic else None,
+                      domain=unbounded_support(2), vectorized=True, name="cubic")
+
+
+def _gaussian(dim):
+    return make_gaussian(GaussianParams(np.zeros(dim), np.eye(dim)))
 
 
 class TestAugmentIdentity:
+    """The identity augmentation T(theta) = (g(theta), theta_tail), as the
+    change-of-variables engine builds it for intuitive_sample and cov_exact."""
+
     def test_square_map_unchanged(self):
+        # no trailing coordinates: T is g, and intuitive_sample is cov_exact
         fmap = linear_map(np.array([[2.0, 1.0], [0.0, 1.0]]))
-        aug = augment_identity(fmap)
-        assert aug.full is fmap
-        assert aug.n_aux == 0
+        f_y = _gaussian(2)
+        intuitive, exact = intuitive_sample(fmap, f_y, None), cov_exact(fmap, f_y)
+        pts = np.random.default_rng(3).normal(size=(50, 2))
+        np.testing.assert_array_equal(intuitive.density.log_pdf(pts),
+                                      exact.density.log_pdf(pts))
+        np.testing.assert_array_equal(intuitive.sample(100, 1), exact.sample(100, 1))
 
     def test_sum_map(self):
-        fmap = linear_map([[1.0, 1.0]])
-        aug = augment_identity(fmap)
-        np.testing.assert_allclose(evaluate(aug.full, [0.3, 0.5]), [0.8, 0.5])
-        # hand determinant of [[1, 1], [0, 1]]
-        det = np.linalg.det(jacobian_at(aug.full, [0.3, 0.5]))
-        assert det == pytest.approx(1.0, abs=1e-14)
+        f_y = make_gaussian(GaussianParams([0.0], [[2.0]]))
+        f_aux = _gaussian(1)
+        density = intuitive_sample(linear_map([[1.0, 1.0]]), f_y, f_aux).density
+        # hand determinant of [[1, 1], [0, 1]] is 1
+        assert density.log_pdf([0.3, 0.5]) == pytest.approx(
+            f_y.log_pdf(0.8) + f_aux.log_pdf(0.5), rel=1e-14)
 
     def test_singular_left_block_suggests_permutation(self):
-        fmap = linear_map([[0.0, 1.0]])
-        with pytest.raises(RankDeficiencyError, match="permute"):
-            augment_identity(fmap)
+        # g = theta_2 has a zero leading block; [[1, 1], [2, 2]] is singular
+        for solution in (intuitive_sample(linear_map([[0.0, 1.0]]), _gaussian(1), _gaussian(1)),
+                         cov_exact(linear_map([[1.0, 1.0], [2.0, 2.0]]), _gaussian(2))):
+            with pytest.raises(NoSolutionError, match="reorder theta"):
+                solution.sample(10, 1)
 
     def test_rank_deficient_map_rejected(self):
-        fmap = linear_map([[0.0, 0.0]])
-        with pytest.raises(RankDeficiencyError):
-            augment_identity(fmap)
+        solution = intuitive_sample(linear_map([[0.0, 0.0]]), _gaussian(1), _gaussian(1))
+        with pytest.raises(NoSolutionError, match="no solvable pre-image"):
+            solution.sample(10, 1)
 
     @pytest.mark.parametrize("trial", range(12))
     def test_block_determinant_identity(self, trial):
-        """det of the augmented Jacobian equals det of the left q x q block."""
+        """log density = log f_Y(g) + log f_aux(theta_tail) + log|det [J; 0 I]|."""
         rng = np.random.default_rng(1000 + trial)
         p = int(rng.integers(1, 7))
         q = int(rng.integers(1, p + 1))
         fmap = _random_quadratic_map(rng, p, q)
-        try:
-            aug = augment_identity(fmap)
-        except RankDeficiencyError:
-            return  # randomly singular left block: rejected, nothing to verify
-        for theta in rng.normal(size=(20, p)):
-            det_full = np.linalg.det(jacobian_at(aug.full, theta))
-            det_left = np.linalg.det(jacobian_at(fmap, theta)[:, :q])
-            assert det_full == pytest.approx(det_left, abs=1e-10 * max(1, abs(det_left)))
+        f_y = _gaussian(q)
+        f_aux = _gaussian(p - q) if p > q else None
+        theta = rng.normal(size=(20, p))
+        augmented = np.zeros((20, p, p))
+        augmented[:, :q] = jacobian_batch(fmap, theta)
+        augmented[:, q:, q:] = np.eye(p - q)
+        expected = f_y.log_pdf(eval_batch(fmap, theta)) \
+            + np.log(np.abs(np.linalg.det(augmented)))
+        if f_aux is not None:
+            expected += f_aux.log_pdf(theta[:, q:])
+        actual = intuitive_sample(fmap, f_y, f_aux).density.log_pdf(theta)
+        np.testing.assert_allclose(actual, expected, rtol=1e-10, atol=1e-10)
+
+
+class TestBatchOnlyMap:
+    """A vectorized map implements only the batch form: single points go
+    through it as one-row batches, and so do finite differences."""
+
+    @pytest.mark.parametrize("analytic", [True, False], ids=["jac", "fd"])
+    def test_point_views(self, analytic):
+        fmap = _batch_only_cubic(analytic)
+        np.testing.assert_array_equal(evaluate(fmap, [1.0, 2.0]), [3.0])
+        np.testing.assert_allclose(jacobian_at(fmap, [1.0, 2.0]), [[4.0, 0.5]], rtol=1e-7)
+
+    def test_finite_differences_make_one_batch_call(self):
+        base = _batch_only_cubic(analytic=False)
+        calls = []
+
+        def func(theta):
+            calls.append(theta.shape)
+            return base.func(theta)
+
+        pts = np.array([[1.0, 2.0], [0.0, -1.0], [2.0, 0.5]])
+        jac = jacobian_batch(dataclasses.replace(base, func=func), pts)
+        assert calls == [(12, 2)]  # 3 points x 2 coordinates x (+h, -h)
+        np.testing.assert_allclose(jac[:, 0, 0], [4.0, 1.0, 13.0], rtol=1e-7)
+        np.testing.assert_allclose(jac[:, 0, 1], 0.5, rtol=1e-7)
+
+    @pytest.mark.parametrize("analytic", [True, False], ids=["jac", "fd"])
+    def test_newton_solve(self, analytic):
+        head = newton_solve(_batch_only_cubic(analytic), [3.0], theta_tail=[2.0])
+        np.testing.assert_allclose(head, [1.0], rtol=1e-9)
+
+    @pytest.mark.parametrize("analytic", [True, False], ids=["jac", "fd"])
+    def test_intuitive_sample(self, analytic):
+        fmap = _batch_only_cubic(analytic)
+        f_y = make_gaussian(GaussianParams([0.0], [[4.0]]))
+        f_aux = _gaussian(1)
+        solution = intuitive_sample(fmap, f_y, f_aux)
+        rows = solution.sample(200, 1)
+        assert rows.shape == (200, 2)
+        expected = f_y.log_pdf(eval_batch(fmap, rows)) + f_aux.log_pdf(rows[:, 1]) \
+            + np.log(3.0 * rows[:, 0] ** 2 + 1.0)
+        np.testing.assert_allclose(solution.density.log_pdf(rows), expected, rtol=1e-7)
 
 
 class TestNullSpaceRows:
@@ -180,17 +275,13 @@ class TestNullSpaceRows:
 
 
 class TestHelpers:
-    def test_row_rank_threshold(self):
-        assert row_rank(np.eye(3)) == 3
-        assert row_rank([[1.0, 0.0], [1.0, 1e-12]]) == 1
-
     @pytest.mark.parametrize("builder", [polar_quadratic_map,
                                          lambda: identity_map(2),
                                          lambda: linear_map([[-1 / 3, 4 / 3]])])
     def test_full_row_rank_at_probe_points(self, builder):
         fmap = builder()
         for theta in domain_probe_points(fmap):
-            assert row_rank(jacobian_at(fmap, theta)) == fmap.q
+            assert np.linalg.matrix_rank(jacobian_at(fmap, theta)) == fmap.q
 
     def test_probe_points_respect_domain(self):
         fmap = square_map(0.25, 1.0)

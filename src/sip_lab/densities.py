@@ -6,7 +6,9 @@ sampler taking a caller-owned generator, and, when available, analytic
 per-marginal CDFs for goodness-of-fit testing.  Mixtures combine their
 components with ``logsumexp``, so no density takes the log of a ``pdf`` that
 has underflowed to zero, and a point inside the box but off every component
-gets log density ``-inf``.  Densities are immutable after construction.
+gets log density ``-inf``.  The normal, beta and mixture formulas draw their
+special functions from ``_special`` (numpy and the standard library).
+Densities are immutable after construction.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, gammaln, logsumexp, ndtr, ndtri
 
 from . import _kernels
+from ._special import betainc, logsumexp, ndtr, ndtri
 from .errors import DomainError, NotPositiveDefiniteError
 from .sampling import KIND_ROWS, SampleBatch, rng_for, theta_labels
 
@@ -160,7 +162,8 @@ class Density:
     def log_pdf(self, x) -> np.ndarray | float:
         pts, single = as_points(x, self.dim)
         mask = self.support.contains(pts)
-        values = self._log_pdf_fn(pts[mask]) if mask.any() else -np.inf
+        inside = pts if mask.all() else pts[mask]
+        values = self._log_pdf_fn(inside) if inside.shape[0] else -np.inf
         # allocated after the log density returns, so its temporaries and
         # this array are never live at once
         out = np.full(pts.shape[0], -np.inf)
@@ -227,7 +230,9 @@ def make_truncated_gaussian(mu: float, sigma: float, lo: float, hi: float) -> De
     """N(mu, sigma^2) restricted to (lo, hi) and renormalized.
 
     The sampler uses the inverse CDF restricted to the truncated range, so a
-    single uniform draw yields one sample.
+    single uniform draw yields one sample.  An interval above the mean is
+    handled as the mirror image of one below it, where ``ndtr`` keeps its
+    relative accuracy instead of rounding to 1.
     """
     if sigma <= 0:
         raise DomainError(f"sigma must be positive, got {sigma}")
@@ -235,6 +240,10 @@ def make_truncated_gaussian(mu: float, sigma: float, lo: float, hi: float) -> De
         raise DomainError(f"empty truncation interval ({lo}, {hi})")
     alpha = (lo - mu) / sigma
     beta = (hi - mu) / sigma
+    # above the mean, work with Z' = -Z on (-beta, -alpha), away from ndtr's 1
+    flip = -1.0 if alpha > 0 else 1.0
+    if flip < 0:
+        alpha, beta = -beta, -alpha
     cdf_lo = float(ndtr(alpha))
     mass = float(ndtr(beta)) - cdf_lo
     if mass <= 0:
@@ -247,10 +256,11 @@ def make_truncated_gaussian(mu: float, sigma: float, lo: float, hi: float) -> De
 
     def sample_fn(rng, n):
         u = rng.random(n)
-        return (mu + sigma * ndtri(cdf_lo + u * mass)).reshape(n, 1)
+        return (mu + flip * sigma * ndtri(cdf_lo + u * mass)).reshape(n, 1)
 
     def marginal_cdfs(j, x):
-        return np.clip((ndtr((x - mu) / sigma) - cdf_lo) / mass, 0.0, 1.0)
+        cdf = np.clip((ndtr(flip * (x - mu) / sigma) - cdf_lo) / mass, 0.0, 1.0)
+        return cdf if flip > 0 else 1.0 - cdf
 
     return Density(1, Support([lo], [hi]), log_pdf_fn=log_pdf_fn, sample_fn=sample_fn,
                    marginal_cdfs=marginal_cdfs, name="truncated_gaussian")
@@ -260,7 +270,7 @@ def make_beta(a: float, b: float) -> Density:
     """Beta(a, b) on (0, 1); sampling delegates to the generator's gamma-ratio method."""
     if a <= 0 or b <= 0:
         raise DomainError(f"beta shapes must be positive, got a={a}, b={b}")
-    log_norm = gammaln(a + b) - gammaln(a) - gammaln(b)
+    log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
 
     def log_pdf_fn(pts):
         x = pts[:, 0]
@@ -325,7 +335,7 @@ def make_mixture(components: list[Density], w: MixtureWeights) -> Density:
     def log_pdf_fn(pts):
         terms = [math.log(wi) + c.log_pdf(pts)
                  for wi, c in zip(weights, components) if wi > 0]
-        return logsumexp(terms, axis=0)
+        return logsumexp(terms)
 
     sampleable = all(c.has_sampler for c in components)
 

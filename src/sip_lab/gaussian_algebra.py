@@ -1,9 +1,9 @@
 """Closed-form Gaussian results: linear pullbacks, ratio-form updates, and
 the replicate-mean special case.
 
-All symmetric positive-definite inversions go through Cholesky after
-projecting onto the symmetric part; possibly indefinite symmetric
-combinations use a plain symmetric solve.
+All symmetric positive-definite inversions go through numpy's Cholesky
+factor after projecting onto the symmetric part; possibly indefinite
+symmetric combinations use a plain LU solve.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .densities import GaussianParams
 from .errors import NotPositiveDefiniteError, RankDeficiencyError
@@ -31,19 +30,18 @@ def chol_inverse(matrix: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive-definite matrix via Cholesky."""
     sym = _sym(matrix)
     try:
-        factor = scipy.linalg.cho_factor(sym, lower=True)
+        chol_inv = np.linalg.inv(np.linalg.cholesky(sym))
     except np.linalg.LinAlgError as err:
         eigval = np.linalg.eigvalsh(sym)[0]
         raise NotPositiveDefiniteError(
             f"matrix not positive definite (smallest eigenvalue {eigval:.6g})"
         ) from err
-    return _sym(scipy.linalg.cho_solve(factor, np.eye(sym.shape[0])))
+    return _sym(chol_inv.T @ chol_inv)
 
 
 def _sym_inverse(matrix: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric (possibly indefinite) matrix."""
-    sym = _sym(matrix)
-    return scipy.linalg.solve(sym, np.eye(sym.shape[0]), assume_a="sym")
+    return np.linalg.inv(_sym(matrix))
 
 
 def sigma_tilde_precision(A: np.ndarray, Sigma_y: np.ndarray,
@@ -74,9 +72,7 @@ def sigma_tilde_woodbury(A: np.ndarray, Sigma_y: np.ndarray,
     Sigma_theta = _sym(Sigma_theta)
     push = _sym(A @ Sigma_theta @ A.T)
     middle = _sym_inverse(chol_inverse(Sigma_y) - chol_inverse(push)) + push
-    correction = Sigma_theta @ A.T @ scipy.linalg.solve(
-        _sym(middle), A @ Sigma_theta, assume_a="sym"
-    )
+    correction = Sigma_theta @ A.T @ np.linalg.solve(_sym(middle), A @ Sigma_theta)
     return _sym(Sigma_theta - correction)
 
 

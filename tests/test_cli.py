@@ -142,6 +142,35 @@ def test_subprocess_runs_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_examples_never_import_scipy(tmp_path):
+    # scipy is a test oracle only: importing sip_lab and running every
+    # example must leave no scipy module loaded
+    import subprocess
+    import sys
+
+    import sip_lab
+
+    package_parent = str(Path(sip_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_parent, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import sip_lab\n"
+        "from sip_lab import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main([ex, '--samples', '200', '--out', sys.argv[1]])\n"
+        "             for ex in cli.EXAMPLES]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+        "                                if m == 'scipy' or m.startswith('scipy.'))]))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                            capture_output=True, env=env, text=True)
+    assert result.returncode == 0, result.stderr
+    codes, loaded = json.loads(result.stdout.splitlines()[-1])
+    assert codes == [0] * len(EXAMPLES)
+    assert loaded == []
+
+
 def test_failed_check_exits_1(tmp_path, monkeypatch):
     from sip_lab import cli
     from sip_lab.verification import CheckReport

@@ -20,7 +20,7 @@ from sip_lab import (
     make_truncated_gaussian,
     make_uniform,
 )
-from sip_lab.densities import scott_bandwidth
+from sip_lab.densities import Density, Support, scott_bandwidth
 from sip_lab.verification import ks_test_1d
 
 RNG = lambda s: np.random.default_rng(s)
@@ -77,6 +77,38 @@ class TestTruncatedGaussian:
         dens = make_truncated_gaussian(0.5, 0.25, 0.0, 1.0)
         assert dens.pdf(-0.2) == 0.0
         assert dens.log_pdf(1.3) == -np.inf
+
+    @pytest.mark.parametrize("lo,hi", [(10.0, 11.0), (7.0, 8.0), (0.5, 3.0)])
+    def test_upper_tail_mirrors_lower_tail(self, lo, hi):
+        # above the mean ndtr rounds to 1 (ndtr(10) == 1.0), so the interval
+        # is handled as the mirror of (-hi, -lo)
+        upper = make_truncated_gaussian(0.0, 1.0, lo, hi)
+        lower = make_truncated_gaussian(0.0, 1.0, -hi, -lo)
+        x = np.linspace(lo, hi, 101)[1:-1]
+        np.testing.assert_allclose(upper.marginal_cdf(0, x),
+                                   1.0 - lower.marginal_cdf(0, -x), rtol=1e-12)
+        np.testing.assert_allclose(upper.pdf(x), lower.pdf(-x), rtol=1e-12)
+        draws = upper.sample(np.random.default_rng(4), 500)
+        np.testing.assert_allclose(draws, -lower.sample(np.random.default_rng(4), 500),
+                                   rtol=1e-12)
+        assert np.all((draws > lo) & (draws < hi))
+
+
+def test_log_pdf_passes_in_support_points_without_copying():
+    seen = []
+
+    def log_pdf_fn(pts):
+        seen.append(pts)
+        return np.zeros(pts.shape[0])
+
+    dens = Density(2, Support([0.0, 0.0], [1.0, 1.0]), log_pdf_fn)
+    inside = np.full((4, 2), 0.5)
+    np.testing.assert_array_equal(dens.log_pdf(inside), np.zeros(4))
+    assert seen[-1] is inside
+    mixed = np.array([[0.5, 0.5], [2.0, 0.5]])
+    np.testing.assert_array_equal(dens.pdf(mixed), [1.0, 0.0])
+    np.testing.assert_array_equal(seen[-1], mixed[:1])
+    assert dens.log_pdf(np.array([[3.0, 3.0]]))[0] == -np.inf and len(seen) == 2
 
 
 class TestBeta:

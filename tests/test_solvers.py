@@ -774,7 +774,7 @@ class TestRejectionMatchesPerRowReference:
 
 
 def _per_row_newton(fmap, y, tail, theta0, counts):
-    """Reference damped Newton: one row, one scalar map call at a time.
+    """Reference damped Newton: one row, each map call a one-row batch.
 
     Returns the head, or None where the row solvers retry.  ``counts``
     tallies the halved steps and the failures by cause.
@@ -782,7 +782,7 @@ def _per_row_newton(fmap, y, tail, theta0, counts):
     q = fmap.q
     target_scale = 1.0 + np.max(np.abs(y))
     theta = np.concatenate([theta0, tail])
-    resid = y - np.atleast_1d(fmap.func(theta))
+    resid = y - eval_batch(fmap, theta[None])[0]
     norm = np.max(np.abs(resid))
     iterations = 0
     while not (norm <= 1e-10 * target_scale):
@@ -798,7 +798,7 @@ def _per_row_newton(fmap, y, tail, theta0, counts):
         for _ in range(30):
             cand = theta.copy()
             cand[:q] = theta[:q] + step * delta
-            cand_resid = y - np.atleast_1d(fmap.func(cand))
+            cand_resid = y - eval_batch(fmap, cand[None])[0]
             cand_norm = np.max(np.abs(cand_resid))
             if np.isfinite(cand_norm) and cand_norm < norm:
                 theta, resid, norm = cand, cand_resid, cand_norm
@@ -983,6 +983,17 @@ class TestRowSolversMatchPerRowReference:
         counts = collections.Counter()
         self._check(intuitive_sample(fmap, f_y, f_aux),
                     _per_row_intuitive(fmap, f_y, f_aux, counts), 200, 13)
+
+    def test_intuitive_batch_only_map(self):
+        # polar_quadratic_map evaluates (n, 2) batches only; rows whose
+        # theta_2^2 exceeds 2y have no root and retry
+        fmap = polar_quadratic_map()
+        f_y = make_uniform([0.05], [0.45])
+        f_aux = make_uniform([0.0], [0.9])
+        counts = collections.Counter()
+        diag = self._check(intuitive_sample(fmap, f_y, f_aux),
+                           _per_row_intuitive(fmap, f_y, f_aux, counts), 300, 31)
+        assert diag["retries"] > 0
 
     @pytest.mark.parametrize("w", [0.0, 0.5])
     @pytest.mark.parametrize("partition,lo", [(two_branch_partition, -1.0),

@@ -20,7 +20,9 @@ from sip_lab import (
     normalization_check,
     pushforward_check,
 )
+from sip_lab._special import kolmogorov
 from sip_lab.sampling import rng_for
+from sip_lab.verification import _two_sample_ks
 
 
 class TestKsTest:
@@ -54,6 +56,35 @@ class TestKsTest:
         draws[[3, 17]] = np.nan
         with pytest.raises(ValueError, match="2 of the 50 samples are NaN"):
             ks_test_1d(draws, lambda v: np.clip(v, 0, 1))
+
+
+class TestTwoSampleKs:
+    @pytest.mark.parametrize("n,m", [(2, 3), (50, 80), (300, 300), (1000, 37)])
+    def test_statistic_equals_scipy(self, n, m):
+        from scipy.stats import ks_2samp
+
+        rng = np.random.default_rng(n + m)
+        # rounding makes ties within and across the two samples
+        a = np.round(rng.standard_normal(n), 1)
+        b = np.round(rng.standard_normal(m) + 0.2, 1)
+        d_stat, p_value = _two_sample_ks(a, b)
+        assert d_stat == ks_2samp(a, b, method="asymp").statistic
+        assert p_value == kolmogorov(np.sqrt(n * m / (n + m)) * d_stat)
+
+    def test_null_rejection_share_within_binomial_bounds(self):
+        # 400 null replicates at level 0.05: Binomial(400, 0.05) has mean 20
+        # and sd 4.4, and the limiting law is slightly conservative at these sizes
+        rejections = 0
+        for k in range(400):
+            rng = np.random.default_rng(1000 + k)
+            _, p_value = _two_sample_ks(rng.standard_normal(200), rng.standard_normal(150))
+            rejections += p_value < 0.05
+        assert 7 <= rejections <= 33
+
+    def test_shifted_samples_fail(self):
+        rng = np.random.default_rng(97)
+        _, p_value = _two_sample_ks(rng.standard_normal(500), rng.standard_normal(500) + 0.5)
+        assert p_value < 1e-6
 
 
 class TestEnergyDistance:

@@ -212,8 +212,8 @@ def _run_bjw_kde(cfg: RunConfig) -> ExampleResult:
     A, initial, f_y = _bjw_gauss_instance()
     fmap = linear_map(A)
     exact = bjw_density(initial, fmap, f_y, pushforward_density(initial, fmap))
-    approx = bjw_density(initial, fmap, f_y,
-                         kde_pushforward(initial, fmap, m=cfg.samples, seed=cfg.seed))
+    kde = kde_pushforward(initial, fmap, m=cfg.samples, seed=cfg.seed)
+    approx = bjw_density(initial, fmap, f_y, kde)
     closed = bjw_gaussian_linear(A, f_y.gaussian.mean, f_y.gaussian.cov,
                                  initial.gaussian.mean, initial.gaussian.cov)
     sd = np.sqrt(np.diag(closed.cov))
@@ -226,6 +226,13 @@ def _run_bjw_kde(cfg: RunConfig) -> ExampleResult:
     _, table = result.tables["grid"]
     result.checks.append(grid_compare(table[:, -2], table[:, -1], grid,
                                       tol=0.05, normalize=True))
+    # the KDE's log-density table: its node count (0 when the span needs more
+    # than the cap) and estimated |error| in log; exact evaluation when not used
+    result.params["pushforward_kde_table"] = {
+        "nodes": kde.table.nodes if kde.table else 0,
+        "log_error_estimate": kde.table.error if kde.table else None,
+        "tabulated": kde.tabulated,
+    }
     return result
 
 

@@ -8,13 +8,15 @@ components with ``logsumexp``, so no density takes the log of a ``pdf`` that
 has underflowed to zero, and a point inside the box but off every component
 gets log density ``-inf``.  The normal, beta and mixture formulas draw their
 special functions from ``_special`` (numpy and the standard library).
-Densities are immutable after construction.
+Densities are immutable after construction, apart from the one-dimensional
+KDE's log-density table, a cache built on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -366,7 +368,54 @@ def scott_bandwidth(data: np.ndarray) -> np.ndarray:
     return data.std(axis=0, ddof=1) * m ** (-1.0 / (d + 4))
 
 
-def fit_kde(samples, bandwidth=None) -> Density:
+class KdeDensity(Density):
+    """Gaussian-kernel KDE of the (m, d) ``data``; made by :func:`fit_kde`."""
+
+    def __init__(self, data: np.ndarray, bandwidth: np.ndarray):
+        self.data = data
+        self.bandwidth = bandwidth
+        super().__init__(data.shape[1], unbounded_support(data.shape[1]),
+                         log_pdf_fn=self._log_pdf, sample_fn=self._sample,
+                         marginal_cdfs=self._marginal_cdf, name="kde")
+
+    @cached_property
+    def table(self) -> _kernels.KdeTable | None:
+        """The log-density table of a 1-D KDE, built on first use.
+
+        None when the KDE has d >= 2 or its span needs more than
+        ``_kernels.KDE_TABLE_MAX_NODES`` nodes.
+        """
+        return _kernels.kde_table(self.data, self.bandwidth) if self.dim == 1 else None
+
+    @property
+    def tabulated(self) -> bool:
+        """Whether evaluation reads the table rather than every kernel: it
+        exists and its estimated error is within ``KDE_TABLE_TOL``."""
+        return self.table is not None and self.table.error <= _kernels.KDE_TABLE_TOL
+
+    def _log_pdf(self, pts):
+        if self.tabulated:
+            return self.table.log_pdf(pts)
+        return _kernels.kde_log_pdf(pts, self.data, self.bandwidth)
+
+    def _sample(self, rng, n):
+        m, d = self.data.shape
+        idx = rng.integers(0, m, size=n)
+        return self.data[idx] + rng.standard_normal((n, d)) * self.bandwidth
+
+    def _marginal_cdf(self, j, x):
+        x = np.atleast_1d(x)
+        out = np.empty(x.shape[0])
+        chunk = max(1, int(2e6 // self.data.shape[0]))
+        for s in range(0, x.shape[0], chunk):
+            block = x[s : s + chunk]
+            out[s : s + chunk] = ndtr(
+                (block[:, None] - self.data[None, :, j]) / self.bandwidth[j]
+            ).mean(axis=1)
+        return out
+
+
+def fit_kde(samples, bandwidth=None) -> KdeDensity:
     """Gaussian-kernel KDE with a diagonal bandwidth matrix.
 
     Parameters
@@ -377,14 +426,20 @@ def fit_kde(samples, bandwidth=None) -> Density:
         Kernel standard deviations; defaults to per-dimension Scott's rule.
 
     The resulting pdf is strictly positive on all of R^d and integrates to
-    one by construction.  Evaluation runs in the blocked numpy kernel
-    ``_kernels.kde_log_pdf``.
+    one by construction.  In d >= 2 evaluation runs every kernel in the
+    blocked numpy kernel ``_kernels.kde_log_pdf``.  In one dimension the
+    first evaluation builds a ``_kernels.KdeTable`` of the log density and
+    its slope (at most ``KDE_TABLE_MAX_NODES`` nodes, ``h / 32`` apart, over
+    the centres +- 8 bandwidths), and later ones interpolate it by cubic
+    Hermite, to an error the table estimates from itself.  Points off the
+    table, and every point when the span needs more nodes or the estimate
+    exceeds ``KDE_TABLE_TOL``, get the exact kernel.
     """
     data = samples.data if isinstance(samples, SampleBatch) else samples
     data = np.asarray(data, dtype=float)
     if data.ndim == 1:
         data = data.reshape(-1, 1)
-    m, d = data.shape
+    m = data.shape[0]
     if m < 2:
         raise ValueError(f"KDE needs at least 2 samples, got {m} (bandwidth undefined)")
     if bandwidth is None:
@@ -395,24 +450,4 @@ def fit_kde(samples, bandwidth=None) -> Density:
             "degenerate sample covariance: at least one coordinate has zero spread; "
             "jitter the samples or pass an explicit bandwidth"
         )
-
-    def log_pdf_fn(pts):
-        return _kernels.kde_log_pdf(pts, data, bandwidth)
-
-    def sample_fn(rng, n):
-        idx = rng.integers(0, m, size=n)
-        return data[idx] + rng.standard_normal((n, d)) * bandwidth
-
-    def marginal_cdfs(j, x):
-        x = np.atleast_1d(x)
-        out = np.empty(x.shape[0])
-        chunk = max(1, int(2e6 // m))
-        for s in range(0, x.shape[0], chunk):
-            block = x[s : s + chunk]
-            out[s : s + chunk] = ndtr(
-                (block[:, None] - data[None, :, j]) / bandwidth[j]
-            ).mean(axis=1)
-        return out
-
-    return Density(d, unbounded_support(d), log_pdf_fn=log_pdf_fn, sample_fn=sample_fn,
-                   marginal_cdfs=marginal_cdfs, name="kde")
+    return KdeDensity(data, bandwidth)

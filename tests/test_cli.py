@@ -205,19 +205,33 @@ def test_csv_writer_matches_per_value_formatting(tmp_path):
 
 
 def test_bjw_kde_evaluates_the_grid_once(tmp_path, monkeypatch):
+    # The pushforward KDE is 1-D, so its exact kernels run once, over the
+    # nodes of its log-density table, and the grid reads the table.
     from sip_lab import _kernels
+    from sip_lab.densities import KdeDensity
 
-    grid = 20
-    real = _kernels.kde_log_pdf
-    grid_calls = []
+    grid, m = 128, 300
+    real_kernel, real_log_pdf = _kernels.kde_log_pdf, KdeDensity._log_pdf
+    kernel_points, kde_grid_calls = [], []
 
-    def counting(points, data, bandwidth):
-        if len(points) == grid**2:
-            grid_calls.append(len(data))
-        return real(points, data, bandwidth)
+    def counting_kernel(points, data, bandwidth, slope=None):
+        kernel_points.append((len(points), len(data)))
+        return real_kernel(points, data, bandwidth, slope=slope)
 
-    monkeypatch.setattr(_kernels, "kde_log_pdf", counting)
-    code = main(["bjw-kde", "--samples", "300", "--seed", "11", "--grid", str(grid),
+    def counting_log_pdf(self, pts):
+        if len(pts) == grid**2:
+            kde_grid_calls.append(len(self.data))
+        return real_log_pdf(self, pts)
+
+    monkeypatch.setattr(_kernels, "kde_log_pdf", counting_kernel)
+    monkeypatch.setattr(KdeDensity, "_log_pdf", counting_log_pdf)
+    code = main(["bjw-kde", "--samples", str(m), "--seed", "11", "--grid", str(grid),
                  "--out", str(tmp_path / "kde")])
     assert code == 0
-    assert grid_calls == [300]
+    assert kde_grid_calls == [m]
+    report = json.loads((tmp_path / "kde" / "bjw-kde_report.json").read_text())
+    table = report["params"]["pushforward_kde_table"]
+    assert table["tabulated"] and table["log_error_estimate"] <= _kernels.KDE_TABLE_TOL
+    assert [n for n, _ in kernel_points].count(table["nodes"]) == 1
+    pairs = sum(n * centres for n, centres in kernel_points)
+    assert 10 * pairs <= grid**2 * m

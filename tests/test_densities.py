@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
+from sip_lab import _kernels
 from sip_lab import (
     GaussianParams,
     MixtureWeights,
@@ -234,6 +235,54 @@ class TestKde:
     def test_degenerate_spread_advises_jitter(self):
         with pytest.raises(ValueError, match="jitter"):
             fit_kde(np.zeros((50, 1)))
+
+    def test_one_dimensional_kde_reads_its_table(self):
+        data = RNG(2000).standard_normal((2000, 1))
+        dens = fit_kde(data)
+        assert dens.tabulated and dens.table.nodes <= _kernels.KDE_TABLE_MAX_NODES
+        h = dens.bandwidth[0]
+        x = np.linspace(data.min() - 8 * h, data.max() + 8 * h, 5001)
+        exact = _kernels.kde_log_pdf(x[:, None], data, dens.bandwidth)
+        np.testing.assert_allclose(dens.log_pdf(x), exact, rtol=0, atol=1e-7)
+        assert not np.array_equal(dens.log_pdf(x), exact)
+
+    @pytest.mark.parametrize("case", ["two_dims", "past_node_cap", "inaccurate_table"])
+    def test_kde_left_exact(self, case):
+        data, bandwidth = {
+            "two_dims": (RNG(3).standard_normal((500, 2)), None),
+            # an outlier 200 bandwidths out: (200 + 16) * 32 + 1 nodes > 4097
+            "past_node_cap": (np.append(RNG(4).standard_normal(300), 200.0)[:, None], [1.0]),
+            # two clusters 100 bandwidths apart: the log density turns from one
+            # parabola to the other within h / 100, finer than the nodes
+            "inaccurate_table": (np.array([[0.0], [0.3], [100.0], [100.2]]), [1.0]),
+        }[case]
+        dens = fit_kde(data, bandwidth=bandwidth)
+        x = RNG(5).uniform(-10.0, 110.0, size=(2000, dens.dim))
+        assert np.array_equal(dens.log_pdf(x),
+                              _kernels.kde_log_pdf(x, dens.data, dens.bandwidth))
+        assert not dens.tabulated
+        if case == "inaccurate_table":
+            assert dens.table.error > _kernels.KDE_TABLE_TOL
+        else:
+            assert dens.table is None
+
+    def test_table_is_built_once_on_first_evaluation(self, monkeypatch):
+        builds = []
+        real = _kernels.kde_table
+
+        def counting(data, bandwidth):
+            builds.append(len(data))
+            return real(data, bandwidth)
+
+        monkeypatch.setattr(_kernels, "kde_table", counting)
+        dens = fit_kde(RNG(6).standard_normal((800, 1)))
+        draw(dens, 100, seed=1)
+        assert builds == []          # fitting and sampling evaluate nothing
+        first = dens.log_pdf(np.linspace(-3.0, 3.0, 50))
+        for _ in range(3):
+            dens.pdf(0.25)
+            assert np.array_equal(dens.log_pdf(np.linspace(-3.0, 3.0, 50)), first)
+        assert builds == [800]
 
     def test_scott_rule(self):
         data = RNG(2).standard_normal((500, 3)) * np.array([1.0, 2.0, 0.5])

@@ -102,6 +102,66 @@ def test_blocked_kde_equals_unblocked_far_tail_and_nonfinite(d):
     assert np.all(got[2:5] == -np.inf) and np.all(got[-2:] == -np.inf)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_kde_slope_matches_central_differences(d):
+    rng = np.random.default_rng(23 + d)
+    data = rng.standard_normal((400, d))
+    bw = np.full(d, 0.3)
+    points = rng.standard_normal((30, d)) * 1.5
+    slope = np.empty((30, d))
+    values = _kernels.kde_log_pdf(points, data, bw, slope=slope)
+    assert np.array_equal(values, _kernels.kde_log_pdf(points, data, bw))
+    eps = 1e-5
+    for j in range(d):
+        step = np.zeros(d)
+        step[j] = eps
+        oracle = (_kernels.kde_log_pdf(points + step, data, bw)
+                  - _kernels.kde_log_pdf(points - step, data, bw)) / (2 * eps)
+        np.testing.assert_allclose(slope[:, j], oracle, rtol=0, atol=1e-8)
+
+
+def _table_case(m):
+    data = np.random.default_rng(m).standard_normal((m, 1))
+    bw = np.array([data.std(ddof=1) * m ** -0.2])
+    return data, bw, _kernels.kde_table(data, bw)
+
+
+@pytest.mark.parametrize("m", [300, 2000, 10_000])
+def test_kde_table_matches_exact_kernel(m):
+    data, bw, table = _table_case(m)
+    h = bw[0]
+    assert table.lo <= data.min() - 8 * h
+    top = table.lo + (table.nodes - 1) * table.step
+    assert top >= data.max() + 8 * h and table.nodes <= _kernels.KDE_TABLE_MAX_NODES
+    # nodes, midpoints and random points across the whole table
+    x = np.concatenate([np.linspace(table.lo, top, 2 * table.nodes - 1),
+                        np.random.default_rng(1).uniform(table.lo, top, 2000)])[:, None]
+    error = np.abs(table.log_pdf(x) - _kernels.kde_log_pdf(x, data, bw))
+    assert error.max() <= 1e-7
+    # the estimate, made from the table alone, tracks the measured error
+    assert 0.5 * error.max() <= table.error <= 2.0 * error.max()
+
+
+def test_kde_table_off_table_points_are_exact():
+    data, bw, table = _table_case(500)
+    top = table.lo + (table.nodes - 1) * table.step
+    x = np.array([table.lo - 1e-9, top + 1e-9, table.lo - 50.0, top + 1e5,
+                  np.inf, -np.inf, np.nan, 0.0])[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = table.log_pdf(x)
+        exact = _kernels.kde_log_pdf(x, data, bw)
+    assert np.array_equal(got[:-1], exact[:-1], equal_nan=True)
+    assert got[-1] == pytest.approx(exact[-1], abs=1e-7)
+
+
+def test_kde_table_past_the_node_cap_is_not_built(monkeypatch):
+    # centres 130 bandwidths apart need (130 + 16) * 32 + 1 > 4097 nodes
+    calls = []
+    monkeypatch.setattr(_kernels, "kde_log_pdf", lambda *args, **kw: calls.append(args))
+    assert _kernels.kde_table(np.array([[0.0], [0.5], [130.0]]), np.array([1.0])) is None
+    assert calls == []
+
+
 def test_pairwise_dists_backends_agree():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((80, 3))

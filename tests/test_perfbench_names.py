@@ -9,6 +9,7 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sip_lab import _kernels
@@ -51,3 +52,27 @@ def test_read_attributes_resolve(name, owner, obj, expected):
     assert expected <= names
     missing = sorted(n for n in names if not hasattr(obj, n))
     assert not missing, f"perfbench/{name} reads {owner}.{missing}, which do not exist"
+
+
+def test_kde_table_build_is_traced(monkeypatch):
+    """perfbench's ``_after_kde`` counts a ``kde_log_pdf`` call's pairs as
+    ``result.shape[0] * len(args[1])``, so the 1-D KDE's table build must
+    call the module attribute with the centres as second positional argument
+    and get back one value per node."""
+    from sip_lab import fit_kde
+
+    calls = []
+    real = _kernels.kde_log_pdf
+
+    def recording(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(_kernels, "kde_log_pdf", recording)
+    dens = fit_kde(np.random.default_rng(3).standard_normal((400, 1)))
+    dens.log_pdf(np.linspace(-2.0, 2.0, 9))
+    assert dens.tabulated
+    (args, result), = calls
+    assert args[1] is dens.data
+    assert result.shape == (len(args[0]),) == (dens.table.nodes,)

@@ -60,7 +60,6 @@ from .gaussian_algebra import (
 from .sampling import SampleBatch
 from .solvers import (
     Branch,
-    DomainPartition,
     SipSolution,
     bbe_linear,
     bbe_polar,

@@ -38,7 +38,6 @@ from .gaussian_algebra import (
 from .sampling import theta_labels
 from .solvers import (
     Branch,
-    DomainPartition,
     bbe_linear,
     bbe_polar,
     bjw_density,
@@ -52,18 +51,6 @@ from .solvers import (
 from .verification import CheckReport, GridSpec, grid_compare, normalization_check, \
     pushforward_check
 
-EXAMPLES = (
-    "two-to-one",
-    "bbe-linear",
-    "bbe-polar",
-    "bjw-gauss-linear",
-    "bjw-kde",
-    "bjw-sequential",
-    "stochastic-map-mean",
-    "cov-linear-mvn",
-    "regression-compare",
-    "intuitive-demo",
-)
 # examples undefined on one sample: bjw-kde fits a KDE bandwidth to the
 # draws, and intuitive-demo checks a correlation over them
 NEEDS_TWO_SAMPLES = ("bjw-kde", "intuitive-demo")
@@ -131,12 +118,12 @@ def _gaussian_param_entry(params: GaussianParams) -> dict:
     return {"mean": params.mean.tolist(), "cov": params.cov.tolist()}
 
 
-def two_to_one_partition() -> DomainPartition:
+def two_to_one_partition() -> tuple:
     """Branches of theta^2 on (-1, 1): the negative and positive half-lines."""
-    return DomainPartition(branches=(
+    return (
         Branch(member=lambda pts: pts[:, 0] < 0, inverse=lambda y: -np.sqrt(y)),
         Branch(member=lambda pts: pts[:, 0] > 0, inverse=lambda y: np.sqrt(y)),
-    ))
+    )
 
 
 def _run_two_to_one(cfg: RunConfig) -> ExampleResult:
@@ -385,6 +372,7 @@ _RUNNERS = {
     "regression-compare": _run_regression_compare,
     "intuitive-demo": _run_intuitive_demo,
 }
+EXAMPLES = tuple(_RUNNERS)  # argparse registers them, and --help lists them, in this order
 
 
 # ---------------------------------------------------------------------------

@@ -185,11 +185,10 @@ class Density:
         return self._marginal_cdfs(int(j), np.asarray(x, dtype=float))
 
 
-def draw(density: Density, n: int, seed: int, labels=None) -> SampleBatch:
+def draw(density: Density, n: int, seed: int) -> SampleBatch:
     """Seeded convenience wrapper returning a SampleBatch."""
     data = density.sample(rng_for(seed, KIND_ROWS, 0), n)
-    labels = tuple(labels) if labels is not None else theta_labels(density.dim)
-    return SampleBatch(data=data, labels=labels, seed=seed)
+    return SampleBatch(data=data, labels=theta_labels(density.dim), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +419,11 @@ def fit_kde(samples, bandwidth=None) -> KdeDensity:
 
     Parameters
     ----------
-    samples : SampleBatch or (m, d) array
+    samples : (m, d) array, or (m,) for d = 1
         Training draws, m >= 2.
     bandwidth : (d,) array, optional
-        Kernel standard deviations; defaults to per-dimension Scott's rule.
+        Kernel standard deviations, each positive and finite; defaults to
+        per-dimension Scott's rule.  A scalar is taken for d = 1 only.
 
     The resulting pdf is strictly positive on all of R^d and integrates to
     one by construction.  In d >= 2 evaluation runs every kernel in the
@@ -435,18 +435,21 @@ def fit_kde(samples, bandwidth=None) -> KdeDensity:
     table, and every point when the span needs more nodes or the estimate
     exceeds ``KDE_TABLE_TOL``, get the exact kernel.
     """
-    data = samples.data if isinstance(samples, SampleBatch) else samples
-    data = np.asarray(data, dtype=float)
+    data = np.asarray(samples, dtype=float)
     if data.ndim == 1:
         data = data.reshape(-1, 1)
-    m = data.shape[0]
+    m, d = data.shape
     if m < 2:
         raise ValueError(f"KDE needs at least 2 samples, got {m} (bandwidth undefined)")
-    if bandwidth is None:
-        bandwidth = scott_bandwidth(data)
-    bandwidth = np.atleast_1d(np.asarray(bandwidth, dtype=float))
-    if np.any(bandwidth <= 0) or not np.all(np.isfinite(bandwidth)):
+    explicit = bandwidth is not None
+    bandwidth = np.atleast_1d(np.asarray(bandwidth, dtype=float)) if explicit \
+        else scott_bandwidth(data)
+    if bandwidth.shape != (d,):
+        raise ValueError(f"bandwidth has length {bandwidth.size}; the data have d = {d} "
+                         "dimensions and need one bandwidth per dimension")
+    if not np.all((bandwidth > 0) & np.isfinite(bandwidth)):
         raise ValueError(
+            f"bandwidth must be positive and finite, got {bandwidth}" if explicit else
             "degenerate sample covariance: at least one coordinate has zero spread; "
             "jitter the samples or pass an explicit bandwidth"
         )

@@ -1,9 +1,9 @@
 """Forward maps R^p -> R^q with Jacobian access and null-space bases.
 
-Maps must be pure functions.  The batch form is the only form a vectorized
-map implements; single points are evaluated as one-row batches.  A map
-either supplies an analytic Jacobian or falls back to central finite
-differences with per-coordinate step max(1e-6, 1e-6*|theta_i|).
+Maps must be pure functions and implement the batch form only; single
+points are evaluated as one-row batches.  A map either supplies an analytic
+Jacobian or falls back to central finite differences with per-coordinate
+step max(1e-6, 1e-6*|theta_i|).
 """
 
 from __future__ import annotations
@@ -24,10 +24,8 @@ FD_STEP = 1e-6
 class ForwardMap:
     """Deterministic map from parameter space (dim p) to observable space (dim q).
 
-    When ``vectorized``, ``func`` maps (n, p) points to (n, q) values and
-    ``jac`` to (n, q, p) Jacobians, and neither is called with a single
-    (p,) point.  Otherwise both take one (p,) point, and ``func`` returns a
-    (q,) value or a scalar.
+    ``func`` maps (n, p) points to (n, q) values and ``jac`` to (n, q, p)
+    Jacobians; neither is called with a single (p,) point.
     """
 
     p: int
@@ -35,7 +33,6 @@ class ForwardMap:
     func: object
     domain: Support
     jac: object = None
-    vectorized: bool = False
     matrix: np.ndarray = None  # set for linear maps, enables closed forms
     name: str = ""
 
@@ -57,12 +54,7 @@ def evaluate(fmap: ForwardMap, theta) -> np.ndarray:
 def eval_batch(fmap: ForwardMap, pts: np.ndarray) -> np.ndarray:
     """Evaluate the map at (n, p) points without domain checking."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if fmap.vectorized:
-        return np.asarray(fmap.func(pts), dtype=float).reshape(pts.shape[0], fmap.q)
-    out = np.empty((pts.shape[0], fmap.q))
-    for i, row in enumerate(pts):
-        out[i] = fmap.func(row)
-    return out
+    return np.asarray(fmap.func(pts), dtype=float).reshape(pts.shape[0], fmap.q)
 
 
 def _fd_jacobian(fmap: ForwardMap, pts: np.ndarray) -> np.ndarray:
@@ -88,12 +80,9 @@ def jacobian_at(fmap: ForwardMap, theta) -> np.ndarray:
 def jacobian_batch(fmap: ForwardMap, pts: np.ndarray) -> np.ndarray:
     """(n, q, p) Jacobians at (n, p) points: analytic when available, else central FD."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    shape = (pts.shape[0], fmap.q, fmap.p)
     if fmap.jac is None:
         return _fd_jacobian(fmap, pts)
-    if fmap.vectorized:
-        return np.asarray(fmap.jac(pts), dtype=float).reshape(shape)
-    return np.array([np.asarray(fmap.jac(row), dtype=float) for row in pts]).reshape(shape)
+    return np.asarray(fmap.jac(pts), dtype=float).reshape(pts.shape[0], fmap.q, fmap.p)
 
 
 def domain_probe_points(fmap: ForwardMap, count: int = 8) -> np.ndarray:
@@ -127,10 +116,9 @@ def null_space_rows(matrix: np.ndarray) -> np.ndarray:
     q, p = matrix.shape
     if q > p:
         raise RankDeficiencyError(f"matrix is {q} x {p}; need q <= p")
-    s = np.linalg.svd(matrix, compute_uv=False)
+    _, s, vt = np.linalg.svd(matrix, full_matrices=True)
     if s.size and s[-1] <= RANK_REL_TOL * max(s[0], 1e-300):
         raise RankDeficiencyError("matrix does not have full row rank")
-    _, _, vt = np.linalg.svd(matrix, full_matrices=True)
     return vt[q:]
 
 
@@ -151,8 +139,8 @@ def linear_map(matrix, domain: Support = None, name: str = "linear") -> ForwardM
     def jac(theta):
         return np.broadcast_to(matrix, (theta.shape[0], q, p))
 
-    return ForwardMap(p=p, q=q, func=func, jac=jac, domain=domain,
-                      vectorized=True, matrix=matrix, name=name)
+    return ForwardMap(p=p, q=q, func=func, jac=jac, domain=domain, matrix=matrix,
+                      name=name)
 
 
 def identity_map(p: int, domain: Support = None) -> ForwardMap:
@@ -169,7 +157,7 @@ def square_map(lo: float = 0.0, hi: float = 1.0) -> ForwardMap:
         return (2.0 * theta).reshape(-1, 1, 1)
 
     return ForwardMap(p=1, q=1, func=func, jac=jac, domain=Support([lo], [hi]),
-                      vectorized=True, name="square")
+                      name="square")
 
 
 def polar_quadratic_map() -> ForwardMap:
@@ -182,5 +170,4 @@ def polar_quadratic_map() -> ForwardMap:
         return theta.reshape(-1, 1, 2)
 
     return ForwardMap(p=2, q=1, func=func, jac=jac,
-                      domain=Support([0.0, 0.0], [1.0, 1.0]),
-                      vectorized=True, name="polar_quadratic")
+                      domain=Support([0.0, 0.0], [1.0, 1.0]), name="polar_quadratic")

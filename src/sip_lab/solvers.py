@@ -75,16 +75,16 @@ FAILURE_WARN_RATE = 0.05
 
 @dataclass
 class SipSolution:
-    """A solved inverse problem: a density, provenance, and diagnostics.
+    """A solved inverse problem: a density, its sampler, and diagnostics.
 
-    ``sample`` is set by every solver: a callable ``(n, seed) -> (n, p)
-    array`` with deterministic per-row streams, which records the counters
-    of its last draw in ``diagnostics``.  Ratio-form solutions keep their
-    building blocks in ``parts`` so the rejection sampler can reuse them.
+    ``density.name`` names the solution.  ``sample`` is set by every solver:
+    a callable ``(n, seed) -> (n, p) array`` with deterministic per-row
+    streams, which records the counters of its last draw in
+    ``diagnostics``.  Ratio-form solutions keep their building blocks in
+    ``parts`` so the rejection sampler can reuse them.
     """
 
     density: Density
-    method: str
     sample: object = None
     diagnostics: dict = field(default_factory=dict)
     parts: dict = field(default_factory=dict)
@@ -289,8 +289,7 @@ def _lockstep_rows(attempt, m: int, seed: int, kind: int, retries: int):
 
 
 def _change_of_variables(support: Support, q: int, f_y: Density, f_c: Density | None,
-                         forward, inverse, method: str, name: str,
-                         pilot: int = PILOT_SIZE) -> SipSolution:
+                         forward, inverse, name: str, pilot: int = PILOT_SIZE) -> SipSolution:
     """The solution that a reparameterization theta <-> (y, c) makes of f_Y f_C.
 
     ``forward((n, p) theta) -> (y, c, log|det d(y, c)/d theta|)`` gives the
@@ -316,7 +315,7 @@ def _change_of_variables(support: Support, q: int, f_y: Density, f_c: Density | 
             out = out + f_c.log_pdf(c)
         return out + log_det
 
-    solution = SipSolution(Density(p, support, log_pdf_fn=log_pdf_fn, name=name), method)
+    solution = SipSolution(Density(p, support, log_pdf_fn=log_pdf_fn, name=name))
 
     def attempt(rngs):
         y = np.vstack([f_y.sample(rng, 1) for rng in rngs])
@@ -340,7 +339,7 @@ def _change_of_variables(support: Support, q: int, f_y: Density, f_c: Density | 
 
 
 def _newton_solution(fmap: ForwardMap, f_y: Density, f_aux: Density | None,
-                     method: str, name: str) -> SipSolution:
+                     name: str) -> SipSolution:
     """T = (g(theta), theta_tail) with f_C = f_aux, inverted by damped Newton
     on the leading block from a random start in the domain box."""
     q = fmap.q
@@ -354,7 +353,7 @@ def _newton_solution(fmap: ForwardMap, f_y: Density, f_aux: Density | None,
         heads, ok, _ = _newton_rows(fmap, y, tail, _draw_starts(rngs, fmap))
         return np.hstack([heads, tail]), ok
 
-    return _change_of_variables(fmap.domain, q, f_y, f_aux, forward, inverse, method, name)
+    return _change_of_variables(fmap.domain, q, f_y, f_aux, forward, inverse, name)
 
 
 def intuitive_sample(fmap: ForwardMap, f_y: Density,
@@ -370,7 +369,7 @@ def intuitive_sample(fmap: ForwardMap, f_y: Density,
     observable support is unreachable or the leading q x q Jacobian block
     is singular.
     """
-    return _newton_solution(fmap, f_y, f_aux, "Intuitive", f"intuitive[{fmap.name}]")
+    return _newton_solution(fmap, f_y, f_aux, f"intuitive[{fmap.name}]")
 
 
 def cov_exact(fmap: ForwardMap, f_y: Density) -> SipSolution:
@@ -387,7 +386,7 @@ def cov_exact(fmap: ForwardMap, f_y: Density) -> SipSolution:
             f"exact pullback needs p = q (got p={fmap.p}, q={fmap.q}); "
             "use intuitive_sample or a ratio-form update instead"
         )
-    return _newton_solution(fmap, f_y, None, "CoV", f"cov[{fmap.name}]")
+    return _newton_solution(fmap, f_y, None, f"cov[{fmap.name}]")
 
 
 # ---------------------------------------------------------------------------
@@ -409,21 +408,10 @@ class Branch:
     weighted: bool = True
 
 
-@dataclass(frozen=True)
-class DomainPartition:
-    branches: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "branches", tuple(self.branches))
-
-    @property
-    def n_weighted(self) -> int:
-        return sum(1 for b in self.branches if b.weighted)
-
-
-def cov_mixture_family(fmap: ForwardMap, f_y: Density, partition: DomainPartition,
+def cov_mixture_family(fmap: ForwardMap, f_y: Density, branches,
                        w: MixtureWeights) -> SipSolution:
-    """The weighted family of exact solutions over a many-to-one partition.
+    """The weighted family of exact solutions over the ``branches`` (a
+    sequence of :class:`Branch`) that partition a many-to-one map's domain.
 
     Pieces whose images overlap share the mixture weights; pieces where the
     map is one-to-one carry weight 1.  Every member of the family pushes
@@ -437,24 +425,22 @@ def cov_mixture_family(fmap: ForwardMap, f_y: Density, partition: DomainPartitio
         raise ValueError("mixture family requires a square map")
     if not isinstance(w, MixtureWeights):
         w = MixtureWeights(np.asarray(w, dtype=float))
-    if len(w) != partition.n_weighted:
-        raise ValueError(
-            f"{len(w)} weights for {partition.n_weighted} weighted branches"
-        )
+    branches = tuple(branches)
+    n_weighted = sum(b.weighted for b in branches)
+    if len(w) != n_weighted:
+        raise ValueError(f"{len(w)} weights for {n_weighted} weighted branches")
 
     weighted = iter(w.weights.tolist())
-    branch_weight = np.array([next(weighted) if b.weighted else 1.0
-                              for b in partition.branches])
+    branch_weight = np.array([next(weighted) if b.weighted else 1.0 for b in branches])
 
     probes = domain_probe_points(fmap, count=32)
-    membership = np.stack([np.asarray(b.member(probes), dtype=bool)
-                           for b in partition.branches])
+    membership = np.stack([np.asarray(b.member(probes), dtype=bool) for b in branches])
     if np.any(membership.sum(axis=0) > 1):
         raise ValueError("branch membership predicates overlap on probe points")
 
     def forward(pts):
         weight = np.zeros(pts.shape[0])
-        for wt, branch in zip(branch_weight, partition.branches):
+        for wt, branch in zip(branch_weight, branches):
             weight[np.asarray(branch.member(pts), dtype=bool)] = wt
         dets = np.abs(np.linalg.det(jacobian_batch(fmap, pts)))
         with np.errstate(divide="ignore"):
@@ -463,9 +449,9 @@ def cov_mixture_family(fmap: ForwardMap, f_y: Density, partition: DomainPartitio
     def inverse(y, c, rngs):
         k = len(rngs)
         pieces = np.stack([np.asarray(b.inverse(y), dtype=float).reshape(k, fmap.p)
-                           for b in partition.branches])
+                           for b in branches])
         valid = np.stack([np.asarray(b.member(theta), dtype=bool) & fmap.domain.contains(theta)
-                          for b, theta in zip(partition.branches, pieces)], axis=1)
+                          for b, theta in zip(branches, pieces)], axis=1)
         weights = np.where(valid, branch_weight, 0.0)
         total = weights.sum(axis=1)  # the zeros leave each row's sum as it was
         ok = total > 0  # else no pre-image, or this family member puts no mass on them
@@ -478,7 +464,7 @@ def cov_mixture_family(fmap: ForwardMap, f_y: Density, partition: DomainPartitio
         return rows, ok
 
     return _change_of_variables(fmap.domain, fmap.q, f_y, None, forward, inverse,
-                                "CoV-mixture", f"cov_mixture[{fmap.name}]")
+                                f"cov_mixture[{fmap.name}]")
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +501,7 @@ def bbe_linear(A, f_y: Density, bounds=None) -> SipSolution:
         return rows, np.ones(len(rngs), dtype=bool)
 
     return _change_of_variables(unbounded_support(p), q, f_y, f_c, forward, inverse,
-                                "BBE", "bbe_linear", pilot=0)
+                                "bbe_linear", pilot=0)
 
 
 def polar_arc(r):
@@ -575,8 +561,8 @@ def bbe_polar(f_y: Density) -> SipSolution:
         return rows, np.ones(len(rngs), dtype=bool)
 
     solution = _change_of_variables(Support([0.0, 0.0], [1.0, 1.0]), 1, f_y,
-                                    make_uniform(0.0, 1.0), forward, inverse, "BBE",
-                                    "bbe_polar", pilot=0)
+                                    make_uniform(0.0, 1.0), forward, inverse, "bbe_polar",
+                                    pilot=0)
     if f_y.support.lower[0] < 0.0 or f_y.support.upper[0] > 1.0:
         raise DomainError(
             "observable support must lie within (0, 1): the map's range on "
@@ -601,8 +587,7 @@ def pushforward_density(initial: Density, fmap: ForwardMap) -> Density:
     )
 
 
-def kde_pushforward(initial: Density, fmap: ForwardMap, m: int, seed: int,
-                    bandwidth=None) -> Density:
+def kde_pushforward(initial: Density, fmap: ForwardMap, m: int, seed: int) -> Density:
     """KDE estimate of the pushforward from m mapped draws of the initial density.
 
     The draws come from the stream (seed, KIND_FIT, 0), so they are
@@ -610,12 +595,11 @@ def kde_pushforward(initial: Density, fmap: ForwardMap, m: int, seed: int,
     density proposes from.
     """
     theta = initial.sample(rng_for(seed, KIND_FIT, 0), m)
-    return fit_kde(eval_batch(fmap, theta), bandwidth=bandwidth)
+    return fit_kde(eval_batch(fmap, theta))
 
 
 def bjw_density(initial: Density, fmap: ForwardMap, f_y: Density,
-                pushforward: Density, method: str = None,
-                proposal: Density = None) -> SipSolution:
+                pushforward: Density, proposal: Density = None) -> SipSolution:
     """Ratio-form solution: initial(theta) * f_Y(g(theta)) / pushforward(g(theta)).
 
     Exact when ``pushforward`` is the true image of the initial density;
@@ -632,8 +616,6 @@ def bjw_density(initial: Density, fmap: ForwardMap, f_y: Density,
         if density.dim != fmap.q:
             raise ValueError(f"{role} density has dimension {density.dim}, "
                              f"expected q = {fmap.q}")
-    if method is None:
-        method = "BJW-KDE" if pushforward.name == "kde" else "BJW-analytic"
 
     def log_pdf_fn(pts):
         images = eval_batch(fmap, pts)
@@ -654,7 +636,7 @@ def bjw_density(initial: Density, fmap: ForwardMap, f_y: Density,
 
     density = Density(initial.dim, initial.support, log_pdf_fn=log_pdf_fn,
                       name=f"bjw[{fmap.name}]")
-    solution = SipSolution(density=density, method=method,
+    solution = SipSolution(density=density,
                            parts={"proposal": initial if proposal is None else proposal,
                                   "f_y": f_y, "pushforward": pushforward})
     solution.sample = lambda n, seed: bjw_rejection_sample(solution, n, seed).data
@@ -787,6 +769,5 @@ def bjw_sequential_update(initial: Density, fmap: ForwardMap, f_y1: Density,
         initial_pushforward = pushforward_density(initial, fmap)
     single = bjw_density(initial, fmap, f_y2, initial_pushforward)
     intermediate = bjw_density(initial, fmap, f_y1, initial_pushforward)
-    double = bjw_density(intermediate.density, fmap, f_y2, f_y1,
-                         method=intermediate.method, proposal=initial)
+    double = bjw_density(intermediate.density, fmap, f_y2, f_y1, proposal=initial)
     return single, double

@@ -12,7 +12,6 @@ from conftest import random_update_instance
 
 from sip_lab import (
     Branch,
-    DomainPartition,
     GaussianParams,
     GridSpec,
     MixtureWeights,
@@ -181,20 +180,20 @@ def test_criterion_05_figure_reproduction_properties():
 
 
 def _two_branch_partition():
-    return DomainPartition(branches=(
+    return (
         Branch(member=lambda pts: pts[:, 0] < 0, inverse=lambda y: -np.sqrt(y)),
         Branch(member=lambda pts: pts[:, 0] > 0, inverse=lambda y: np.sqrt(y)),
-    ))
+    )
 
 
 def _three_branch_partition(eps=0.5):
-    return DomainPartition(branches=(
+    return (
         Branch(member=lambda pts: pts[:, 0] < 0, inverse=lambda y: -np.sqrt(y)),
         Branch(member=lambda pts: (pts[:, 0] > 0) & (pts[:, 0] < eps),
                inverse=lambda y: np.sqrt(y)),
         Branch(member=lambda pts: pts[:, 0] > eps, inverse=lambda y: np.sqrt(y),
                weighted=False),
-    ))
+    )
 
 
 def test_criterion_06_two_to_one_family():

@@ -236,6 +236,27 @@ class TestKde:
         with pytest.raises(ValueError, match="jitter"):
             fit_kde(np.zeros((50, 1)))
 
+    def test_short_bandwidth_rejected_at_fit(self):
+        # one bandwidth for 2-D data used to normalize by log h of one
+        # coordinate: log density -3.140 at the origin instead of -1.936
+        data = RNG(0).standard_normal((500, 2))
+        with pytest.raises(ValueError, match=r"length 1; the data have d = 2"):
+            fit_kde(data, bandwidth=[0.3])
+        assert fit_kde(data, bandwidth=[0.3, 0.3]).log_pdf([0.0, 0.0]) \
+            == pytest.approx(-1.936, abs=5e-4)
+
+    def test_long_bandwidth_rejected_at_fit(self):
+        # used to fail on the first evaluation, inside the table build
+        with pytest.raises(ValueError, match=r"length 2; the data have d = 1"):
+            fit_kde(RNG(0).standard_normal(500), bandwidth=[0.3, 0.3])
+
+    @pytest.mark.parametrize("bandwidth", [[-0.3], [0.0], [np.inf], [np.nan]])
+    def test_nonpositive_bandwidth_named(self, bandwidth):
+        # an explicit bandwidth is not the sample covariance: name its value
+        with pytest.raises(ValueError, match=r"positive and finite, got \[") as err:
+            fit_kde(RNG(0).standard_normal(500), bandwidth=bandwidth)
+        assert "degenerate" not in str(err.value)
+
     def test_one_dimensional_kde_reads_its_table(self):
         data = RNG(2000).standard_normal((2000, 1))
         dens = fit_kde(data)

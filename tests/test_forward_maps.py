@@ -68,13 +68,6 @@ class TestJacobian:
         np.testing.assert_allclose(jacobian_at(fd_map, theta),
                                    jacobian_at(fmap, theta), rtol=1e-6)
 
-    def test_scalar_map_without_jacobian(self):
-        # one (p,) point per call and a float back: looped rows, central FD
-        fmap = ForwardMap(p=2, q=1, func=lambda t: float(t[0] * t[1]),
-                          domain=unbounded_support(2))
-        np.testing.assert_array_equal(evaluate(fmap, [2.0, 3.0]), [6.0])
-        np.testing.assert_allclose(jacobian_at(fmap, [2.0, 3.0]), [[3.0, 2.0]], rtol=1e-8)
-
     @pytest.mark.parametrize("builder", [polar_quadratic_map,
                                          lambda: square_map(-2.0, 2.0),
                                          lambda: linear_map([[0.7, -1.2], [0.1, 2.0]])])
@@ -93,7 +86,7 @@ class TestJacobian:
 
 
 def _batch_only(fn):
-    """``fn`` refusing a single (p,) point, as a vectorized map may."""
+    """``fn`` refusing a single (p,) point, as any map may."""
 
     def wrapped(theta):
         if np.ndim(theta) != 2:
@@ -115,7 +108,7 @@ def _random_quadratic_map(rng, p, q):
         return A + 0.5 * np.einsum("kij,ni->nkj", B + B.transpose(0, 2, 1), theta)
 
     return ForwardMap(p=p, q=q, func=_batch_only(func), jac=_batch_only(jac),
-                      domain=unbounded_support(p), vectorized=True)
+                      domain=unbounded_support(p))
 
 
 def _batch_only_cubic(analytic=True):
@@ -130,7 +123,7 @@ def _batch_only_cubic(analytic=True):
 
     return ForwardMap(p=2, q=1, func=_batch_only(func),
                       jac=_batch_only(jac) if analytic else None,
-                      domain=unbounded_support(2), vectorized=True, name="cubic")
+                      domain=unbounded_support(2), name="cubic")
 
 
 def _gaussian(dim):
@@ -193,8 +186,8 @@ class TestAugmentIdentity:
 
 
 class TestBatchOnlyMap:
-    """A vectorized map implements only the batch form: single points go
-    through it as one-row batches, and so do finite differences."""
+    """A map implements only the batch form: single points go through it as
+    one-row batches, and so do finite differences."""
 
     @pytest.mark.parametrize("analytic", [True, False], ids=["jac", "fd"])
     def test_point_views(self, analytic):

@@ -38,6 +38,20 @@ def _attributes(name, owner):
             and node.value.id == owner}
 
 
+def _record(monkeypatch, module, name):
+    """Replace ``module.name`` as perfbench does; returns the list of (args, result)."""
+    calls = []
+    real = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
 @pytest.mark.parametrize("module,attr", _timed())
 def test_traced_callable_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr))
@@ -61,18 +75,76 @@ def test_kde_table_build_is_traced(monkeypatch):
     and get back one value per node."""
     from sip_lab import fit_kde
 
-    calls = []
-    real = _kernels.kde_log_pdf
-
-    def recording(*args, **kwargs):
-        result = real(*args, **kwargs)
-        calls.append((args, result))
-        return result
-
-    monkeypatch.setattr(_kernels, "kde_log_pdf", recording)
+    calls = _record(monkeypatch, _kernels, "kde_log_pdf")
     dens = fit_kde(np.random.default_rng(3).standard_normal((400, 1)))
     dens.log_pdf(np.linspace(-2.0, 2.0, 9))
     assert dens.tabulated
     (args, result), = calls
     assert args[1] is dens.data
     assert result.shape == (len(args[0]),) == (dens.table.nodes,)
+
+
+def _tracer_method(name):
+    """The ``Tracer.<name>`` function node of ``layers.py``."""
+    for node in ast.walk(_tree("layers.py")):
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            return node
+    raise AssertionError(f"perfbench/layers.py defines no Tracer.{name}")
+
+
+def _reads(method):
+    """What ``Tracer.<method>`` reads off the traced call: the string keys it
+    subscripts (other than its own ``self.n``/``self.busy`` counters), the
+    integer indices it takes of ``result``, and the attributes it reads off
+    ``result``."""
+    keys, indices, attrs = set(), set(), set()
+    for node in ast.walk(_tracer_method(method)):
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+            owner, key = node.value, node.slice.value
+            if isinstance(key, str) and not (isinstance(owner, ast.Attribute)
+                                             and isinstance(owner.value, ast.Name)
+                                             and owner.value.id == "self"):
+                keys.add(key)
+            elif isinstance(key, int) and isinstance(owner, ast.Name) and owner.id == "result":
+                indices.add(key)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "result"):
+            attrs.add(node.attr)
+    return keys, indices, attrs
+
+
+def test_row_diagnostics_hold_what_perfbench_reads(monkeypatch):
+    """``_after_rows`` reads counters off the (data, diag) pair ``_solve_rows`` returns."""
+    from sip_lab import GaussianParams, intuitive_sample, linear_map, make_gaussian, solvers
+
+    keys, indices, _ = _reads("_after_rows")
+    assert {"rows_requested", "failures", "retries"} <= keys and indices == {1}
+    calls = _record(monkeypatch, solvers, "_solve_rows")
+    gauss = make_gaussian(GaussianParams([0.0], [[1.0]]))
+    intuitive_sample(linear_map([[1.0, 1.0]]), gauss, gauss).sample(20, 1)
+    (_, result), = calls
+    for key in keys:
+        assert isinstance(result[1][key], int), key
+
+
+def test_rejection_results_hold_what_perfbench_reads(monkeypatch):
+    """``_after_rejection`` reads ``diagnostics`` off the solution it is given
+    and attributes off the batch ``bjw_rejection_sample`` returns."""
+    from sip_lab import (GaussianParams, bjw_density, linear_map, make_gaussian,
+                         pushforward_density, solvers)
+
+    keys, _, attrs = _reads("_after_rejection")
+    assert "proposals" in keys and "data" in attrs
+    calls = _record(monkeypatch, solvers, "bjw_rejection_sample")
+    fmap = linear_map([[1.0, 1.0]])
+    initial = make_gaussian(GaussianParams([0.0, 0.0], np.eye(2)))
+    f_y = make_gaussian(GaussianParams([0.25], [[0.25]]))
+    solution = bjw_density(initial, fmap, f_y, pushforward_density(initial, fmap))
+    solution.sample(20, 1)
+    (args, result), = calls
+    assert args[0] is solution
+    for key in keys:
+        assert isinstance(solution.diagnostics[key], int), key
+    for attr in attrs:
+        assert hasattr(result, attr), attr
+    assert result.data.shape == (20, 2)

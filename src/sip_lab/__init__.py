@@ -3,13 +3,14 @@
 Library layout:
 
 - ``densities``: density abstraction and concrete families (Gaussian,
-  truncated Gaussian, beta, uniform, mixtures, KDE)
+  truncated Gaussian, beta, uniform, KDE)
 - ``forward_maps``: maps evaluated in batches, with Jacobian access and
   null-space bases
 - ``solvers``: exact change-of-variables (single branch and weighted
   branch families), independent-trailing-coordinate Monte Carlo,
-  contour-slab / polar-arc constructions, and ratio-form updates with
-  rejection sampling
+  contour-slab / polar-arc constructions, and ratio-form updates, drawn
+  as a change of variables when exact and linear-Gaussian, else by
+  rejection
 - ``gaussian_algebra``: every closed-form Gaussian result
 - ``verification``: KS / energy-distance goodness of fit, grid comparison,
   quadrature normalization
@@ -25,7 +26,6 @@ from .densities import (
     fit_kde,
     make_beta,
     make_gaussian,
-    make_mixture,
     make_truncated_gaussian,
     make_uniform,
 )
@@ -40,8 +40,6 @@ from .errors import (
 )
 from .forward_maps import (
     ForwardMap,
-    evaluate,
-    identity_map,
     jacobian_at,
     linear_map,
     null_space_rows,

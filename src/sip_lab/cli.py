@@ -179,8 +179,7 @@ def _run_bjw_gauss_linear(cfg: RunConfig) -> ExampleResult:
     A, initial, f_y = _bjw_gauss_instance()
     fmap = linear_map(A)
     solution = bjw_density(initial, fmap, f_y, pushforward_density(initial, fmap))
-    closed = bjw_gaussian_linear(A, f_y.gaussian.mean, f_y.gaussian.cov,
-                                 initial.gaussian.mean, initial.gaussian.cov)
+    closed = solution.density.gaussian  # bjw_gaussian_linear of the instance
     samples = solution.sample(cfg.samples, cfg.seed)
     sd = np.sqrt(np.diag(closed.cov))
     grid = GridSpec(tuple(closed.mean - 4 * sd), tuple(closed.mean + 4 * sd), cfg.grid)
@@ -201,8 +200,7 @@ def _run_bjw_kde(cfg: RunConfig) -> ExampleResult:
     exact = bjw_density(initial, fmap, f_y, pushforward_density(initial, fmap))
     kde = kde_pushforward(initial, fmap, m=cfg.samples, seed=cfg.seed)
     approx = bjw_density(initial, fmap, f_y, kde)
-    closed = bjw_gaussian_linear(A, f_y.gaussian.mean, f_y.gaussian.cov,
-                                 initial.gaussian.mean, initial.gaussian.cov)
+    closed = exact.density.gaussian
     sd = np.sqrt(np.diag(closed.cov))
     grid = GridSpec(tuple(closed.mean - 4 * sd), tuple(closed.mean + 4 * sd), cfg.grid)
     samples = approx.sample(cfg.samples, cfg.seed)

@@ -3,11 +3,10 @@
 Every density carries an axis-aligned box support, a vectorized ``log_pdf``
 driven by one log-space function (``pdf`` is its ``exp``), an optional
 sampler taking a caller-owned generator, and, when available, analytic
-per-marginal CDFs for goodness-of-fit testing.  Mixtures combine their
-components with ``logsumexp``, so no density takes the log of a ``pdf`` that
-has underflowed to zero, and a point inside the box but off every component
-gets log density ``-inf``.  The normal, beta and mixture formulas draw their
-special functions from ``_special`` (numpy and the standard library).
+per-marginal CDFs for goodness-of-fit testing.  Every family writes its log
+density directly, so no density takes the log of a ``pdf`` that has
+underflowed to zero.  The normal and beta formulas draw their special
+functions from ``_special`` (numpy and the standard library).
 Densities are immutable after construction, apart from the one-dimensional
 KDE's log-density table, a cache built on first use.
 """
@@ -21,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from ._special import betainc, logsumexp, ndtr, ndtri
+from ._special import betainc, ndtr, ndtri
 from .errors import DomainError, NotPositiveDefiniteError
 from .sampling import KIND_ROWS, SampleBatch, rng_for, theta_labels
 
@@ -311,53 +310,6 @@ def make_uniform(lower, upper) -> Density:
 
     return Density(d, support, log_pdf_fn=log_pdf_fn, sample_fn=sample_fn,
                    marginal_cdfs=marginal_cdfs, name="uniform")
-
-
-def make_mixture(components: list[Density], w: MixtureWeights) -> Density:
-    """Finite mixture: pdf(x) = sum_i w_i pdf_i(x).
-
-    Evaluated in log space as ``logsumexp`` over log w_i + log pdf_i(x) of
-    the components with w_i > 0, so far tails stay finite.  The sampler
-    draws a component index and then one draw from that component,
-    sequentially on the caller's generator.
-    """
-    if not isinstance(w, MixtureWeights):
-        w = MixtureWeights(np.asarray(w, dtype=float))
-    if len(components) != len(w):
-        raise ValueError(f"{len(components)} components but {len(w)} weights")
-    dims = {c.dim for c in components}
-    if len(dims) != 1:
-        raise ValueError(f"mixture components disagree on dimension: {sorted(dims)}")
-    d = dims.pop()
-    weights = w.weights
-    lower = np.min([c.support.lower for c in components], axis=0)
-    upper = np.max([c.support.upper for c in components], axis=0)
-
-    def log_pdf_fn(pts):
-        terms = [math.log(wi) + c.log_pdf(pts)
-                 for wi, c in zip(weights, components) if wi > 0]
-        return logsumexp(terms)
-
-    sampleable = all(c.has_sampler for c in components)
-
-    def sample_fn(rng, n):
-        idx = rng.choice(len(components), size=n, p=weights)
-        out = np.empty((n, d))
-        for i, c in enumerate(components):
-            rows = np.flatnonzero(idx == i)
-            if rows.size:
-                out[rows] = c.sample(rng, rows.size)
-        return out
-
-    cdfable = all(c.has_marginal_cdfs for c in components)
-
-    def marginal_cdfs(j, x):
-        return sum(wi * c.marginal_cdf(j, x) for wi, c in zip(weights, components))
-
-    return Density(d, Support(lower, upper), log_pdf_fn=log_pdf_fn,
-                   sample_fn=sample_fn if sampleable else None,
-                   marginal_cdfs=marginal_cdfs if cdfable else None,
-                   name="mixture")
 
 
 def scott_bandwidth(data: np.ndarray) -> np.ndarray:

@@ -43,14 +43,6 @@ class ForwardMap:
             raise ValueError("domain dimension does not match p")
 
 
-def evaluate(fmap: ForwardMap, theta) -> np.ndarray:
-    """Evaluate the map at a single in-domain point: one row of :func:`eval_batch`."""
-    theta = np.atleast_2d(np.asarray(theta, dtype=float))
-    if not fmap.domain.contains(theta)[0]:
-        raise DomainError(f"theta={theta[0]} outside domain of map {fmap.name!r}")
-    return eval_batch(fmap, theta)[0]
-
-
 def eval_batch(fmap: ForwardMap, pts: np.ndarray) -> np.ndarray:
     """Evaluate the map at (n, p) points without domain checking."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -141,10 +133,6 @@ def linear_map(matrix, domain: Support = None, name: str = "linear") -> ForwardM
 
     return ForwardMap(p=p, q=q, func=func, jac=jac, domain=domain, matrix=matrix,
                       name=name)
-
-
-def identity_map(p: int, domain: Support = None) -> ForwardMap:
-    return linear_map(np.eye(p), domain=domain, name="identity")
 
 
 def square_map(lo: float = 0.0, hi: float = 1.0) -> ForwardMap:

@@ -65,8 +65,9 @@ def sigma_tilde_woodbury(A: np.ndarray, Sigma_y: np.ndarray,
                          Sigma_theta: np.ndarray) -> np.ndarray:
     """Updated covariance from the rank-q downdate form.
 
-    Algebraically identical to :func:`sigma_tilde_precision`; kept separate
-    so the two routes can be checked against each other.
+    Equal to :func:`sigma_tilde_precision` where ``Sigma_y^-1 - (A Sigma_theta
+    A^T)^-1`` is invertible, which fails when an update leaves a direction
+    as it was; so only the test suite checks the two forms against each other.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     Sigma_theta = _sym(Sigma_theta)
@@ -76,14 +77,22 @@ def sigma_tilde_woodbury(A: np.ndarray, Sigma_y: np.ndarray,
     return _sym(Sigma_theta - correction)
 
 
+def update_gain(A: np.ndarray, Sigma_theta: np.ndarray) -> np.ndarray:
+    """``K = Sigma A^T (A Sigma A^T)^-1``, the regression of theta on ``A theta``."""
+    return Sigma_theta @ A.T @ chol_inverse(A @ Sigma_theta @ A.T)
+
+
 def bjw_gaussian_linear(A, mu_y, Sigma_y, mu_theta, Sigma_theta) -> GaussianParams:
     """Exact ratio-form update of a Gaussian initial density under a linear map.
 
     Returns the Gaussian whose image under ``A`` is exactly
     ``N(mu_y, Sigma_y)``.  The covariance is computed from the precision
-    form and cross-checked against the equivalent downdate form; the
+    form and cross-checked against the change-of-variables form
+    ``Sigma + K (Sigma_y - A Sigma A^T) K^T`` with ``K`` of :func:`update_gain`:
+    the initial's conditional law given ``A theta``, with ``A theta``
+    redrawn from ``N(mu_y, Sigma_y)``.  The
     pushforward identities ``A mu = mu_y`` and ``A Sigma A^T = Sigma_y``
-    are verified to 1e-10 before returning.
+    are verified before returning.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     mu_y = np.atleast_1d(np.asarray(mu_y, dtype=float))
@@ -95,7 +104,8 @@ def bjw_gaussian_linear(A, mu_y, Sigma_y, mu_theta, Sigma_theta) -> GaussianPara
         raise RankDeficiencyError("map matrix must have full row rank")
 
     sigma = sigma_tilde_precision(A, Sigma_y, Sigma_theta)
-    sigma_alt = sigma_tilde_woodbury(A, Sigma_y, Sigma_theta)
+    gain = update_gain(A, Sigma_theta)
+    sigma_alt = Sigma_theta + gain @ (Sigma_y - A @ Sigma_theta @ A.T) @ gain.T
     # internal guards are loose sanity checks (wrong algebra errs at O(1));
     # the tight 1e-10 identities are asserted by the test suite on
     # well-conditioned instances

@@ -5,11 +5,13 @@ a prescribed observable density: exact change-of-variables for square maps
 (with the mixture family over many-to-one branches), Monte Carlo sampling
 with trailing coordinates drawn independently, contour-slab and polar-arc
 constructions for the two linear/quadratic worked examples, and ratio-form
-updates of an initial density (exact or KDE-approximated) with rejection
-sampling.  The first three are one change of variables,
-:func:`_change_of_variables`: each declares a map theta -> (y, c) with its
-log Jacobian, a law f_C of c, and an inverse that maps a block of drawn
-(y, c) rows back to theta at once (one damped Newton where a root is needed).
+updates of an initial density (exact or KDE-approximated).  The first three,
+and the exact ratio-form update of a Gaussian initial under a linear map, are
+one change of variables, :func:`_change_of_variables`: each declares a map
+theta -> (y, c) with its log Jacobian, a law f_C of c, and an inverse that
+maps a block of drawn (y, c) rows back to theta at once (one damped Newton
+where a root is needed).  Every other ratio-form update, such as one with an
+estimated pushforward, draws by rejection against its initial density.
 
 Every solution draws through ``sample(n, seed) -> (n, p)``, which records its
 counters in ``diagnostics``.  Every sampler, rejection included, advances the
@@ -22,6 +24,7 @@ its own generator stream (seed, kind, i), so results depend only on
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -30,6 +33,7 @@ import numpy as np
 
 from .densities import (
     Density,
+    GaussianParams,
     MixtureWeights,
     Support,
     fit_kde,
@@ -41,6 +45,7 @@ from .errors import (
     DomainError,
     NonConvergenceError,
     NoSolutionError,
+    NotPositiveDefiniteError,
     PredictabilityError,
 )
 from .forward_maps import (
@@ -50,7 +55,7 @@ from .forward_maps import (
     jacobian_batch,
     null_space_rows,
 )
-from .gaussian_algebra import pushforward_gaussian_linear
+from .gaussian_algebra import bjw_gaussian_linear, pushforward_gaussian_linear, update_gain
 from .sampling import (
     KIND_FIT,
     KIND_PILOT,
@@ -71,6 +76,7 @@ PILOT_SIZE = 512
 REJECTION_MAX_PROPOSALS = 100_000  # per row
 REJECTION_MAX_DOUBLINGS = 10  # of the bound, each redoing the whole run
 FAILURE_WARN_RATE = 0.05
+IMAGE_RTOL = 1e-12  # a Gaussian pushforward this close to the initial's image is exact
 
 
 @dataclass
@@ -80,8 +86,9 @@ class SipSolution:
     ``density.name`` names the solution.  ``sample`` is set by every solver:
     a callable ``(n, seed) -> (n, p) array`` with deterministic per-row
     streams, which records the counters of its last draw in
-    ``diagnostics``.  Ratio-form solutions keep their building blocks in
-    ``parts`` so the rejection sampler can reuse them.
+    ``diagnostics``.  Ratio-form solutions keep their ``initial``, ``f_y``
+    and ``pushforward`` densities in ``parts``, so :func:`bjw_rejection_sample`
+    can draw any of them, also one that ``sample`` draws directly.
     """
 
     density: Density
@@ -289,7 +296,8 @@ def _lockstep_rows(attempt, m: int, seed: int, kind: int, retries: int):
 
 
 def _change_of_variables(support: Support, q: int, f_y: Density, f_c: Density | None,
-                         forward, inverse, name: str, pilot: int = PILOT_SIZE) -> SipSolution:
+                         forward, inverse, name: str, pilot: int = PILOT_SIZE,
+                         density: Density | None = None) -> SipSolution:
     """The solution that a reparameterization theta <-> (y, c) makes of f_Y f_C.
 
     ``forward((n, p) theta) -> (y, c, log|det d(y, c)/d theta|)`` gives the
@@ -299,7 +307,8 @@ def _change_of_variables(support: Support, q: int, f_y: Density, f_c: Density | 
     ``sample(n, seed)`` draws y from f_Y, then c from f_C, on its own
     stream; ``inverse(y, c, rngs) -> (theta (k, p), ok (k,))`` maps all
     pending rows back at once and may draw more from those streams (a
-    Newton start, a branch).  Rows that are not ok draw again.
+    Newton start, a branch).  Rows that are not ok draw again.  A caller
+    with a form of the density of its own passes it as ``density``.
     """
     p = support.dim
     n_c = 0 if f_c is None else f_c.dim
@@ -315,7 +324,9 @@ def _change_of_variables(support: Support, q: int, f_y: Density, f_c: Density | 
             out = out + f_c.log_pdf(c)
         return out + log_det
 
-    solution = SipSolution(Density(p, support, log_pdf_fn=log_pdf_fn, name=name))
+    if density is None:
+        density = Density(p, support, log_pdf_fn=log_pdf_fn, name=name)
+    solution = SipSolution(density)
 
     def attempt(rngs):
         y = np.vstack([f_y.sample(rng, 1) for rng in rngs])
@@ -486,22 +497,34 @@ def bbe_linear(A, f_y: Density, bounds=None) -> SipSolution:
     if bounds is None and p > q:
         raise ValueError("bounds (l, u) required when p > q")
     f_c = make_uniform(*(([], []) if bounds is None else bounds))
-    aug = np.vstack([A, perp])
-    log_det = float(np.log(np.abs(np.linalg.det(aug))))
-    # precomputed inverse: [A; A_perp] is well conditioned by construction,
-    # so one matvec per row is as accurate as a solve
-    aug_inv = np.linalg.inv(aug)
+    return _linear_solution(np.vstack([A, perp]), q, f_y, f_c, unbounded_support(p),
+                            "bbe_linear")
+
+
+def _linear_solution(T: np.ndarray, q: int, f_y: Density, f_c: Density | None,
+                     support: Support, name: str, density: Density | None = None) -> SipSolution:
+    """The change of variables by an invertible matrix: (y, c) = T theta.
+
+    The first q rows of T give y and the rest give c; the log Jacobian is
+    log|det T|, and every row inverts, so there is no pilot.  ``density``
+    is passed on to :func:`_change_of_variables`.
+    """
+    log_det = float(np.log(np.abs(np.linalg.det(T))))
+    # precomputed inverse: both callers' T are well conditioned by
+    # construction, so one matvec per row is as accurate as a solve
+    T_inv = np.linalg.inv(T)
+    head, rest = T[:q], T[q:]
 
     def forward(pts):
-        return pts @ A.T, pts @ perp.T, log_det
+        return pts @ head.T, pts @ rest.T, log_det
 
     def inverse(y, c, rngs):
         # a stack of matrix-vector products rounds as the one-row product does
-        rows = np.matmul(aug_inv, np.hstack([y, c])[:, :, None])[:, :, 0]
+        rows = np.matmul(T_inv, np.hstack([y, c])[:, :, None])[:, :, 0]
         return rows, np.ones(len(rngs), dtype=bool)
 
-    return _change_of_variables(unbounded_support(p), q, f_y, f_c, forward, inverse,
-                                "bbe_linear", pilot=0)
+    return _change_of_variables(support, q, f_y, f_c, forward, inverse, name, pilot=0,
+                                density=density)
 
 
 def polar_arc(r):
@@ -599,7 +622,7 @@ def kde_pushforward(initial: Density, fmap: ForwardMap, m: int, seed: int) -> De
 
 
 def bjw_density(initial: Density, fmap: ForwardMap, f_y: Density,
-                pushforward: Density, proposal: Density = None) -> SipSolution:
+                pushforward: Density) -> SipSolution:
     """Ratio-form solution: initial(theta) * f_Y(g(theta)) / pushforward(g(theta)).
 
     Exact when ``pushforward`` is the true image of the initial density;
@@ -607,10 +630,18 @@ def bjw_density(initial: Density, fmap: ForwardMap, f_y: Density,
     unnormalized (it integrates to one only in the exact case), and is
     evaluated in log space, so it stays finite far into the tails; it raises
     ``PredictabilityError`` where the pushforward vanishes under a positive
-    numerator.  Its ``sample(n, seed)`` draws by :func:`bjw_rejection_sample`
-    against ``proposal``, which defaults to ``initial``; a chained update,
-    whose initial is itself ratio-form and has no sampler, passes a
-    sampleable ancestor instead.
+    numerator.
+
+    When the initial density is Gaussian, the map linear and ``pushforward``
+    the initial's image (to ``IMAGE_RTOL``), the update is f_Y(A theta) times
+    the initial's conditional law given A theta, a change of variables
+    (:func:`_gaussian_update_map`): ``sample(n, seed)`` draws y from f_Y and
+    the rest of theta from that conditional, with no rejection.  The density
+    draws the same way from one generator, so a later update can reject
+    against it, and it carries the closed-form update as ``gaussian`` when
+    f_Y is Gaussian and :func:`bjw_gaussian_linear` finds it, so a chained
+    update of it draws directly.  Any other update draws by
+    :func:`bjw_rejection_sample` against ``initial``.
     """
     for role, density in (("observable", f_y), ("pushforward", pushforward)):
         if density.dim != fmap.q:
@@ -634,22 +665,64 @@ def bjw_density(initial: Density, fmap: ForwardMap, f_y: Density,
         out[ok] = numer[ok] - denom[ok]
         return out
 
-    density = Density(initial.dim, initial.support, log_pdf_fn=log_pdf_fn,
-                      name=f"bjw[{fmap.name}]")
-    solution = SipSolution(density=density,
-                           parts={"proposal": initial if proposal is None else proposal,
-                                  "f_y": f_y, "pushforward": pushforward})
-    solution.sample = lambda n, seed: bjw_rejection_sample(solution, n, seed).data
+    name = f"bjw[{fmap.name}]"
+    linear = _gaussian_update_map(initial, fmap, pushforward)
+    if linear is None:
+        solution = SipSolution(Density(initial.dim, initial.support, log_pdf_fn=log_pdf_fn,
+                                       name=name))
+        solution.sample = lambda n, seed: bjw_rejection_sample(solution, n, seed).data
+    else:
+        T, f_c = linear
+        T_inv = np.linalg.inv(T)
+        gaussian = None
+        if f_y.gaussian is not None:
+            # optional: an ill-conditioned update that fails its guards still draws
+            with contextlib.suppress(ArithmeticError, NotPositiveDefiniteError):
+                gaussian = bjw_gaussian_linear(fmap.matrix, f_y.gaussian.mean, f_y.gaussian.cov,
+                                               initial.gaussian.mean, initial.gaussian.cov)
+
+        def draw(rng, n):
+            y = f_y.sample(rng, n)
+            c = np.empty((n, 0)) if f_c is None else f_c.sample(rng, n)
+            return np.hstack([y, c]) @ T_inv.T
+
+        # the ratio form on this route too, not f_Y f_C |det T|
+        density = Density(initial.dim, initial.support, log_pdf_fn=log_pdf_fn,
+                          sample_fn=draw, name=name, gaussian=gaussian)
+        solution = _linear_solution(T, fmap.q, f_y, f_c, initial.support, name, density)
+    solution.parts = {"initial": initial, "f_y": f_y, "pushforward": pushforward}
     return solution
+
+
+def _gaussian_update_map(initial: Density, fmap: ForwardMap, pushforward: Density):
+    """(T, f_C) of the exact update of a Gaussian initial under a linear map, else None.
+
+    T = (A theta, M theta), M = A_perp (I - K A), K = Sigma A^T (A Sigma A^T)^-1:
+    c = M theta is the part of theta that y = A theta does not explain, so
+    under the initial it is N(M mu, M Sigma M^T) and independent of y, and
+    initial f_Y / pushforward = f_Y(y) f_C(c) |det T|.
+    """
+    if initial.gaussian is None or fmap.matrix is None or pushforward.gaussian is None:
+        return None
+    A = fmap.matrix
+    mean, cov = initial.gaussian.mean, initial.gaussian.cov
+    image_mean, image_cov = A @ mean, A @ cov @ A.T
+    given = pushforward.gaussian
+    gap = max(np.max(np.abs(given.mean - image_mean)), np.max(np.abs(given.cov - image_cov)))
+    if gap > IMAGE_RTOL * max(np.max(np.abs(image_mean)), np.max(np.abs(image_cov))):
+        return None
+    q, p = A.shape
+    M = null_space_rows(A) @ (np.eye(p) - update_gain(A, cov) @ A)
+    f_c = make_gaussian(GaussianParams(M @ mean, M @ cov @ M.T)) if p > q else None
+    return np.vstack([A, M]), f_c
 
 
 def bjw_rejection_sample(solution: SipSolution, m: int, seed: int,
                          pilot: int = PILOT_SIZE) -> SampleBatch:
-    """Draw from a ratio-form solution by rejection against its proposal density.
+    """Draw from a ratio-form solution by rejection against its initial density.
 
-    The proposal is ``solution.parts["proposal"]``, set by
-    :func:`bjw_density`: the initial density, or the sampleable ancestor
-    given there for a chained update.  The bound is 1.2 times the largest
+    The proposal is ``solution.parts["initial"]``, set by
+    :func:`bjw_density`.  The bound is 1.2 times the largest
     pilot ratio; if a later proposal exceeds it, the bound is doubled and
     the whole run redone (with a warning), keeping the output deterministic
     in (seed, m).  A ratio that overflows raises ``PredictabilityError``
@@ -665,14 +738,9 @@ def bjw_rejection_sample(solution: SipSolution, m: int, seed: int,
     ``NonConvergenceError``.
     """
     parts = solution.parts
-    if not {"proposal", "f_y", "pushforward"} <= parts.keys():
+    if not {"initial", "f_y", "pushforward"} <= parts.keys():
         raise ValueError("solution was not built by bjw_density")
-    proposal = parts["proposal"]
-    if not proposal.has_sampler:
-        raise ValueError(
-            "proposal density has no sampler; pass a sampleable proposal to "
-            "bjw_density (e.g. the original initial density of a chained update)"
-        )
+    proposal = parts["initial"]  # Density.sample raises if it has no sampler
     f_y, pushforward = parts["f_y"], parts["pushforward"]
 
     def ratio(theta_rows):
@@ -758,16 +826,18 @@ def bjw_rejection_sample(solution: SipSolution, m: int, seed: int,
 
 
 def bjw_sequential_update(initial: Density, fmap: ForwardMap, f_y1: Density,
-                          f_y2: Density, initial_pushforward: Density = None):
+                          f_y2: Density):
     """Update twice (first with f_y1, then f_y2) and once (f_y2 only).
 
     The intermediate solution pushes forward exactly to f_y1, so the second
     update divides it out again: the double update equals the single update
-    with the last observable density, pointwise.  Returns (single, double).
+    with the last observable density, pointwise.  With a Gaussian f_y1 the
+    intermediate is a Gaussian, so the double update draws directly; with
+    any other f_y1 it rejects against the intermediate, which draws
+    directly.  Returns (single, double).
     """
-    if initial_pushforward is None:
-        initial_pushforward = pushforward_density(initial, fmap)
+    initial_pushforward = pushforward_density(initial, fmap)
     single = bjw_density(initial, fmap, f_y2, initial_pushforward)
     intermediate = bjw_density(initial, fmap, f_y1, initial_pushforward)
-    double = bjw_density(intermediate.density, fmap, f_y2, f_y1, proposal=initial)
+    double = bjw_density(intermediate.density, fmap, f_y2, f_y1)
     return single, double

@@ -17,7 +17,6 @@ from sip_lab import (
     fit_kde,
     make_beta,
     make_gaussian,
-    make_mixture,
     make_truncated_gaussian,
     make_uniform,
 )
@@ -138,50 +137,15 @@ class TestBeta:
 
 
 class TestMixture:
-    def test_single_component_identity(self):
-        comp = make_beta(8.0, 12.0)
-        mix = make_mixture([comp], MixtureWeights([1.0]))
-        pts = np.linspace(0.05, 0.95, 31)
-        np.testing.assert_allclose(mix.pdf(pts), comp.pdf(pts), rtol=1e-14)
-
-    def test_disjoint_mass_split(self):
-        mix = make_mixture(
-            [make_uniform([0.0], [1.0]), make_uniform([2.0], [3.0])],
-            MixtureWeights([0.3, 0.7]),
-        )
-        data = mix.sample(RNG(11), 100_000)
-        frac = float(np.mean(data[:, 0] <= 1.0))
-        se = math.sqrt(0.3 * 0.7 / 100_000)
-        assert abs(frac - 0.3) < 3 * se
-
     def test_bad_weights_rejected(self):
         with pytest.raises(ValueError, match="sum"):
             MixtureWeights([0.5, 0.6])
         with pytest.raises(ValueError, match="finite"):
             MixtureWeights([np.nan, 1.0])
 
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="dimension"):
-            make_mixture(
-                [make_uniform([0.0], [1.0]), make_uniform([0.0, 0.0], [1.0, 1.0])],
-                MixtureWeights([0.5, 0.5]),
-            )
-
-    def test_pointwise_linearity(self):
-        comps = [make_beta(8.0, 12.0), make_uniform([0.0], [1.0]),
-                 make_truncated_gaussian(0.5, 0.2, 0.0, 1.0)]
-        weights = np.array([0.2, 0.5, 0.3])
-        mix = make_mixture(comps, MixtureWeights(weights))
-        pts = RNG(3).random(500)
-        expected = sum(w * c.pdf(pts) for w, c in zip(weights, comps))
-        np.testing.assert_allclose(mix.pdf(pts), expected, rtol=1e-14, atol=1e-300)
-
     def test_gap_between_components_has_no_mass(self):
         # 1.5 lies inside the mixture's support box but off both components
-        mix = make_mixture(
-            [make_uniform([0.0], [1.0]), make_uniform([2.0], [3.0])],
-            MixtureWeights([0.3, 0.7]),
-        )
+        mix = _two_piece_mixture()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert mix.pdf(1.5) == 0.0
@@ -190,17 +154,6 @@ class TestMixture:
             assert values[1] == 0.0
             np.testing.assert_allclose(values[[0, 2]], [0.3, 0.7], rtol=1e-14)
             np.testing.assert_array_equal(mix.log_pdf([1.2, 1.5]), [-np.inf, -np.inf])
-
-    def test_far_tail_log_pdf_finite(self):
-        # both components' pdfs underflow to 0 at x = 40; their logs do not
-        comps = [make_gaussian(GaussianParams([0.0], [[1.0]])),
-                 make_gaussian(GaussianParams([1.0], [[0.5]]))]
-        mix = make_mixture(comps, MixtureWeights([0.4, 0.6]))
-        expected = np.logaddexp(math.log(0.4) + comps[0].log_pdf(40.0),
-                                math.log(0.6) + comps[1].log_pdf(40.0))
-        assert mix.pdf(40.0) == 0.0
-        assert np.isfinite(mix.log_pdf(40.0))
-        assert mix.log_pdf(40.0) == pytest.approx(expected, rel=1e-14)
 
 
 class TestKde:
@@ -312,12 +265,30 @@ class TestKde:
         np.testing.assert_allclose(h, expected, rtol=1e-14)
 
 
+def _two_piece_mixture():
+    """0.3 U(0, 1) + 0.7 U(2, 3), written out: a density that is zero on part
+    of its support box, built by the caller from ``Density`` itself."""
+    weights = np.array([0.3, 0.7])
+
+    def log_pdf_fn(pts):
+        x = pts[:, 0]
+        with np.errstate(divide="ignore"):
+            return np.log(np.where(x <= 1.0, 0.3, np.where(x >= 2.0, 0.7, 0.0)))
+
+    def sample_fn(rng, n):
+        piece = rng.random(n) >= weights[0]
+        return (2.0 * piece + rng.random(n))[:, None]
+
+    def marginal_cdfs(j, x):
+        return weights[0] * np.clip(x, 0.0, 1.0) + weights[1] * np.clip(x - 2.0, 0.0, 1.0)
+
+    return Density(1, Support([0.0], [3.0]), log_pdf_fn, sample_fn=sample_fn,
+                   marginal_cdfs=marginal_cdfs, name="mixture")
+
+
 def _family_cases():
     gauss2 = make_gaussian(GaussianParams([0.5, -1.0], [[1.0, 0.4], [0.4, 2.0]]))
-    mix = make_mixture(
-        [make_uniform([0.0], [1.0]), make_uniform([2.0], [3.0])],
-        MixtureWeights([0.3, 0.7]),
-    )
+    mix = _two_piece_mixture()
     kde = fit_kde(np.random.default_rng(17).standard_normal((2000, 1)))
     return [
         ("gaussian2d", gauss2),

@@ -6,13 +6,10 @@ import numpy as np
 import pytest
 
 from sip_lab import (
-    DomainError,
     GaussianParams,
     NoSolutionError,
     RankDeficiencyError,
     cov_exact,
-    evaluate,
-    identity_map,
     intuitive_sample,
     jacobian_at,
     linear_map,
@@ -29,24 +26,20 @@ from sip_lab.forward_maps import ForwardMap, domain_probe_points, eval_batch, ja
 class TestEvaluate:
     def test_linear_slab_instance(self):
         fmap = linear_map([[-1.0 / 3.0, 4.0 / 3.0]])
-        assert evaluate(fmap, [1.0, 1.0])[0] == pytest.approx(1.0, abs=1e-15)
+        assert eval_batch(fmap, [1.0, 1.0])[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_polar_at_corner(self):
-        assert evaluate(polar_quadratic_map(), [1.0, 1.0])[0] == pytest.approx(1.0)
+        assert eval_batch(polar_quadratic_map(), [1.0, 1.0])[0, 0] == pytest.approx(1.0)
 
     def test_identity(self):
         np.testing.assert_array_equal(
-            evaluate(identity_map(2), [0.3, 0.7]), [0.3, 0.7]
+            eval_batch(linear_map(np.eye(2)), [0.3, 0.7]), [[0.3, 0.7]]
         )
-
-    def test_outside_domain_raises(self):
-        with pytest.raises(DomainError):
-            evaluate(square_map(0.0, 1.0), [1.5])
 
     def test_repeated_calls_identical(self):
         fmap = polar_quadratic_map()
-        theta = np.array([0.4, 0.9])
-        assert evaluate(fmap, theta)[0] == evaluate(fmap, theta)[0]
+        theta = np.array([[0.4, 0.9]])
+        assert eval_batch(fmap, theta)[0, 0] == eval_batch(fmap, theta)[0, 0]
 
 
 class TestJacobian:
@@ -192,7 +185,7 @@ class TestBatchOnlyMap:
     @pytest.mark.parametrize("analytic", [True, False], ids=["jac", "fd"])
     def test_point_views(self, analytic):
         fmap = _batch_only_cubic(analytic)
-        np.testing.assert_array_equal(evaluate(fmap, [1.0, 2.0]), [3.0])
+        np.testing.assert_array_equal(eval_batch(fmap, [1.0, 2.0]), [[3.0]])
         np.testing.assert_allclose(jacobian_at(fmap, [1.0, 2.0]), [[4.0, 0.5]], rtol=1e-7)
 
     def test_finite_differences_make_one_batch_call(self):
@@ -269,7 +262,7 @@ class TestNullSpaceRows:
 
 class TestHelpers:
     @pytest.mark.parametrize("builder", [polar_quadratic_map,
-                                         lambda: identity_map(2),
+                                         lambda: linear_map(np.eye(2)),
                                          lambda: linear_map([[-1 / 3, 4 / 3]])])
     def test_full_row_rank_at_probe_points(self, builder):
         fmap = builder()

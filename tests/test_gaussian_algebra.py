@@ -21,6 +21,7 @@ from sip_lab.gaussian_algebra import (
     sigma_tilde_precision,
     sigma_tilde_woodbury,
     stochastic_map_constants,
+    update_gain,
 )
 
 
@@ -46,6 +47,20 @@ class TestBjwGaussianLinear:
         np.testing.assert_allclose(result.mean, mu_y, atol=1e-12)
         np.testing.assert_allclose(result.cov, sigma_y, atol=1e-12)
 
+    def test_trivial_update_returns_initial(self):
+        # f_Y is the initial's own pushforward, so the downdate form's
+        # Sigma_y^-1 - (A Sigma A^T)^-1 is zero and has no inverse
+        result = bjw_gaussian_linear([[1.0, 1.0]], [0.0], [[2.0]], [0.0, 0.0], np.eye(2))
+        np.testing.assert_allclose(result.mean, [0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(result.cov, np.eye(2), atol=1e-12)
+
+    def test_update_matching_in_one_direction(self):
+        # the first observable already has the law f_Y asks for, the second not
+        sigma_y = np.diag([1.0, 3.0])
+        result = bjw_gaussian_linear(np.eye(2), [0.0, 0.0], sigma_y, [0.0, 0.0], np.eye(2))
+        np.testing.assert_allclose(result.mean, [0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(result.cov, sigma_y, atol=1e-12)
+
     def test_wide_instance_pushforward_identities(self):
         rng = np.random.default_rng(7)
         A = rng.normal(size=(2, 4))
@@ -68,6 +83,9 @@ class TestBjwGaussianLinear:
         direct = sigma_tilde_precision(A, sigma_y, sigma_theta)
         downdate = sigma_tilde_woodbury(A, sigma_y, sigma_theta)
         assert np.abs(direct - downdate).max() < 1e-10 * max(1.0, np.abs(direct).max())
+        gain = update_gain(A, sigma_theta)
+        conditional = sigma_theta + gain @ (sigma_y - A @ sigma_theta @ A.T) @ gain.T
+        assert np.abs(direct - conditional).max() < 1e-10 * max(1.0, np.abs(direct).max())
 
     def test_rank_deficient_matrix_rejected(self):
         with pytest.raises(RankDeficiencyError):

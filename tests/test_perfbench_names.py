@@ -129,9 +129,11 @@ def test_row_diagnostics_hold_what_perfbench_reads(monkeypatch):
 
 def test_rejection_results_hold_what_perfbench_reads(monkeypatch):
     """``_after_rejection`` reads ``diagnostics`` off the solution it is given
-    and attributes off the batch ``bjw_rejection_sample`` returns."""
-    from sip_lab import (GaussianParams, bjw_density, linear_map, make_gaussian,
-                         pushforward_density, solvers)
+    and attributes off the batch ``bjw_rejection_sample`` returns.  The
+    instance has a KDE pushforward, the route kde-update traces; the exact
+    Gaussian update draws with no rejection at all."""
+    from sip_lab import (GaussianParams, bjw_density, kde_pushforward, linear_map,
+                         make_gaussian, pushforward_density, solvers)
 
     keys, _, attrs = _reads("_after_rejection")
     assert "proposals" in keys and "data" in attrs
@@ -139,7 +141,9 @@ def test_rejection_results_hold_what_perfbench_reads(monkeypatch):
     fmap = linear_map([[1.0, 1.0]])
     initial = make_gaussian(GaussianParams([0.0, 0.0], np.eye(2)))
     f_y = make_gaussian(GaussianParams([0.25], [[0.25]]))
-    solution = bjw_density(initial, fmap, f_y, pushforward_density(initial, fmap))
+    bjw_density(initial, fmap, f_y, pushforward_density(initial, fmap)).sample(20, 1)
+    assert calls == []
+    solution = bjw_density(initial, fmap, f_y, kde_pushforward(initial, fmap, 500, 1))
     solution.sample(20, 1)
     (args, result), = calls
     assert args[0] is solution

@@ -28,7 +28,6 @@ from sip_lab import (
     cov_mixture_family,
     energy_distance_test,
     grid_compare,
-    identity_map,
     intuitive_sample,
     kde_pushforward,
     ks_test_1d,
@@ -146,7 +145,7 @@ class TestNewtonRows:
 class TestCovExact:
     def test_identity_map_returns_observable_density(self):
         f_y = make_gaussian(GaussianParams([0.2], [[1.5]]))
-        solution = cov_exact(identity_map(1), f_y)
+        solution = cov_exact(linear_map(np.eye(1)), f_y)
         xs = np.linspace(-4, 4, 101).reshape(-1, 1)
         np.testing.assert_allclose(solution.density.pdf(xs), f_y.pdf(xs), rtol=1e-12)
 
@@ -255,7 +254,7 @@ class TestCovMixtureFamily:
 class TestIntuitiveSample:
     def test_square_identity_map_reproduces_observable(self):
         f_y = make_gaussian(GaussianParams([0.5], [[2.0]]))
-        solution = intuitive_sample(identity_map(1), f_y, None)
+        solution = intuitive_sample(linear_map(np.eye(1)), f_y, None)
         data = solution.sample(4000, 23)
         assert solution.diagnostics["failures"] == 0
         _, p_value = ks_test_1d(data[:, 0],
@@ -341,7 +340,7 @@ class TestBbeLinear:
     def test_identity_matrix_reduces_to_exact_pullback(self):
         f_y = make_gaussian(GaussianParams([0.0, 1.0], np.diag([1.0, 2.0])))
         solution = bbe_linear(np.eye(2), f_y)
-        exact = cov_exact(identity_map(2), f_y)
+        exact = cov_exact(linear_map(np.eye(2)), f_y)
         pts = np.random.default_rng(0).normal(size=(200, 2))
         np.testing.assert_allclose(solution.density.pdf(pts),
                                    exact.density.pdf(pts), rtol=1e-12)
@@ -516,7 +515,7 @@ class TestBjwDensity:
         assert report.passed, report.details
 
     def test_zero_denominator_raises(self):
-        fmap = identity_map(1)
+        fmap = linear_map(np.eye(1))
         initial = make_uniform([0.0], [1.0])
         f_y = make_uniform([0.0], [2.0])
         narrow_push = make_uniform([0.0], [1.0])
@@ -543,7 +542,7 @@ class TestBjwDensity:
 
 class TestBjwRejection:
     def test_constant_ratio_acceptance_rate(self):
-        fmap = identity_map(1)
+        fmap = linear_map(np.eye(1))
         initial = make_gaussian(GaussianParams([0.0], [[1.0]]))
         push = pushforward_density(initial, fmap)
         solution = bjw_density(initial, fmap, push, push)
@@ -576,7 +575,7 @@ class TestBjwRejection:
         assert p_value >= 0.01
 
     def test_predictability_violation_raises(self):
-        fmap = identity_map(1)
+        fmap = linear_map(np.eye(1))
         initial = make_uniform([0.0], [1.0])
         push = make_uniform([0.0], [1.0])
         f_y = make_uniform([0.5], [1.5])  # escapes the pushforward support
@@ -602,43 +601,18 @@ class TestBjwRejection:
         initial = make_gaussian(GaussianParams([0.0], [[1.0]]))
         f_y = make_gaussian(GaussianParams([0.0], [[0.01]]))
         narrow_push = make_gaussian(GaussianParams([0.0], [[0.05**2]]))
-        solution = bjw_density(initial, identity_map(1), f_y, narrow_push)
+        solution = bjw_density(initial, linear_map(np.eye(1)), f_y, narrow_push)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)  # the typed error alone
             with pytest.raises(PredictabilityError, match="theta="):
                 bjw_rejection_sample(solution, 50, seed=1)
 
 
-def _bjw_as_change_of_variables(initial, A, f_y):
-    """The linear-Gaussian ratio-form update as a change of variables.
-
-    T = (A theta, A_perp (I - K A) theta) with K = Sigma A' (A Sigma A')^-1:
-    c is the part of theta that y does not explain, Gaussian and independent
-    of y under the initial density, so initial = pushforward(y) f_C(c) |det T|
-    and the update initial * f_Y / pushforward is f_Y(y) f_C(c) |det T|.
-    """
-    mean, cov = initial.gaussian.mean, initial.gaussian.cov
-    q, p = A.shape
-    gain = cov @ A.T @ np.linalg.inv(A @ cov @ A.T)
-    M = null_space_rows(A) @ (np.eye(p) - gain @ A)
-    f_c = make_gaussian(GaussianParams(M @ mean, M @ cov @ M.T))
-    T = np.vstack([A, M])
-    log_det = np.log(abs(np.linalg.det(T)))
-    T_inv = np.linalg.inv(T)
-
-    def forward(pts):
-        return pts @ A.T, pts @ M.T, log_det
-
-    def inverse(y, c, rngs):
-        return np.hstack([y, c]) @ T_inv.T, np.ones(len(rngs), dtype=bool)
-
-    return solvers._change_of_variables(initial.support, q, f_y, f_c, forward, inverse,
-                                        "bjw_as_cov", pilot=0)
-
-
 class TestRatioFormIsChangeOfVariables:
     """The paper's claim that the ratio-form update is a change of variables,
-    on the CLI's bjw-gauss-linear instance and a correlated p = 3 one."""
+    on the CLI's bjw-gauss-linear instance and a correlated p = 3 one: the
+    solver draws the exact linear-Gaussian update directly, and its draws
+    and closed form agree with the ratio form and with rejection."""
 
     INSTANCES = {
         "cli_p2": ([[1.0, 1.0]], [0.0, 0.0], np.eye(2), [0.25], [[0.25]]),
@@ -648,27 +622,134 @@ class TestRatioFormIsChangeOfVariables:
     }
 
     @pytest.fixture(params=sorted(INSTANCES))
-    def pair(self, request):
+    def update(self, request):
         A, mean, cov, mu_y, cov_y = self.INSTANCES[request.param]
-        A = np.array(A)
         initial = make_gaussian(GaussianParams(mean, cov))
         f_y = make_gaussian(GaussianParams(mu_y, cov_y))
-        fmap = linear_map(A)
-        ratio_form = bjw_density(initial, fmap, f_y, pushforward_density(initial, fmap))
-        return ratio_form, _bjw_as_change_of_variables(initial, A, f_y)
+        fmap = linear_map(np.array(A))
+        return fmap, bjw_density(initial, fmap, f_y, pushforward_density(initial, fmap))
 
-    def test_log_densities_agree(self, pair):
-        ratio_form, engine = pair
-        p = ratio_form.density.dim
-        pts = np.random.default_rng(61).normal(size=(500, p)) * 2.0
-        np.testing.assert_allclose(engine.density.log_pdf(pts),
-                                   ratio_form.density.log_pdf(pts), rtol=0, atol=1e-10)
+    def test_log_densities_agree(self, update):
+        # initial f_Y / pushforward = f_Y(A theta) f_C(M theta) |det T|, pointwise
+        fmap, solution = update
+        initial, f_y, push = (solution.parts[k] for k in ("initial", "f_y", "pushforward"))
+        T, f_c = solvers._gaussian_update_map(initial, fmap, push)
+        q = fmap.q
+        pts = np.random.default_rng(61).normal(size=(500, fmap.p)) * 2.0
+        change_of_variables = (f_y.log_pdf(pts @ T[:q].T) + f_c.log_pdf(pts @ T[q:].T)
+                               + np.log(abs(np.linalg.det(T))))
+        ratio = solution.density.log_pdf(pts)
+        np.testing.assert_allclose(change_of_variables, ratio, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(make_gaussian(solution.density.gaussian).log_pdf(pts),
+                                   ratio, rtol=0, atol=1e-10)
 
-    def test_direct_draws_match_rejection_draws(self, pair):
-        ratio_form, engine = pair
-        direct = engine.sample(2000, seed=67)
-        rejected = ratio_form.sample(2000, seed=71)
+    def test_direct_draws_match_rejection_draws(self, update):
+        _, solution = update
+        direct = solution.sample(2000, seed=67)
+        assert "proposals" not in solution.diagnostics
+        rejected = bjw_rejection_sample(solution, 2000, seed=71).data
         _, p_value = energy_distance_test(direct, rejected, seed=73)
+        assert p_value >= 0.01
+
+
+class TestRatioFormRoute:
+    """An exact linear-Gaussian update draws directly; any other ratio-form
+    update draws by rejection against its initial density."""
+
+    @pytest.fixture
+    def rejections(self, monkeypatch):
+        calls = []
+        real = solvers.bjw_rejection_sample
+
+        def counted(solution, *args, **kwargs):
+            calls.append(solution)
+            return real(solution, *args, **kwargs)
+
+        monkeypatch.setattr(solvers, "bjw_rejection_sample", counted)
+        return calls
+
+    def test_exact_gaussian_update_draws_directly(self, rejections):
+        solution = _bjw_gauss_linear(pushforward_density)
+        assert solution.sample(500, 1).shape == (500, 2)
+        assert rejections == []
+        assert solution.diagnostics["rows_returned"] == 500
+        assert "proposals" not in solution.diagnostics
+
+    def test_non_gaussian_observable_draws_directly(self, rejections):
+        # no closed form, but still f_Y times the initial's conditional law
+        A = np.array([[1.0, 1.0]])
+        initial = make_gaussian(GaussianParams([0.0, 0.0], np.eye(2)))
+        fmap = linear_map(A)
+        f_y = make_truncated_gaussian(0.5, 0.25, 0.0, 1.0)
+        solution = bjw_density(initial, fmap, f_y, pushforward_density(initial, fmap))
+        samples = solution.sample(2000, 3)
+        assert rejections == [] and solution.density.gaussian is None
+        _, p_value = ks_test_1d(samples @ A[0], lambda v: f_y.marginal_cdf(0, v))
+        assert p_value >= 0.01
+
+    @pytest.mark.parametrize("variance, direct", [
+        (1.0 + 1e-14, True), (1.0 + 1e-9, False), (0.5, False)])
+    def test_gaussian_pushforward_is_the_image_to_a_tolerance(self, rejections, variance,
+                                                               direct):
+        initial = make_gaussian(GaussianParams([0.0], [[1.0]]))
+        f_y = make_gaussian(GaussianParams([0.0], [[0.25]]))
+        push = make_gaussian(GaussianParams([0.0], [[variance]]))
+        solution = bjw_density(initial, linear_map(np.eye(1)), f_y, push)
+        solution.sample(50, 1)
+        assert rejections == ([] if direct else [solution])
+        assert ("proposals" in solution.diagnostics) is not direct
+
+    def test_kde_pushforward_rejects(self, rejections):
+        solution = _bjw_gauss_linear(
+            lambda initial, fmap: kde_pushforward(initial, fmap, 500, 2))
+        solution.sample(50, 1)
+        assert rejections == [solution]
+        assert solution.diagnostics["proposals"] >= 50
+
+    def test_chained_double_update_draws_directly(self, rejections):
+        fmap = linear_map(np.array([[1.0, 1.0]]))
+        initial = make_gaussian(GaussianParams([0.0, 0.0], np.eye(2)))
+        f_y1 = make_gaussian(GaussianParams([0.3], [[0.16]]))
+        f_y2 = make_gaussian(GaussianParams([-0.2], [[0.36]]))
+        single, double = bjw_sequential_update(initial, fmap, f_y1, f_y2)
+        assert double.sample(300, 5).shape == (300, 2)
+        assert rejections == []
+        diag = double.diagnostics
+        assert (diag["rows_returned"], diag["retries"], diag["failures"]) == (300, 0, 0)
+        assert "proposals" not in diag
+        np.testing.assert_allclose(double.density.gaussian.cov, single.density.gaussian.cov,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(double.density.gaussian.mean,
+                                   single.density.gaussian.mean, rtol=1e-12)
+
+    def test_chained_update_of_non_gaussian_observable_rejects(self, rejections):
+        # the intermediate has no closed form, so the double update rejects
+        # against it, drawn directly as f_Y1 times the initial's conditional
+        fmap = linear_map(np.array([[1.0, 1.0]]))
+        initial = make_gaussian(GaussianParams([0.0, 0.0], np.eye(2)))
+        f_y1 = make_truncated_gaussian(0.5, 0.25, 0.0, 1.0)
+        f_y2 = make_truncated_gaussian(0.6, 0.2, 0.0, 1.0)
+        _, double = bjw_sequential_update(initial, fmap, f_y1, f_y2)
+        samples = double.sample(2000, 5)
+        assert rejections == [double] and double.diagnostics["proposals"] >= 2000
+        _, p_value = ks_test_1d(samples @ np.ones(2), lambda v: f_y2.marginal_cdf(0, v))
+        assert p_value >= 0.01
+
+    def test_ill_conditioned_update_draws_directly(self, rejections):
+        # the precision and change-of-variables covariance forms differ by
+        # more than bjw_gaussian_linear's guard allows; the update still draws
+        A = np.array([[0.3, 1.0, -0.7]])
+        Q = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))[0]
+        cov = Q @ np.diag([1e-5, 10.0, 1e-9]) @ Q.T
+        initial = make_gaussian(GaussianParams(np.zeros(3), 0.5 * (cov + cov.T)))
+        f_y = make_gaussian(GaussianParams([0.7], [[250.0]]))
+        with pytest.raises(ArithmeticError, match="covariance forms disagree"):
+            bjw_gaussian_linear(A, [0.7], [[250.0]], np.zeros(3), initial.gaussian.cov)
+        fmap = linear_map(A)
+        solution = bjw_density(initial, fmap, f_y, pushforward_density(initial, fmap))
+        samples = solution.sample(2000, 9)
+        assert rejections == [] and solution.diagnostics["rows_returned"] == 2000
+        _, p_value = ks_test_1d(samples @ A[0], lambda v: f_y.marginal_cdf(0, v))
         assert p_value >= 0.01
 
 
@@ -692,7 +773,7 @@ def _per_row_rejection(solution, m, seed, pilot=PILOT_SIZE):
     bound is redone with the bound doubled.  Returns (rows, proposals of
     the last pass, bound).
     """
-    initial = solution.parts["proposal"]
+    initial = solution.parts["initial"]
     ratio = _ratio_of(solution, initial)
     pilot_draws = initial.sample(rng_for(seed, KIND_PILOT, 0), pilot)
     bound = 1.2 * float(ratio(pilot_draws).max())
@@ -735,22 +816,23 @@ class TestRejectionMatchesPerRowReference:
             assert solution.diagnostics["proposals"] == proposals
             assert solution.diagnostics["bound"] == bound
 
-    def test_chained_double_update(self):
-        fmap = linear_map(np.array([[1.0, 1.0]]))
-        initial = make_gaussian(GaussianParams([0.0, 0.0], np.eye(2)))
-        f_y1 = make_gaussian(GaussianParams([0.3], [[0.16]]))
-        f_y2 = make_gaussian(GaussianParams([-0.2], [[0.36]]))
-        _, double = bjw_sequential_update(initial, fmap, f_y1, f_y2)
-        batch = bjw_rejection_sample(double, 300, seed=5)
-        rows, proposals, _ = _per_row_rejection(double, 300, seed=5)
-        np.testing.assert_array_equal(batch.data, rows)
-        assert double.diagnostics["proposals"] == proposals
+    def test_kde_instance(self, monkeypatch):
+        # the route bjw-kde draws by: an estimated pushforward, sampled through
+        # the solution's own ``sample``
+        monkeypatch.setattr(solvers, "ROW_BLOCK", 64)
+        solution = _bjw_gauss_linear(
+            lambda initial, fmap: kde_pushforward(initial, fmap, 500, 2))
+        data = solution.sample(301, seed=5)
+        rows, proposals, bound = _per_row_rejection(solution, 301, seed=5)
+        np.testing.assert_array_equal(data, rows)
+        assert solution.diagnostics["proposals"] == proposals
+        assert solution.diagnostics["bound"] == bound
 
     def test_bound_doubling(self):
         # two pilot draws rarely come near the ratio's peak, so the first
         # bound is too low and the run is redone with a doubled bound
         solution = self._gauss_linear()
-        initial = solution.parts["proposal"]
+        initial = solution.parts["initial"]
         with pytest.warns(RuntimeWarning, match="doubling") as record:
             batch = bjw_rejection_sample(solution, 300, seed=11, pilot=2)
         doublings = sum("doubling" in str(w.message) for w in record)

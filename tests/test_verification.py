@@ -12,7 +12,6 @@ from sip_lab import (
     cov_exact,
     energy_distance_test,
     grid_compare,
-    identity_map,
     ks_test_1d,
     linear_map,
     make_gaussian,
@@ -158,8 +157,8 @@ class TestEnergyDistance:
 class TestPushforwardCheck:
     def test_identity_map_passes(self):
         f_y = make_gaussian(GaussianParams([0.0], [[1.0]]))
-        solution = cov_exact(identity_map(1), f_y)
-        report = pushforward_check(solution.sample(4000, seed=1), identity_map(1),
+        solution = cov_exact(linear_map(np.eye(1)), f_y)
+        report = pushforward_check(solution.sample(4000, seed=1), linear_map(np.eye(1)),
                                    f_y, seed=1)
         assert report.passed
 
@@ -189,11 +188,11 @@ class TestPushforwardCheck:
     def test_wrong_width_samples_rejected(self):
         f_y = make_gaussian(GaussianParams([0.0], [[1.0]]))
         with pytest.raises(ValueError, match=r"\(m, 1\)"):
-            pushforward_check(np.zeros((10, 2)), identity_map(1), f_y, seed=0)
+            pushforward_check(np.zeros((10, 2)), linear_map(np.eye(1)), f_y, seed=0)
 
     def test_determinism_across_reruns(self):
         f_y = make_gaussian(GaussianParams([0.0, 0.5], np.eye(2)))
-        fmap = identity_map(2)
+        fmap = linear_map(np.eye(2))
         reports = []
         for _ in range(2):
             solution = cov_exact(fmap, f_y)

@@ -135,12 +135,3 @@ def betainc(a: float, b: float, x):
     out = front * frac
     return np.where(swap, 1.0 - out, out)[()]
 
-
-def logsumexp(terms) -> np.ndarray:
-    """log sum_i exp(terms[i]) over the first axis; -inf where every term is -inf."""
-    terms = np.array(terms, dtype=float)
-    first = terms.argmax(axis=0)[None]
-    top = np.take_along_axis(terms, first, axis=0)[0]
-    np.put_along_axis(terms, first, -np.inf, axis=0)
-    shift = np.where(np.isfinite(top), top, 0.0)
-    return np.log1p(np.exp(terms - shift).sum(axis=0)) + top

@@ -378,17 +378,25 @@ EXAMPLES = tuple(_RUNNERS)  # argparse registers them, and --help lists them, in
 # ---------------------------------------------------------------------------
 
 
-CSV_BLOCK_ROWS = 1024  # rows converted to Python floats at a time
+CSV_BLOCK_ROWS = 1024  # rows joined into one string at a time
 
 
 def _write_csv(path: Path, labels, rows: np.ndarray) -> None:
-    rows = np.atleast_2d(rows)
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    # %.17g runs once per distinct value of a column: grid coordinates repeat
+    # --grid times and densities underflow to 0.  Values are keyed by bit
+    # pattern, so -0.0 and 0.0, and NaN payloads, stay apart.
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    columns = []
+    for col in rows.T:
+        keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
+        strings = [f"{v:.17g}" for v in keys.view(np.float64).tolist()]
+        columns.append((np.array(strings, dtype=object), inverse))
     with open(path, "w", newline="") as handle:
         handle.write(",".join(labels) + "\n")
         for start in range(0, rows.shape[0], CSV_BLOCK_ROWS):
-            block = rows[start:start + CSV_BLOCK_ROWS]
-            handle.write((line * block.shape[0]) % tuple(block.ravel().tolist()))
+            cells = [strings[inverse[start:start + CSV_BLOCK_ROWS]].tolist()
+                     for strings, inverse in columns]
+            handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _json_ready(obj):

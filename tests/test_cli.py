@@ -204,6 +204,64 @@ def test_csv_writer_matches_per_value_formatting(tmp_path):
     assert path.read_bytes() == expected.encode()
 
 
+def _per_value_csv(labels, rows):
+    return ",".join(labels) + "\n" + "".join(
+        ",".join(f"{float(v):.17g}" for v in row) + "\n" for row in rows
+    )
+
+
+def test_csv_writer_formats_repeated_values_per_value(tmp_path):
+    # the writer formats each distinct bit pattern of a column once; every
+    # cell must still read as its own value formatted on its own
+    from sip_lab.cli import CSV_BLOCK_ROWS, _write_csv
+
+    axis = np.linspace(-3.0, 3.0, 40)
+    x, y = np.meshgrid(axis, axis, indexing="ij")
+    density = np.exp(-1000.0 * (x**2 + y**2))  # mostly underflows to exact 0
+    assert np.mean(density == 0.0) > 0.5
+    grid = np.column_stack([x.ravel(), y.ravel(), density.ravel()])
+
+    nans = np.array([0x7FF8000000000001, 0x7FF8000000000002, -0x0008000000000000],
+                    dtype=np.int64).view(np.float64)
+    assert np.all(np.isnan(nans))
+    specials = np.concatenate([nans, [np.inf, -np.inf, -0.0, 0.0, 1.0]])
+    n = 3 * CSV_BLOCK_ROWS + 5
+    straddle = np.resize([0.1, -0.0, 0.0, 2.5], n)
+    straddle[CSV_BLOCK_ROWS - 2:CSV_BLOCK_ROWS + 2] = 7.25  # across a block boundary
+    repeated = np.column_stack([np.resize(specials, n), straddle,
+                                np.resize(nans[::-1], n)])
+
+    tables = {
+        "grid": (("x", "y", "density"), grid),
+        "signed_zeros": (("z",), np.array([[-0.0], [0.0], [0.0], [-0.0]])),
+        "repeated": (("a", "b", "c"), repeated),
+        "no_rows": (("a", "b"), np.empty((0, 2))),
+        "one_row": (("a", "b", "c"), np.array([[-0.0, 0.0, -0.0]])),
+        "one_column": (("a",), np.resize([1e-300, 0.0, 5e-324], (50, 1))),
+    }
+    for name, (labels, rows) in tables.items():
+        path = tmp_path / f"{name}.csv"
+        _write_csv(path, labels, rows)
+        assert path.read_bytes() == _per_value_csv(labels, rows).encode(), name
+    assert (tmp_path / "signed_zeros.csv").read_text() == "z\n-0\n0\n0\n-0\n"
+
+
+@pytest.mark.parametrize("example", EXAMPLES)
+def test_example_tables_match_per_value_formatting(tmp_path, example):
+    # %.17g round-trips a double, so each written table must equal the
+    # per-value formatting of the values parsed back from it
+    out = tmp_path / example
+    main([example, "--samples", "200", "--seed", "5", "--grid", "24", "--out", str(out)])
+    paths = sorted(out.glob("*.csv"))
+    assert paths
+    for path in paths:
+        header, *lines = path.read_text().split("\n")[:-1]
+        rows = [[float(v) for v in line.split(",")] for line in lines]
+        assert rows
+        expected = _per_value_csv(header.split(","), rows)
+        assert path.read_bytes() == expected.encode(), path.name
+
+
 def test_bjw_kde_evaluates_the_grid_once(tmp_path, monkeypatch):
     # The pushforward KDE is 1-D, so its exact kernels run once, over the
     # nodes of its log-density table, and the grid reads the table.

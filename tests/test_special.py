@@ -6,13 +6,12 @@ mpmath at 40 digits instead.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 import scipy.special as sc
 
-from sip_lab._special import betainc, kolmogorov, logsumexp, ndtr, ndtri
+from sip_lab._special import betainc, kolmogorov, ndtr, ndtri
 
 REL = 1e-14
 
@@ -140,20 +139,3 @@ def test_lgamma_matches_scipy_gammaln():
     assert _rel_err(got[~near_zero], sc.gammaln(x[~near_zero])) <= REL
     assert np.max(np.abs(got[near_zero] - sc.gammaln(x[near_zero]))) <= 2e-15
 
-
-class TestLogsumexp:
-    def test_matches_scipy(self):
-        terms = np.random.default_rng(5).normal(scale=50.0, size=(3, 2_000))
-        assert _rel_err(logsumexp(terms), sc.logsumexp(terms, axis=0)) <= REL
-
-    def test_one_dominant_term_keeps_the_small_remainder(self):
-        terms = np.array([[0.0, 0.0], [-30.0, -700.0]])
-        assert _rel_err(logsumexp(terms), sc.logsumexp(terms, axis=0)) <= REL
-
-    def test_all_minus_inf_rows_give_minus_inf_without_warning(self):
-        terms = [np.array([-np.inf, -np.inf, 0.0]), np.array([-np.inf, 1.0, -np.inf])]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out = logsumexp(terms)
-        np.testing.assert_array_equal(out[:2], [-np.inf, 1.0])
-        assert out[2] == 0.0

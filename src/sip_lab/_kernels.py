@@ -42,6 +42,9 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # per-core L2 cache while each block is worked through seven passes.
 KDE_BLOCK_FLOATS = 1 << 16
 
+# Points per block of ``ndtr`` and ``Density.log_pdf``: 64 KiB float64 temporaries
+POINT_BLOCK = 8192
+
 # Edge of the square distance blocks of the energy statistics: 512 rows, a
 # 2 MiB block of float64 distances (four KDE buffers).  On a Xeon core with a
 # 2 MiB L2, 256- to 512-row blocks ran a 2048-row test fastest, 1024 rows
@@ -210,16 +213,18 @@ def kde_table(data: np.ndarray, bandwidth: np.ndarray) -> KdeTable | None:
 # ---------------------------------------------------------------------------
 
 
-def pairwise_dists(x: np.ndarray, y: np.ndarray = None) -> np.ndarray:
+def pairwise_dists(x: np.ndarray, y: np.ndarray = None, out: np.ndarray = None,
+                   scratch: np.ndarray = None) -> np.ndarray:
     """Euclidean distances between the rows of ``x`` and the rows of ``y``.
 
     With ``y=None`` this is ``x`` against itself: a symmetric matrix with an
-    exactly zero diagonal.
+    exactly zero diagonal.  The (n, m) distances go to ``out`` and the cross
+    products ``x @ y.T`` to ``scratch``, each allocated when not given.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     other = x if y is None else np.atleast_2d(np.asarray(y, dtype=float))
-    d2 = (np.sum(x * x, axis=1)[:, None] + np.sum(other * other, axis=1)[None, :]
-          - 2.0 * (x @ other.T))
+    d2 = np.add(np.sum(x * x, axis=1)[:, None], np.sum(other * other, axis=1)[None, :], out=out)
+    d2 -= np.multiply(np.matmul(x, other.T, out=scratch), 2.0, out=scratch)
     np.maximum(d2, 0.0, out=d2)
     if y is None:
         np.fill_diagonal(d2, 0.0)
@@ -239,6 +244,7 @@ def energy_stats(points: np.ndarray, groupings: np.ndarray, n1: int) -> np.ndarr
     triangle, and each block off the diagonal counts for its mirror image.
     ``z`` indexes the smaller sample (the statistic is symmetric): ``s_yy``
     is a difference of sums over all n rows, which cancels when it is small.
+    Each block and its two products are made in three buffers per call.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     groupings = np.asarray(groupings, dtype=np.int64)
@@ -252,13 +258,18 @@ def energy_stats(points: np.ndarray, groupings: np.ndarray, n1: int) -> np.ndarr
     z[groupings[:, :n1].T, np.arange(b)[None, :]] = 1.0
     zdz = np.zeros(b)
     rowsum = np.zeros(n)
+    dist, cross, dz = (np.empty(ENERGY_BLOCK * k) for k in (ENERGY_BLOCK, ENERGY_BLOCK, b))
     for i in range(0, n, ENERGY_BLOCK):
         ie = min(i + ENERGY_BLOCK, n)
         for j in range(i, n, ENERGY_BLOCK):
             je = min(j + ENERGY_BLOCK, n)
-            block = pairwise_dists(points[i:ie], None if j == i else points[j:je])
+            rows, cols = ie - i, je - j
+            block = pairwise_dists(points[i:ie], None if j == i else points[j:je],
+                                   out=dist[: rows * cols].reshape(rows, cols),
+                                   scratch=cross[: rows * cols].reshape(rows, cols))
             weight = 1.0 if j == i else 2.0
-            zdz += weight * np.einsum("ib,ib->b", z[i:ie], block @ z[j:je])
+            block_z = np.matmul(block, z[j:je], out=dz[: rows * b].reshape(rows, b))
+            zdz += weight * np.einsum("ib,ib->b", z[i:ie], block_z)
             rowsum[i:ie] += block.sum(axis=1)
             if j > i:
                 rowsum[j:je] += block.sum(axis=0)

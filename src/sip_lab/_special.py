@@ -18,8 +18,9 @@ from statistics import NormalDist
 
 import numpy as np
 
+from ._kernels import POINT_BLOCK
+
 _STANDARD_NORMAL = NormalDist()
-_NDTR_BLOCK = 8192
 _SQRT1_2 = math.sqrt(0.5)
 _RSQRT_PI = 1.0 / math.sqrt(math.pi)
 # Cody's coefficients: erf on |y| <= 0.46875, erfc on (0.46875, 4] and beyond 4
@@ -58,10 +59,10 @@ def ndtr(x):
     """Standard normal CDF, elementwise, to a few ulps in both tails."""
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
-    if flat.size > _NDTR_BLOCK:  # blocks keep the temporaries in cache
+    if flat.size > POINT_BLOCK:  # blocks keep the temporaries in cache
         out = np.empty_like(flat)
-        for i in range(0, flat.size, _NDTR_BLOCK):
-            out[i : i + _NDTR_BLOCK] = ndtr(flat[i : i + _NDTR_BLOCK])
+        for i in range(0, flat.size, POINT_BLOCK):
+            out[i : i + POINT_BLOCK] = ndtr(flat[i : i + POINT_BLOCK])
         return out.reshape(x.shape)
     ax = np.abs(flat)
     ay = ax * _SQRT1_2

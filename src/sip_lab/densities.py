@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
+from ._kernels import POINT_BLOCK
 from ._special import betainc, ndtr, ndtri
 from .errors import DomainError, NotPositiveDefiniteError
 from .sampling import KIND_ROWS, SampleBatch, rng_for, theta_labels
@@ -134,6 +135,8 @@ class Density:
     ``log_pdf_fn`` drives all evaluation: it receives an (n, d) array of
     in-support points and returns (n,) log densities.  ``log_pdf`` is
     ``-inf`` outside the support, and ``pdf`` is the ``exp`` of ``log_pdf``.
+    More than ``POINT_BLOCK`` points reach ``log_pdf_fn`` in blocks, which
+    keeps its temporaries small and gives the values of one call.
     """
 
     def __init__(self, dim, support, log_pdf_fn, sample_fn=None,
@@ -164,7 +167,17 @@ class Density:
         pts, single = as_points(x, self.dim)
         mask = self.support.contains(pts)
         inside = pts if mask.all() else pts[mask]
-        values = self._log_pdf_fn(inside) if inside.shape[0] else -np.inf
+        n = inside.shape[0]
+        if n > POINT_BLOCK:
+            values = np.empty(n)
+            # a lone last point joins the last block: one-row BLAS calls can round differently
+            starts = range(0, n - 1, POINT_BLOCK)
+            for start, stop in zip(starts, [*starts[1:], n]):
+                values[start:stop] = self._log_pdf_fn(inside[start:stop])
+            if inside is pts:
+                return values
+        else:
+            values = self._log_pdf_fn(inside) if n else -np.inf
         # allocated after the log density returns, so its temporaries and
         # this array are never live at once
         out = np.full(pts.shape[0], -np.inf)

@@ -87,8 +87,8 @@ class GridSpec:
         return [np.linspace(lo, hi, self.num) for lo, hi in zip(self.lower, self.upper)]
 
     def points(self) -> np.ndarray:
-        mesh = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        mesh = np.meshgrid(*self.axes(), indexing="ij", copy=False)
+        return np.stack(mesh, axis=-1).reshape(-1, self.dim)
 
     def integrate(self, values: np.ndarray) -> float:
         """Trapezoid integral of values given flat in the points() order."""

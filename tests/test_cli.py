@@ -264,29 +264,41 @@ def test_example_tables_match_per_value_formatting(tmp_path, example):
 
 def test_bjw_kde_evaluates_the_grid_once(tmp_path, monkeypatch):
     # The pushforward KDE is 1-D, so its exact kernels run once, over the
-    # nodes of its log-density table, and the grid reads the table.
-    from sip_lab import _kernels
+    # nodes of its log-density table, and the grid reads the table: the
+    # KDE's log density sees each grid point once while the grid table is
+    # made, in blocks of at most POINT_BLOCK + 1 points.
+    from sip_lab import _kernels, cli
     from sip_lab.densities import KdeDensity
 
     grid, m = 128, 300
     real_kernel, real_log_pdf = _kernels.kde_log_pdf, KdeDensity._log_pdf
-    kernel_points, kde_grid_calls = [], []
+    real_table = cli._density_grid_table
+    kernel_points, kde_grid_calls, in_table = [], [], []
 
     def counting_kernel(points, data, bandwidth, slope=None):
         kernel_points.append((len(points), len(data)))
         return real_kernel(points, data, bandwidth, slope=slope)
 
     def counting_log_pdf(self, pts):
-        if len(pts) == grid**2:
-            kde_grid_calls.append(len(self.data))
+        if in_table:
+            kde_grid_calls.append((len(self.data), len(pts)))
         return real_log_pdf(self, pts)
+
+    def watched_table(*args, **kwargs):
+        in_table.append(True)
+        try:
+            return real_table(*args, **kwargs)
+        finally:
+            in_table.clear()
 
     monkeypatch.setattr(_kernels, "kde_log_pdf", counting_kernel)
     monkeypatch.setattr(KdeDensity, "_log_pdf", counting_log_pdf)
+    monkeypatch.setattr(cli, "_density_grid_table", watched_table)
     code = main(["bjw-kde", "--samples", str(m), "--seed", "11", "--grid", str(grid),
                  "--out", str(tmp_path / "kde")])
     assert code == 0
-    assert kde_grid_calls == [m]
+    assert {centres for centres, _ in kde_grid_calls} == {m}
+    assert sum(n for _, n in kde_grid_calls) == grid**2
     report = json.loads((tmp_path / "kde" / "bjw-kde_report.json").read_text())
     table = report["params"]["pushforward_kde_table"]
     assert table["tabulated"] and table["log_error_estimate"] <= _kernels.KDE_TABLE_TOL

@@ -262,3 +262,70 @@ def test_energy_stats_unequal_groups_keep_full_precision(n1, n2):
     stats = _kernels.energy_stats(pooled, groupings, n1)
     oracle = _gather_energy_stats(pooled, groupings, n1)
     np.testing.assert_allclose(stats, oracle, rtol=0, atol=1e-13 * np.abs(oracle).max())
+
+
+def _allocating_energy_stats(points, groupings, n1):
+    """Reference: the energy statistics with fresh arrays for every block,
+    the distance block made as one expression, whose values the kernel's
+    reused buffers must reproduce bit for bit."""
+    n = points.shape[0]
+    if n - n1 < n1:
+        groupings, n1 = groupings[:, ::-1], n - n1
+    b = groupings.shape[0]
+    n2 = n - n1
+    z = np.zeros((n, b))
+    z[groupings[:, :n1].T, np.arange(b)[None, :]] = 1.0
+    zdz = np.zeros(b)
+    rowsum = np.zeros(n)
+    edge = _kernels.ENERGY_BLOCK
+    for i in range(0, n, edge):
+        ie = min(i + edge, n)
+        for j in range(i, n, edge):
+            je = min(j + edge, n)
+            x, y = points[i:ie], points[j:je]
+            block = (np.sum(x * x, axis=1)[:, None] + np.sum(y * y, axis=1)[None, :]
+                     - 2.0 * (x @ (x if j == i else y).T))
+            np.maximum(block, 0.0, out=block)
+            if j == i:
+                np.fill_diagonal(block, 0.0)
+            np.sqrt(block, out=block)
+            weight = 1.0 if j == i else 2.0
+            zdz += weight * np.einsum("ib,ib->b", z[i:ie], block @ z[j:je])
+            rowsum[i:ie] += block.sum(axis=1)
+            if j > i:
+                rowsum[j:je] += block.sum(axis=0)
+    zr = z.T @ rowsum
+    total = rowsum.sum()
+    coef = n1 * n2 / (n1 + n2)
+    return coef * (2.0 * (zr - zdz) / (n1 * n2) - zdz / (n1 * n1)
+                   - (total - 2.0 * zr + zdz) / (n2 * n2))
+
+
+@pytest.mark.parametrize("d", [1, 2, 11])
+@pytest.mark.parametrize("n1, n2", [(1, 513), (700, 700), (1024, 1024), (900, 300)])
+def test_energy_stats_buffers_equal_allocating_blocks(n1, n2, d):
+    # 900 + 300 takes the swap branch (z indexes the second sample)
+    rng = np.random.default_rng(n1 + d)
+    n = n1 + n2
+    pooled = rng.standard_normal((n, d))
+    groupings = np.vstack([np.arange(n)] +
+                          [rng.permutation(n) for _ in range(30)]).astype(np.int64)
+    assert np.array_equal(_kernels.energy_stats(pooled, groupings, n1),
+                          _allocating_energy_stats(pooled, groupings, n1))
+
+
+def test_point_block_has_one_definition():
+    """``ndtr`` and ``Density.log_pdf`` walk large arrays in blocks of one
+    size, defined once in ``_kernels`` and imported by both, which define no
+    block size of their own."""
+    import re
+    from pathlib import Path
+
+    src = Path(_kernels.__file__).parent
+    text = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
+    definitions = [(name, line) for name, body in text.items()
+                   for line in body.splitlines() if re.match(r"\s*POINT_BLOCK\s*=", line)]
+    assert definitions == [("_kernels.py", "POINT_BLOCK = 8192")]
+    for name in ("_special.py", "densities.py"):
+        assert "from ._kernels import POINT_BLOCK\n" in text[name]
+        assert not re.search(r"^\w*BLOCK\w*\s*=", text[name], re.MULTILINE), name

@@ -254,6 +254,26 @@ class TestGridChecks:
         assert pts.min(axis=0).tolist() == [-1.0, 0.0]
         assert pts.max(axis=0).tolist() == [1.0, 2.0]
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_grid_points_equal_raveled_mesh(self, dim):
+        grid = GridSpec(tuple(range(dim)), tuple(range(1, 2 * dim + 1, 2)), 7)
+        mesh = np.meshgrid(*grid.axes(), indexing="ij")
+        assert np.array_equal(grid.points(), np.stack([m.ravel() for m in mesh], axis=-1))
+
+    def test_normalization_check_memory_stays_block_sized(self):
+        """bbe-polar's density on its 512 x 512 support grid: the points take
+        4.2 MB; whole-array evaluation and per-axis meshes peaked at 27.8 MB."""
+        from sip_lab import bbe_polar, make_beta
+
+        density = bbe_polar(make_beta(8.0, 12.0)).density
+        tracemalloc.start()
+        try:
+            report = normalization_check(density)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed and peak <= 8e6
+
 
 class TestCheckReport:
     def test_pass_flag_pure_function_of_fields(self):

@@ -125,7 +125,8 @@ def kde_log_pdf(points: np.ndarray, data: np.ndarray, bandwidth: np.ndarray,
         slope -= pts
         slope /= bandwidth
     finite = np.isfinite(low)
-    out = log_norm - 0.5 * np.where(finite, low, 0.0) + np.log(acc)
+    # acc is 0 (or nan) where low is not finite: no log is taken there
+    out = log_norm - 0.5 * np.where(finite, low, 0.0) + np.log(acc, out=acc, where=finite)
     out[~finite] = -np.inf
     return out
 

@@ -399,21 +399,11 @@ def _write_csv(path: Path, labels, rows: np.ndarray) -> None:
             handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def _json_ready(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    return obj
-
-
 def _write_json(path: Path, payload: dict) -> None:
+    # arrays and numpy scalars become lists and Python numbers; np.float64 is
+    # a float, written by float.__repr__ like any other
     with open(path, "w", newline="") as handle:
-        json.dump(_json_ready(payload), handle, indent=2)
+        json.dump(payload, handle, indent=2, default=lambda obj: obj.tolist())
         handle.write("\n")
 
 

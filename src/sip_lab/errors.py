@@ -26,4 +26,4 @@ class NonConvergenceError(SipLabError, RuntimeError):
 
 
 class NoSolutionError(SipLabError, RuntimeError):
-    """The pilot existence probe found observable values with no pre-image."""
+    """A run's pilot, its first rows, drew observable values with no pre-image."""

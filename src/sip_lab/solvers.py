@@ -18,8 +18,8 @@ counters in ``diagnostics``.  Every sampler, rejection included, advances the
 pending rows of a block of ``ROW_BLOCK`` rows in lockstep through one loop,
 :func:`_lockstep_rows`; ratio-form solutions score all of their proposals
 with one ratio evaluation (:func:`bjw_rejection_sample`).  Row i draws from
-its own generator stream (seed, kind, i), so results depend only on
-(seed, row count).
+its own generator stream (seed, KIND_ROWS, i), so results depend only on
+(seed, row count).  A run's first ``PILOT_SIZE`` rows are its pilot.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ NEWTON_MAX_ITER = 50
 NEWTON_HALVINGS = 30
 ROW_RETRIES = 10
 ROW_BLOCK = 4096  # rows whose generators are live at once
-PILOT_SIZE = 512
+PILOT_SIZE = 512  # leading rows of a run that must each solve
 REJECTION_MAX_PROPOSALS = 100_000  # per row
 REJECTION_MAX_DOUBLINGS = 10  # of the bound, each redoing the whole run
 FAILURE_WARN_RATE = 0.05
@@ -86,9 +86,9 @@ class SipSolution:
     ``density.name`` names the solution.  ``sample`` is set by every solver:
     a callable ``(n, seed) -> (n, p) array`` with deterministic per-row
     streams, which records the counters of its last draw in
-    ``diagnostics``.  Ratio-form solutions keep their ``initial``, ``f_y``
-    and ``pushforward`` densities in ``parts``, so :func:`bjw_rejection_sample`
-    can draw any of them, also one that ``sample`` draws directly.
+    ``diagnostics``.  Ratio-form solutions keep ``initial``, ``fmap``, ``f_y``
+    and ``pushforward`` in ``parts``, so :func:`bjw_rejection_sample` can
+    draw any of them, also one that ``sample`` draws directly.
     """
 
     density: Density
@@ -197,13 +197,10 @@ def _solve_blocks(jac: np.ndarray, resid: np.ndarray):
         return np.linalg.solve(jac, resid[:, :, None])[:, :, 0], \
             np.ones(jac.shape[0], dtype=bool)
     except np.linalg.LinAlgError:
+        # det runs solve's LU, so an exact zero pivot, which fails solve, gives det 0
+        solved = np.abs(np.linalg.det(jac)) > 0
         delta = np.zeros_like(resid)
-        solved = np.ones(jac.shape[0], dtype=bool)
-        for i in range(jac.shape[0]):
-            try:
-                delta[i] = np.linalg.solve(jac[i], resid[i])
-            except np.linalg.LinAlgError:
-                solved[i] = False
+        delta[solved] = np.linalg.solve(jac[solved], resid[solved][:, :, None])[:, :, 0]
         return delta, solved
 
 
@@ -224,30 +221,32 @@ def _draw_starts(rngs, fmap: ForwardMap) -> np.ndarray:
 
 
 def _solve_rows(attempt, m: int, seed: int, retries: int = ROW_RETRIES,
-                pilot: int = PILOT_SIZE, label: str = "solver"):
+                label: str = "solver"):
     """Solve m rows in lockstep with retry/drop bookkeeping.
 
     ``attempt(rngs) -> (rows (k, p), ok (k,))`` makes one attempt at k rows,
     drawing row i's inputs from ``rngs[i]`` only; the values of rows that
-    are not ok are ignored.  Row i's generator is ``rng_for(seed, kind, i)``.
+    are not ok are ignored.  Row i's generator is ``rng_for(seed, KIND_ROWS, i)``.
     Each round attempts every pending row of a block of ``ROW_BLOCK`` rows at
     once and only failed rows try again, up to ``retries`` attempts, so
     every stream is consumed exactly as if the rows ran one after another.
-    A pilot of ``pilot`` rows on their own streams raises ``NoSolutionError``
-    if any of them fails every attempt.  Returns (rows, diagnostics).
+    If any of the first ``PILOT_SIZE`` rows fails every attempt, it raises
+    ``NoSolutionError`` before attempting a row past the first block.
+    Returns (rows, diagnostics).
     """
-    if pilot:
-        _, solved, _ = _lockstep_rows(attempt, pilot, seed, KIND_PILOT, retries)
-        bad = pilot - int(solved.sum())
+
+    def check_pilot(solved):
+        pilot = solved[:PILOT_SIZE]
+        bad = pilot.size - int(pilot.sum())
         if bad:
             raise NoSolutionError(
-                f"{label}: {bad}/{pilot} pilot draws from the observable density "
-                "had no solvable pre-image; the map range may not cover the support, "
-                "or the leading q x q block of the Jacobian may be singular (reorder "
-                "theta so that the coordinates the map depends on come first)"
+                f"{label}: {bad} of the first {pilot.size} draws from the observable "
+                "density had no solvable pre-image; the map range may not cover the support, "
+                "or the leading q x q block of the Jacobian may be singular (reorder theta "
+                "so that the coordinates the map depends on come first)"
             )
 
-    rows, solved, retries_used = _lockstep_rows(attempt, m, seed, KIND_ROWS, retries)
+    rows, solved, retries_used = _lockstep_rows(attempt, m, seed, retries, check_pilot)
     kept = int(solved.sum())
     failures = m - kept
     failure_rate = failures / m if m else 0.0
@@ -268,19 +267,20 @@ def _solve_rows(attempt, m: int, seed: int, retries: int = ROW_RETRIES,
     return data, diag
 
 
-def _lockstep_rows(attempt, m: int, seed: int, kind: int, retries: int):
-    """Rows 0..m-1 of one stream kind, block by block: the one row loop.
+def _lockstep_rows(attempt, m: int, seed: int, retries: int, check_first=None):
+    """Rows 0..m-1, block by block: the one row loop.
 
     ``attempt`` is as for :func:`_solve_rows`; only the ``ROW_BLOCK``
-    generators of the current block are live at once.  Returns (rows (m, p),
-    solved (m,), failed attempts); a row that fails every attempt counts
-    ``retries`` failed attempts.
+    generators of the current block are live at once, and ``check_first``
+    (which may raise) sees the first block's ``solved`` before the next
+    block starts.  Returns (rows (m, p), solved (m,), failed attempts); a
+    row that fails every attempt counts ``retries`` failed attempts.
     """
     rows = None
     solved = np.zeros(m, dtype=bool)
     failed = 0
     for first in range(0, m, ROW_BLOCK):
-        rngs = rng_streams(seed, kind, first, min(first + ROW_BLOCK, m))
+        rngs = rng_streams(seed, KIND_ROWS, first, min(first + ROW_BLOCK, m))
         pending = np.arange(len(rngs))
         for _ in range(retries):
             if not pending.size:
@@ -292,12 +292,13 @@ def _lockstep_rows(attempt, m: int, seed: int, kind: int, retries: int):
             solved[first + pending[ok]] = True
             pending = pending[~ok]
             failed += pending.size
+        if first == 0 and check_first is not None:
+            check_first(solved[:ROW_BLOCK])
     return rows, solved, failed
 
 
 def _change_of_variables(support: Support, q: int, f_y: Density, f_c: Density | None,
-                         forward, inverse, name: str, pilot: int = PILOT_SIZE,
-                         density: Density | None = None) -> SipSolution:
+                         forward, inverse, name: str, density: Density = None) -> SipSolution:
     """The solution that a reparameterization theta <-> (y, c) makes of f_Y f_C.
 
     ``forward((n, p) theta) -> (y, c, log|det d(y, c)/d theta|)`` gives the
@@ -336,7 +337,7 @@ def _change_of_variables(support: Support, q: int, f_y: Density, f_c: Density | 
 
     def sample(n, seed):
         # looked up by module-global name, so perfbench's tracer sees each draw
-        data, diag = _solve_rows(attempt, n, seed, pilot=pilot, label=name)
+        data, diag = _solve_rows(attempt, n, seed, label=name)
         solution.diagnostics.update(diag)
         return data.reshape(-1, p)  # (0, p) when n is 0
 
@@ -375,10 +376,10 @@ def intuitive_sample(fmap: ForwardMap, f_y: Density,
     trailing coordinates independently, then root-solve for the leading
     block.  The observable image of the output is independent of the
     trailing coordinates by construction.  Rows that fail Newton after
-    retries (fresh draws each time) are dropped and counted; a 512-draw
-    pilot makes ``sample`` raise ``NoSolutionError`` early when the
-    observable support is unreachable or the leading q x q Jacobian block
-    is singular.
+    retries (fresh draws each time) are dropped and counted; ``sample``
+    raises ``NoSolutionError`` when any of its first 512 rows fails, as it
+    does when the observable support is unreachable or the leading q x q
+    Jacobian block is singular.
     """
     return _newton_solution(fmap, f_y, f_aux, f"intuitive[{fmap.name}]")
 
@@ -502,12 +503,14 @@ def bbe_linear(A, f_y: Density, bounds=None) -> SipSolution:
 
 
 def _linear_solution(T: np.ndarray, q: int, f_y: Density, f_c: Density | None,
-                     support: Support, name: str, density: Density | None = None) -> SipSolution:
+                     support: Support, name: str, log_pdf_fn=None,
+                     gaussian: GaussianParams | None = None) -> SipSolution:
     """The change of variables by an invertible matrix: (y, c) = T theta.
 
     The first q rows of T give y and the rest give c; the log Jacobian is
-    log|det T|, and every row inverts, so there is no pilot.  ``density``
-    is passed on to :func:`_change_of_variables`.
+    log|det T|, and every row inverts.  A caller with a form of the density
+    of its own passes its ``log_pdf_fn`` (and ``gaussian``); that density
+    draws as the rows do, y then c from one generator.
     """
     log_det = float(np.log(np.abs(np.linalg.det(T))))
     # precomputed inverse: both callers' T are well conditioned by
@@ -518,13 +521,19 @@ def _linear_solution(T: np.ndarray, q: int, f_y: Density, f_c: Density | None,
     def forward(pts):
         return pts @ head.T, pts @ rest.T, log_det
 
-    def inverse(y, c, rngs):
+    def inverse(y, c, rngs=None):
         # a stack of matrix-vector products rounds as the one-row product does
         rows = np.matmul(T_inv, np.hstack([y, c])[:, :, None])[:, :, 0]
-        return rows, np.ones(len(rngs), dtype=bool)
+        return rows, np.ones(len(rows), dtype=bool)
 
-    return _change_of_variables(support, q, f_y, f_c, forward, inverse, name, pilot=0,
-                                density=density)
+    def draw(rng, n):
+        y = f_y.sample(rng, n)
+        return inverse(y, np.empty((n, 0)) if f_c is None else f_c.sample(rng, n))[0]
+
+    density = None if log_pdf_fn is None else Density(
+        support.dim, support, log_pdf_fn=log_pdf_fn, sample_fn=draw, name=name,
+        gaussian=gaussian)
+    return _change_of_variables(support, q, f_y, f_c, forward, inverse, name, density=density)
 
 
 def polar_arc(r):
@@ -584,8 +593,7 @@ def bbe_polar(f_y: Density) -> SipSolution:
         return rows, np.ones(len(rngs), dtype=bool)
 
     solution = _change_of_variables(Support([0.0, 0.0], [1.0, 1.0]), 1, f_y,
-                                    make_uniform(0.0, 1.0), forward, inverse, "bbe_polar",
-                                    pilot=0)
+                                    make_uniform(0.0, 1.0), forward, inverse, "bbe_polar")
     if f_y.support.lower[0] < 0.0 or f_y.support.upper[0] > 1.0:
         raise DomainError(
             "observable support must lie within (0, 1): the map's range on "
@@ -653,14 +661,7 @@ def bjw_density(initial: Density, fmap: ForwardMap, f_y: Density,
         numer = initial.log_pdf(pts) + f_y.log_pdf(images)
         denom = pushforward.log_pdf(images)
         ok = numer > -np.inf
-        bad = ok & (denom == -np.inf)
-        if np.any(bad):
-            where = pts[np.argmax(bad)]
-            raise PredictabilityError(
-                f"pushforward density vanishes where the numerator is positive "
-                f"(theta={where}); the observable density is not predictable "
-                "from the initial one"
-            )
+        _check_predictable(ok, denom, pts)
         out = np.full(pts.shape[0], -np.inf)
         out[ok] = numer[ok] - denom[ok]
         return out
@@ -673,25 +674,28 @@ def bjw_density(initial: Density, fmap: ForwardMap, f_y: Density,
         solution.sample = lambda n, seed: bjw_rejection_sample(solution, n, seed).data
     else:
         T, f_c = linear
-        T_inv = np.linalg.inv(T)
         gaussian = None
         if f_y.gaussian is not None:
             # optional: an ill-conditioned update that fails its guards still draws
             with contextlib.suppress(ArithmeticError, NotPositiveDefiniteError):
                 gaussian = bjw_gaussian_linear(fmap.matrix, f_y.gaussian.mean, f_y.gaussian.cov,
                                                initial.gaussian.mean, initial.gaussian.cov)
-
-        def draw(rng, n):
-            y = f_y.sample(rng, n)
-            c = np.empty((n, 0)) if f_c is None else f_c.sample(rng, n)
-            return np.hstack([y, c]) @ T_inv.T
-
         # the ratio form on this route too, not f_Y f_C |det T|
-        density = Density(initial.dim, initial.support, log_pdf_fn=log_pdf_fn,
-                          sample_fn=draw, name=name, gaussian=gaussian)
-        solution = _linear_solution(T, fmap.q, f_y, f_c, initial.support, name, density)
-    solution.parts = {"initial": initial, "f_y": f_y, "pushforward": pushforward}
+        solution = _linear_solution(T, fmap.q, f_y, f_c, initial.support, name,
+                                    log_pdf_fn, gaussian)
+    solution.parts = {"initial": initial, "fmap": fmap, "f_y": f_y, "pushforward": pushforward}
     return solution
+
+
+def _check_predictable(positive: np.ndarray, log_pushforward: np.ndarray, pts: np.ndarray):
+    """Raise where the pushforward vanishes at a row of ``pts`` whose numerator is positive."""
+    bad = positive & (log_pushforward == -np.inf)
+    if np.any(bad):
+        raise PredictabilityError(
+            f"pushforward density vanishes where the numerator is positive (theta="
+            f"{pts[np.argmax(bad)]}); the observable density is not predictable from the "
+            "initial one"
+        )
 
 
 def _gaussian_update_map(initial: Density, fmap: ForwardMap, pushforward: Density):
@@ -721,13 +725,15 @@ def bjw_rejection_sample(solution: SipSolution, m: int, seed: int,
                          pilot: int = PILOT_SIZE) -> SampleBatch:
     """Draw from a ratio-form solution by rejection against its initial density.
 
-    The proposal is ``solution.parts["initial"]``, set by
-    :func:`bjw_density`.  The bound is 1.2 times the largest
-    pilot ratio; if a later proposal exceeds it, the bound is doubled and
-    the whole run redone (with a warning), keeping the output deterministic
-    in (seed, m).  A ratio that overflows raises ``PredictabilityError``
-    naming theta instead of doubling the bound without end, and so does a
-    run still over the bound after ``REJECTION_MAX_DOUBLINGS`` doublings.
+    The proposal is ``solution.parts["initial"]``, set by :func:`bjw_density`.
+    It cancels from the ratio, so a proposal theta scores
+    exp(log f_Y(g(theta)) - log pushforward(g(theta))).  The bound is 1.2
+    times the largest pilot ratio; if a later proposal exceeds it, the bound
+    is doubled and the whole run redone (with a warning), keeping the output
+    deterministic in (seed, m).  A ratio that overflows raises
+    ``PredictabilityError`` naming theta instead of doubling the bound
+    without end, and so does a run still over the bound after
+    ``REJECTION_MAX_DOUBLINGS`` doublings.
 
     Row i proposes and accepts from its own stream (seed, KIND_ROWS, i).  The
     pending rows of each block of ``ROW_BLOCK`` rows advance in lockstep
@@ -738,17 +744,20 @@ def bjw_rejection_sample(solution: SipSolution, m: int, seed: int,
     ``NonConvergenceError``.
     """
     parts = solution.parts
-    if not {"initial", "f_y", "pushforward"} <= parts.keys():
+    if not {"initial", "fmap", "f_y", "pushforward"} <= parts.keys():
         raise ValueError("solution was not built by bjw_density")
     proposal = parts["initial"]  # Density.sample raises if it has no sampler
-    f_y, pushforward = parts["f_y"], parts["pushforward"]
+    fmap, f_y, pushforward = parts["fmap"], parts["f_y"], parts["pushforward"]
 
     def ratio(theta_rows):
+        images = eval_batch(fmap, theta_rows)
+        log_f_y, log_push = f_y.log_pdf(images), pushforward.log_pdf(images)
+        positive = log_f_y > -np.inf
+        _check_predictable(positive, log_push, theta_rows)
+        out = np.zeros(theta_rows.shape[0])
         # an overflow is reported below as a typed error, not as a warning
         with np.errstate(over="ignore"):
-            numer = solution.density.pdf(theta_rows)  # raises on predictability violation
-            denom = proposal.pdf(theta_rows)
-            out = np.divide(numer, denom, out=np.zeros_like(numer), where=denom > 0)
+            out[positive] = np.exp(log_f_y[positive] - log_push[positive])
         finite = np.isfinite(out)
         if not finite.all():
             raise PredictabilityError(
@@ -790,8 +799,7 @@ def bjw_rejection_sample(solution: SipSolution, m: int, seed: int,
     doublings = 0
     while True:
         over = False
-        rows, accepted, failed = _lockstep_rows(attempt, m, seed, KIND_ROWS,
-                                                REJECTION_MAX_PROPOSALS)
+        rows, accepted, failed = _lockstep_rows(attempt, m, seed, REJECTION_MAX_PROPOSALS)
         if not accepted.all():
             raise NonConvergenceError(
                 f"rejection sampler gave up: {m - int(accepted.sum())} of {m} rows "

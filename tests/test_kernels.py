@@ -1,11 +1,12 @@
 """The numpy kernels against independent references."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from sip_lab import _kernels
+from sip_lab import _kernels, fit_kde
 
 
 def _dumb_kde_log_pdf(points, data, bw):
@@ -94,12 +95,27 @@ def test_blocked_kde_equals_unblocked_far_tail_and_nonfinite(d):
                         rng.standard_normal((4, d))])
     points[-1, 0] = np.nan   # one non-finite coordinate among finite ones
     points[-2, -1] = np.inf
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):  # the reference takes log(0)
         expected = _unblocked_kde_log_pdf(points, data, bw)
-        got = _kernels.kde_log_pdf(points, data, bw)
+    got = _kernels.kde_log_pdf(points, data, bw)
     assert np.array_equal(got, expected)
     assert np.all(np.isfinite(got[:2]))      # +-1e5 keeps a finite log-density
     assert np.all(got[2:5] == -np.inf) and np.all(got[-2:] == -np.inf)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_kde_at_nonfinite_points_warns_nothing(d):
+    # d = 1 reads the table, which sends these points to the exact kernel
+    dens = fit_kde(np.random.default_rng(5).standard_normal((300, d)))
+    assert dens.tabulated == (d == 1)
+    points = np.zeros((4, d))
+    points[0, 0], points[1, -1], points[2, 0] = np.inf, -np.inf, np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = dens.log_pdf(points)
+        direct = _kernels.kde_log_pdf(points, dens.data, dens.bandwidth)
+    assert np.all(got[:3] == -np.inf) and np.all(direct[:3] == -np.inf)
+    assert np.isfinite(got[3]) and np.isfinite(direct[3])
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -147,9 +163,8 @@ def test_kde_table_off_table_points_are_exact():
     top = table.lo + (table.nodes - 1) * table.step
     x = np.array([table.lo - 1e-9, top + 1e-9, table.lo - 50.0, top + 1e5,
                   np.inf, -np.inf, np.nan, 0.0])[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        got = table.log_pdf(x)
-        exact = _kernels.kde_log_pdf(x, data, bw)
+    got = table.log_pdf(x)
+    exact = _kernels.kde_log_pdf(x, data, bw)
     assert np.array_equal(got[:-1], exact[:-1], equal_nan=True)
     assert got[-1] == pytest.approx(exact[-1], abs=1e-7)
 

@@ -10,6 +10,7 @@ import pytest
 
 from sip_lab import (
     Branch,
+    Density,
     DomainError,
     GaussianParams,
     GridSpec,
@@ -131,6 +132,16 @@ class TestNewtonRows:
                                             np.array([[0.9], [0.0], [-0.9]]))
         np.testing.assert_array_equal(ok, [True, False, True])
         np.testing.assert_allclose(heads[[0, 2], 0], [0.5, -0.5], atol=1e-10)
+
+    def test_singular_stack_solves_its_other_rows_as_alone(self):
+        rng = np.random.default_rng(8)
+        jac = rng.normal(size=(6, 2, 2))
+        jac[2] = [[1.0, 2.0], [2.0, 4.0]]  # an exact zero pivot
+        resid = rng.normal(size=(6, 2))
+        delta, solved = solvers._solve_blocks(jac, resid)
+        np.testing.assert_array_equal(solved, np.arange(6) != 2)
+        for i in (0, 1, 3, 4, 5):
+            assert np.array_equal(delta[i], np.linalg.solve(jac[i], resid[i]))
 
     def test_iteration_budget_fails_only_its_row(self):
         fmap = square_map(-1.0, 1.0)
@@ -753,13 +764,17 @@ class TestRatioFormRoute:
         assert p_value >= 0.01
 
 
-def _ratio_of(solution, proposal):
+def _ratio_of(solution):
+    """The ratio to the initial density, as the sampler takes it:
+    exp(log f_Y(g(theta)) - log pushforward(g(theta)))."""
+    parts = solution.parts
+
     def ratio(theta_rows):
-        numer = solution.density.pdf(theta_rows)
-        denom = proposal.pdf(theta_rows)
+        images = eval_batch(parts["fmap"], theta_rows)
+        log_f_y = parts["f_y"].log_pdf(images)
         out = np.zeros(theta_rows.shape[0])
-        ok = denom > 0
-        out[ok] = numer[ok] / denom[ok]
+        ok = log_f_y > -np.inf
+        out[ok] = np.exp(log_f_y[ok] - parts["pushforward"].log_pdf(images)[ok])
         return out
 
     return ratio
@@ -774,7 +789,7 @@ def _per_row_rejection(solution, m, seed, pilot=PILOT_SIZE):
     the last pass, bound).
     """
     initial = solution.parts["initial"]
-    ratio = _ratio_of(solution, initial)
+    ratio = _ratio_of(solution)
     pilot_draws = initial.sample(rng_for(seed, KIND_PILOT, 0), pilot)
     bound = 1.2 * float(ratio(pilot_draws).max())
     while True:
@@ -838,7 +853,7 @@ class TestRejectionMatchesPerRowReference:
         doublings = sum("doubling" in str(w.message) for w in record)
         assert doublings >= 1
         pilot_draws = initial.sample(rng_for(11, KIND_PILOT, 0), 2)
-        peak = float(_ratio_of(solution, initial)(pilot_draws).max())
+        peak = float(_ratio_of(solution)(pilot_draws).max())
         assert solution.diagnostics["bound"] == 1.2 * peak * 2**doublings
         rows, proposals, bound = _per_row_rejection(solution, 300, seed=11, pilot=2)
         np.testing.assert_array_equal(batch.data, rows)
@@ -911,8 +926,8 @@ def _per_row_start(rng, fmap):
 
 def _per_row_solve(attempt, m, seed, retries=solvers.ROW_RETRIES):
     """Reference row solver: row i retries on stream (seed, KIND_ROWS, i) until
-    ``attempt(rng)`` returns a row, before row i + 1 starts.  (The pilot runs
-    on other streams and leaves the rows unchanged, so it is left out.)"""
+    ``attempt(rng)`` returns a row, before row i + 1 starts.  (The pilot is
+    the first rows themselves and only checks them, so it is left out.)"""
     rows, failures, retries_used = [], 0, 0
     for i in range(m):
         rng = rng_for(seed, KIND_ROWS, i)
@@ -1262,12 +1277,13 @@ def test_sample_of_no_rows_keeps_the_columns(build):
     assert solution.sample(0, 1).shape == (0, solution.density.dim)
 
 
-def test_rows_all_dropped_keep_the_columns():
+def test_rows_all_dropped_keep_the_columns(monkeypatch):
     def never(rngs):
         return np.ones((len(rngs), 3)), np.zeros(len(rngs), dtype=bool)
 
+    monkeypatch.setattr(solvers, "PILOT_SIZE", 0)  # drop the rows, do not raise
     with pytest.warns(RuntimeWarning, match="dropped"):
-        data, diag = solvers._solve_rows(never, 20, seed=1, retries=2, pilot=0)
+        data, diag = solvers._solve_rows(never, 20, seed=1, retries=2)
     assert data.shape == (0, 3)
     assert diag["rows_returned"] == 0
 
@@ -1309,3 +1325,110 @@ _UNIT_SQUARE = ([0.1, 0.1], [0.9, 0.9])
 def test_observable_dimension_checked_when_built(build, got, q):
     with pytest.raises(ValueError, match=f"dimension {got}, expected q = {q}"):
         build()
+
+
+# ---------------------------------------------------------------------------
+# The pilot is the run's first rows
+# ---------------------------------------------------------------------------
+
+
+def test_sample_attempts_each_row_once_when_none_fails(monkeypatch):
+    attempted = []
+    real = solvers._solve_rows
+
+    def counting(attempt, m, seed, **kwargs):
+        def counted(rngs):
+            attempted.append(len(rngs))
+            return attempt(rngs)
+
+        return real(counted, m, seed, **kwargs)
+
+    monkeypatch.setattr(solvers, "_solve_rows", counting)
+    # a linear map: Newton solves every row at its first attempt
+    solution = intuitive_sample(linear_map([[1.0, 1.0]]),
+                                make_gaussian(GaussianParams([0.0], [[2.0]])),
+                                make_gaussian(GaussianParams([0.0], [[1.0]])))
+    data = solution.sample(700, 3)
+    assert data.shape == (700, 2) and solution.diagnostics["retries"] == 0
+    assert sum(attempted) == 700
+
+
+def test_observable_mass_partly_outside_the_range_raises():
+    # theta^2 on (0, 1) reaches (0, 1), 1/9 of U(0.5, 5): each row's ten
+    # attempts all miss it with probability (8/9)^10 = 0.31
+    solution = intuitive_sample(square_map(0.0, 1.0), make_uniform([0.5], [5.0]), None)
+    with pytest.raises(NoSolutionError, match="no solvable pre-image"):
+        solution.sample(1000, 1)
+
+
+def test_unreachable_support_attempts_no_row_past_the_first_block(monkeypatch):
+    streams = []
+    real = solvers.rng_streams
+
+    def recording(seed, kind, first, stop):
+        streams.append((kind, first, stop))
+        return real(seed, kind, first, stop)
+
+    monkeypatch.setattr(solvers, "rng_streams", recording)
+    solution = intuitive_sample(square_map(0.0, 1.0), make_uniform([2.0], [3.0]), None)
+    with pytest.raises(NoSolutionError, match="reorder theta"):
+        solution.sample(2 * solvers.ROW_BLOCK, 1)
+    assert streams == [(KIND_ROWS, 0, solvers.ROW_BLOCK)]
+    # no rows, no pilot: nothing is attempted
+    assert solution.sample(0, 1).shape == (0, 1)
+    assert streams == [(KIND_ROWS, 0, solvers.ROW_BLOCK)]
+
+
+# ---------------------------------------------------------------------------
+# Rejection scores a proposal by f_Y / pushforward at its image
+# ---------------------------------------------------------------------------
+
+
+def test_log_space_ratio_equals_pdf_space_ratio_on_bjw_kde():
+    # the bjw-kde instance at --samples 2000, seed 1
+    solution = _bjw_gauss_linear(lambda initial, fmap: kde_pushforward(initial, fmap, 2000, 1))
+    parts = solution.parts
+    initial = parts["initial"]
+    bjw_rejection_sample(solution, 0, seed=1)
+    pilot = initial.sample(rng_for(1, KIND_PILOT, 0), PILOT_SIZE)
+    assert solution.diagnostics["bound"] == 1.2 * _ratio_of(solution)(pilot).max()
+    theta = initial.sample(rng_for(1, KIND_ROWS, 0), 20_000)
+    pdf_space = solution.density.pdf(theta) / initial.pdf(theta)
+    # each form rounds its sum of log densities, and exp turns an absolute
+    # error there into a relative one: they agree to a few ulps of that sum
+    images = eval_batch(parts["fmap"], theta)
+    logs = (np.abs(initial.log_pdf(theta)) + np.abs(parts["f_y"].log_pdf(images))
+            + np.abs(parts["pushforward"].log_pdf(images)))
+    log_space = _ratio_of(solution)(theta)
+    assert np.all(np.abs(log_space - pdf_space) <= 4.0 * np.spacing(logs) * pdf_space)
+
+
+def test_ratio_is_finite_in_the_initials_far_tail():
+    initial = make_gaussian(GaussianParams([0.0, 0.0], np.eye(2)))
+    fmap = linear_map([[1.0, 1.0]])
+    f_y = make_gaussian(GaussianParams([0.25], [[0.25]]))
+    # a proposal 40 out along the map's null space: its images follow the
+    # initial's pushforward, while the initial's own density there underflows
+    far = Density(2, initial.support, log_pdf_fn=initial.log_pdf, name="far",
+                  sample_fn=lambda rng, n: initial.sample(rng, n) + [40.0, -40.0])
+    solution = bjw_density(far, fmap, f_y, pushforward_density(initial, fmap))
+    theta = far.sample(rng_for(2, KIND_PILOT, 0), PILOT_SIZE)
+    assert np.all(far.log_pdf(theta) < -745.0) and np.all(far.pdf(theta) == 0.0)
+    ratio = _ratio_of(solution)(theta)
+    assert np.all(np.isfinite(ratio)) and ratio.max() > 0
+    data = bjw_rejection_sample(solution, 300, seed=2).data
+    assert np.isfinite(solution.diagnostics["bound"])
+    _, p_value = ks_test_1d(eval_batch(fmap, data)[:, 0], lambda v: f_y.marginal_cdf(0, v))
+    assert p_value >= 0.01
+
+
+def test_rejection_evaluates_the_initial_only_to_draw(monkeypatch):
+    solution = _bjw_gauss_linear(lambda initial, fmap: kde_pushforward(initial, fmap, 500, 2))
+
+    def no_evaluation(x):
+        raise AssertionError("initial density evaluated")
+
+    monkeypatch.setattr(solution.parts["initial"], "log_pdf", no_evaluation)
+    batch = bjw_rejection_sample(solution, 300, seed=5)
+    assert batch.data.shape == (300, 2)
+    assert solution.diagnostics["proposals"] >= 300

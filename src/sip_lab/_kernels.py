@@ -248,7 +248,7 @@ def energy_stats(points: np.ndarray, groupings: np.ndarray, n1: int) -> np.ndarr
     Each block and its two products are made in three buffers per call.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    groupings = np.asarray(groupings, dtype=np.int64)
+    groupings = np.asarray(groupings)  # any integer dtype indexes as it is
     n1 = int(n1)
     n = points.shape[0]
     if n - n1 < n1:

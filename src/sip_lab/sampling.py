@@ -1,9 +1,9 @@
-"""Seeded sample containers and per-row generator streams.
+"""Seeded sample containers and generator streams.
 
-Every row of a Monte Carlo solver gets its own generator, seeded from
-``(root seed, stream kind, row index)``, so a row's draws depend only on
-those three numbers and not on which rows ran before it.  Row i's generator,
-``PCG64(SeedSequence([seed, kind, i]))``, is seeded a block at a time by :func:`rng_streams`.
+Stream ``(root seed, stream kind, index)`` has its own generator, so its draws
+depend only on those three numbers: a row's for the row solvers, a block's for
+rejection.  Stream i's generator, ``PCG64(SeedSequence([seed, kind, i]))``, is
+seeded a block at a time by :func:`rng_streams`.
 """
 
 from __future__ import annotations

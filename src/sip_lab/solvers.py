@@ -14,12 +14,13 @@ where a root is needed).  Every other ratio-form update, such as one with an
 estimated pushforward, draws by rejection against its initial density.
 
 Every solution draws through ``sample(n, seed) -> (n, p)``, which records its
-counters in ``diagnostics``.  Every sampler, rejection included, advances the
-pending rows of a block of ``ROW_BLOCK`` rows in lockstep through one loop,
-:func:`_lockstep_rows`; ratio-form solutions score all of their proposals
-with one ratio evaluation (:func:`bjw_rejection_sample`).  Row i draws from
-its own generator stream (seed, KIND_ROWS, i), so results depend only on
-(seed, row count).  A run's first ``PILOT_SIZE`` rows are its pilot.
+counters in ``diagnostics``; results depend only on (seed, row count).  The
+row solvers advance the pending rows of a block of ``ROW_BLOCK`` rows in
+lockstep through one loop, :func:`_solve_rows`, and row i draws from its own
+generator stream (seed, KIND_ROWS, i); a run's first ``PILOT_SIZE`` rows are
+its pilot.  Rejection (:func:`bjw_rejection_sample`) draws block b from the
+one stream (seed, KIND_ROWS, b), one proposal call, one ratio evaluation and
+one uniform call per round.
 """
 
 from __future__ import annotations
@@ -71,10 +72,10 @@ NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 NEWTON_HALVINGS = 30
 ROW_RETRIES = 10
-ROW_BLOCK = 4096  # rows whose generators are live at once
-PILOT_SIZE = 512  # leading rows of a run that must each solve
-REJECTION_MAX_PROPOSALS = 100_000  # per row
-REJECTION_MAX_DOUBLINGS = 10  # of the bound, each redoing the whole run
+ROW_BLOCK = 4096  # rows whose generators are live at once; one rejection stream
+PILOT_SIZE = 512  # leading rows of a run that must each solve; rejection's pilot
+REJECTION_MAX_PROPOSALS = 100_000  # rounds per block
+REJECTION_MAX_DOUBLINGS = 10  # of the pilot bound, in all
 FAILURE_WARN_RATE = 0.05
 IMAGE_RTOL = 1e-12  # a Gaussian pushforward this close to the initial's image is exact
 
@@ -84,7 +85,7 @@ class SipSolution:
     """A solved inverse problem: a density, its sampler, and diagnostics.
 
     ``density.name`` names the solution.  ``sample`` is set by every solver:
-    a callable ``(n, seed) -> (n, p) array`` with deterministic per-row
+    a callable ``(n, seed) -> (n, p) array`` with deterministic generator
     streams, which records the counters of its last draw in
     ``diagnostics``.  Ratio-form solutions keep ``initial``, ``fmap``, ``f_y``
     and ``pushforward`` in ``parts``, so :func:`bjw_rejection_sample` can
@@ -226,27 +227,42 @@ def _solve_rows(attempt, m: int, seed: int, retries: int = ROW_RETRIES,
 
     ``attempt(rngs) -> (rows (k, p), ok (k,))`` makes one attempt at k rows,
     drawing row i's inputs from ``rngs[i]`` only; the values of rows that
-    are not ok are ignored.  Row i's generator is ``rng_for(seed, KIND_ROWS, i)``.
-    Each round attempts every pending row of a block of ``ROW_BLOCK`` rows at
-    once and only failed rows try again, up to ``retries`` attempts, so
-    every stream is consumed exactly as if the rows ran one after another.
-    If any of the first ``PILOT_SIZE`` rows fails every attempt, it raises
+    are not ok are ignored.  Row i's generator is ``rng_for(seed, KIND_ROWS, i)``,
+    and only the ``ROW_BLOCK`` generators of the current block are live at
+    once.  Each round attempts every pending row of the block at once and
+    only failed rows try again, up to ``retries`` attempts, so every stream
+    is consumed exactly as if the rows ran one after another.  If any of the
+    first ``PILOT_SIZE`` rows fails every attempt, it raises
     ``NoSolutionError`` before attempting a row past the first block.
-    Returns (rows, diagnostics).
+    Returns (rows, diagnostics); a row that fails every attempt counts
+    ``retries`` retries.
     """
-
-    def check_pilot(solved):
-        pilot = solved[:PILOT_SIZE]
-        bad = pilot.size - int(pilot.sum())
-        if bad:
-            raise NoSolutionError(
-                f"{label}: {bad} of the first {pilot.size} draws from the observable "
-                "density had no solvable pre-image; the map range may not cover the support, "
-                "or the leading q x q block of the Jacobian may be singular (reorder theta "
-                "so that the coordinates the map depends on come first)"
-            )
-
-    rows, solved, retries_used = _lockstep_rows(attempt, m, seed, retries, check_pilot)
+    rows = None
+    solved = np.zeros(m, dtype=bool)
+    retries_used = 0
+    for first in range(0, m, ROW_BLOCK):
+        rngs = rng_streams(seed, KIND_ROWS, first, min(first + ROW_BLOCK, m))
+        pending = np.arange(len(rngs))
+        for _ in range(retries):
+            if not pending.size:
+                break
+            out, ok = attempt([rngs[i] for i in pending])
+            if rows is None:
+                rows = np.empty((m, out.shape[1]))
+            rows[first + pending[ok]] = out[ok]
+            solved[first + pending[ok]] = True
+            pending = pending[~ok]
+            retries_used += pending.size
+        if first == 0:  # the pilot: the leading rows of the first block
+            pilot = solved[:min(PILOT_SIZE, ROW_BLOCK)]
+            bad = pilot.size - int(pilot.sum())
+            if bad:
+                raise NoSolutionError(
+                    f"{label}: {bad} of the first {pilot.size} draws from the observable "
+                    "density had no solvable pre-image; the map range may not cover the "
+                    "support, or the leading q x q block of the Jacobian may be singular "
+                    "(reorder theta so that the coordinates the map depends on come first)"
+                )
     kept = int(solved.sum())
     failures = m - kept
     failure_rate = failures / m if m else 0.0
@@ -265,36 +281,6 @@ def _solve_rows(attempt, m: int, seed: int, retries: int = ROW_RETRIES,
         "seed": seed,
     }
     return data, diag
-
-
-def _lockstep_rows(attempt, m: int, seed: int, retries: int, check_first=None):
-    """Rows 0..m-1, block by block: the one row loop.
-
-    ``attempt`` is as for :func:`_solve_rows`; only the ``ROW_BLOCK``
-    generators of the current block are live at once, and ``check_first``
-    (which may raise) sees the first block's ``solved`` before the next
-    block starts.  Returns (rows (m, p), solved (m,), failed attempts); a
-    row that fails every attempt counts ``retries`` failed attempts.
-    """
-    rows = None
-    solved = np.zeros(m, dtype=bool)
-    failed = 0
-    for first in range(0, m, ROW_BLOCK):
-        rngs = rng_streams(seed, KIND_ROWS, first, min(first + ROW_BLOCK, m))
-        pending = np.arange(len(rngs))
-        for _ in range(retries):
-            if not pending.size:
-                break
-            out, ok = attempt([rngs[i] for i in pending])
-            if rows is None:
-                rows = np.empty((m, out.shape[1]))
-            rows[first + pending[ok]] = out[ok]
-            solved[first + pending[ok]] = True
-            pending = pending[~ok]
-            failed += pending.size
-        if first == 0 and check_first is not None:
-            check_first(solved[:ROW_BLOCK])
-    return rows, solved, failed
 
 
 def _change_of_variables(support: Support, q: int, f_y: Density, f_c: Density | None,
@@ -721,27 +707,22 @@ def _gaussian_update_map(initial: Density, fmap: ForwardMap, pushforward: Densit
     return np.vstack([A, M]), f_c
 
 
-def bjw_rejection_sample(solution: SipSolution, m: int, seed: int,
-                         pilot: int = PILOT_SIZE) -> SampleBatch:
+def bjw_rejection_sample(solution: SipSolution, m: int, seed: int) -> SampleBatch:
     """Draw from a ratio-form solution by rejection against its initial density.
 
     The proposal is ``solution.parts["initial"]``, set by :func:`bjw_density`.
     It cancels from the ratio, so a proposal theta scores
     exp(log f_Y(g(theta)) - log pushforward(g(theta))).  The bound is 1.2
-    times the largest pilot ratio; if a later proposal exceeds it, the bound
-    is doubled and the whole run redone (with a warning), keeping the output
-    deterministic in (seed, m).  A ratio that overflows raises
-    ``PredictabilityError`` naming theta instead of doubling the bound
-    without end, and so does a run still over the bound after
-    ``REJECTION_MAX_DOUBLINGS`` doublings.
-
-    Row i proposes and accepts from its own stream (seed, KIND_ROWS, i).  The
-    pending rows of each block of ``ROW_BLOCK`` rows advance in lockstep
-    (:func:`_lockstep_rows`): each round draws one proposal per row, scores
-    the round with one ratio evaluation, and draws one uniform per row, so
-    every stream is consumed exactly as if the rows ran one after another.
-    A row that accepts none of ``REJECTION_MAX_PROPOSALS`` proposals raises
-    ``NonConvergenceError``.
+    times the largest of ``PILOT_SIZE`` pilot ratios on stream
+    (seed, KIND_PILOT, 0), whatever m is.  Block b of ``ROW_BLOCK`` rows draws
+    from stream (seed, KIND_ROWS, b): each round one proposal call for its
+    pending rows, one ratio evaluation and one uniform call.  A block with
+    rows pending after ``REJECTION_MAX_PROPOSALS`` rounds raises
+    ``NonConvergenceError``.  A pass stops at its first ratio over the bound,
+    which is doubled as often as that ratio needs before the run is redone
+    (with a warning); a ratio that needs more than ``REJECTION_MAX_DOUBLINGS``
+    doublings in all, or that overflows, raises ``PredictabilityError``
+    naming theta.
     """
     parts = solution.parts
     if not {"initial", "fmap", "f_y", "pushforward"} <= parts.keys():
@@ -767,70 +748,85 @@ def bjw_rejection_sample(solution: SipSolution, m: int, seed: int,
             )
         return out
 
-    # predictability probe on observable draws
+    # predictability probe on observable draws, in log space: a pushforward
+    # density that only underflows there still has those draws in its support
     if f_y.has_sampler:
-        probe_y = f_y.sample(rng_for(seed, KIND_PROBE, 0), pilot)
-        mass = pushforward.pdf(probe_y)
-        if np.any(mass <= 0):
+        outside = pushforward.log_pdf(f_y.sample(rng_for(seed, KIND_PROBE, 0),
+                                                 PILOT_SIZE)) == -np.inf
+        if outside.any():
             raise PredictabilityError(
                 "observable draws fall outside the pushforward support "
-                f"({int(np.sum(mass <= 0))}/{pilot} probe draws)"
+                f"({int(outside.sum())}/{PILOT_SIZE} probe draws)"
             )
 
-    pilot_ratios = ratio(proposal.sample(rng_for(seed, KIND_PILOT, 0), pilot))
-    peak = float(pilot_ratios.max())
+    peak = float(ratio(proposal.sample(rng_for(seed, KIND_PILOT, 0), PILOT_SIZE)).max())
     if peak <= 0:
         raise PredictabilityError(
             "all pilot ratios are zero; the observable density has no mass "
             "on the initial pushforward"
         )
-    bound = 1.2 * peak
 
-    def attempt(rngs):
-        # a ratio over the bound ends its row and flags the pass as over
-        nonlocal over
-        theta = np.vstack([proposal.sample(rng, 1) for rng in rngs])
-        r = ratio(theta)
-        u = np.array([rng.random() for rng in rngs])
-        high = r > bound
-        over = over or bool(high.any())
-        return theta, high | (u * bound <= r)
+    def run(bound):
+        """One pass: (rows, proposals, None), or (None, None, (theta, ratio))
+        at its first proposal whose ratio exceeds ``bound``."""
+        rows = np.empty((m, proposal.dim))
+        proposals = 0
+        for b, first in enumerate(range(0, m, ROW_BLOCK)):
+            rng = rng_for(seed, KIND_ROWS, b)
+            pending = np.arange(first, min(first + ROW_BLOCK, m))
+            for _ in range(REJECTION_MAX_PROPOSALS):
+                theta = proposal.sample(rng, pending.size)
+                r = ratio(theta)
+                u = rng.random(pending.size)
+                high = r > bound
+                if high.any():
+                    i = np.argmax(high)
+                    return None, None, (theta[i], float(r[i]))
+                proposals += pending.size
+                accept = u * bound <= r
+                rows[pending[accept]] = theta[accept]
+                pending = pending[~accept]
+                if not pending.size:
+                    break
+            else:
+                raise NonConvergenceError(
+                    f"rejection sampler gave up: {pending.size} of {m} rows "
+                    f"accepted none of {REJECTION_MAX_PROPOSALS} proposals at bound "
+                    f"{bound:.6g}; the ratio is likely unbounded under the proposal, so "
+                    "no finite bound accepts at a usable rate"
+                )
+        return rows, proposals, None
 
-    doublings = 0
+    bound, doublings = 1.2 * peak, 0
     while True:
-        over = False
-        rows, accepted, failed = _lockstep_rows(attempt, m, seed, REJECTION_MAX_PROPOSALS)
-        if not accepted.all():
-            raise NonConvergenceError(
-                f"rejection sampler gave up: {m - int(accepted.sum())} of {m} rows "
-                f"accepted none of {REJECTION_MAX_PROPOSALS} proposals at bound "
-                f"{bound:.6g}; the ratio is likely unbounded under the proposal, so "
-                "no finite bound accepts at a usable rate"
-            )
-        if not over:
+        rows, proposals, over = run(bound)
+        if over is None:
             break
-        if doublings == REJECTION_MAX_DOUBLINGS:
+        theta, r = over
+        extra = 1
+        while bound * 2.0 ** extra < r:
+            extra += 1
+        doublings += extra
+        if doublings > REJECTION_MAX_DOUBLINGS:
             raise PredictabilityError(
-                f"a ratio still exceeds the bound {bound:.6g} after {doublings} "
-                "doublings; the ratio is likely unbounded under the proposal"
+                f"ratio {r:.6g} at theta={theta} needs {doublings} doublings of the pilot "
+                f"bound {1.2 * peak:.6g}, more than {REJECTION_MAX_DOUBLINGS}; the ratio "
+                "is likely unbounded under the proposal"
             )
-        doublings += 1
         warnings.warn(
-            f"observed ratio exceeded bound {bound:.6g}; doubling and "
-            "redoing the run",
+            f"ratio {r:.6g} exceeded bound {bound:.6g}; doubling it {extra} "
+            "times and redoing the run",
             RuntimeWarning,
         )
-        bound *= 2.0
+        bound *= 2.0 ** extra
 
-    n_proposals = m + failed  # every row's last proposal ended it
     solution.diagnostics.update({
-        "acceptance_rate": m / n_proposals if n_proposals else float("nan"),
-        "proposals": n_proposals,
+        "acceptance_rate": m / proposals if proposals else float("nan"),
+        "proposals": proposals,
         "bound": bound,
         "seed": seed,
     })
-    data = rows if m else np.empty((0, proposal.dim))
-    return SampleBatch(data=data, labels=theta_labels(proposal.dim), seed=seed)
+    return SampleBatch(data=rows, labels=theta_labels(proposal.dim), seed=seed)
 
 
 def bjw_sequential_update(initial: Density, fmap: ForwardMap, f_y1: Density,

@@ -176,7 +176,7 @@ def energy_distance_test(x: np.ndarray, y: np.ndarray, n_permutations: int = 200
     pooled = np.vstack(groups)
     total = pooled.shape[0]
 
-    groupings = np.empty((n_permutations + 1, total), dtype=np.int64)
+    groupings = np.empty((n_permutations + 1, total), dtype=np.int32)
     groupings[0] = np.arange(total)
     for k, rng in enumerate(rng_streams(seed, KIND_PERMUTATION, 0, n_permutations)):
         groupings[k + 1] = rng.permutation(total)

@@ -329,6 +329,18 @@ def test_energy_stats_buffers_equal_allocating_blocks(n1, n2, d):
                           _allocating_energy_stats(pooled, groupings, n1))
 
 
+@pytest.mark.parametrize("n1, n2", [(1024, 1024), (900, 300)])
+def test_energy_stats_index_with_the_tables_own_dtype(n1, n2):
+    # energy_distance_test builds its table as int32; the statistics are
+    # those of the same table as int64, bit for bit
+    rng = np.random.default_rng(n1 + 5)
+    n = n1 + n2
+    pooled = rng.standard_normal((n, 2))
+    groupings = np.vstack([np.arange(n)] + [rng.permutation(n) for _ in range(200)])
+    assert np.array_equal(_kernels.energy_stats(pooled, groupings.astype(np.int32), n1),
+                          _kernels.energy_stats(pooled, groupings.astype(np.int64), n1))
+
+
 def test_point_block_has_one_definition():
     """``ndtr`` and ``Density.log_pdf`` walk large arrays in blocks of one
     size, defined once in ``_kernels`` and imported by both, which define no

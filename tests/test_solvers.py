@@ -3,6 +3,7 @@ solutions, slab/arc constructions, and ratio-form updates."""
 
 import collections
 import math
+import re
 import warnings
 
 import numpy as np
@@ -28,6 +29,7 @@ from sip_lab import (
     cov_linear_gaussian,
     cov_mixture_family,
     energy_distance_test,
+    fit_kde,
     grid_compare,
     intuitive_sample,
     kde_pushforward,
@@ -46,7 +48,7 @@ from sip_lab import (
 from sip_lab import solvers
 from sip_lab.forward_maps import eval_batch, jacobian_at, null_space_rows, \
     polar_quadratic_map
-from sip_lab.sampling import KIND_FIT, KIND_PILOT, KIND_ROWS, rng_for, rng_streams
+from sip_lab.sampling import KIND_FIT, KIND_PILOT, KIND_PROBE, KIND_ROWS, rng_for, rng_streams
 from sip_lab.solvers import PILOT_SIZE, angular_conditional, polar_arc
 
 
@@ -780,17 +782,18 @@ def _ratio_of(solution):
     return ratio
 
 
-def _per_row_rejection(solution, m, seed, pilot=PILOT_SIZE):
+def _per_row_rejection(solution, m, seed):
     """Reference rejection sampler: one row at a time, one ratio call per proposal.
 
     Row i runs to acceptance (or to its first proposal over the bound) on
     its own stream before row i + 1 starts; a pass with any row over the
-    bound is redone with the bound doubled.  Returns (rows, proposals of
-    the last pass, bound).
+    bound is redone with the bound doubled.  The pilot is the sampler's:
+    ``solvers.PILOT_SIZE`` proposals on stream (seed, KIND_PILOT, 0).
+    Returns (rows, proposals of the last pass, bound).
     """
     initial = solution.parts["initial"]
     ratio = _ratio_of(solution)
-    pilot_draws = initial.sample(rng_for(seed, KIND_PILOT, 0), pilot)
+    pilot_draws = initial.sample(rng_for(seed, KIND_PILOT, 0), solvers.PILOT_SIZE)
     bound = 1.2 * float(ratio(pilot_draws).max())
     while True:
         rows, used, over = [], 0, False
@@ -811,8 +814,16 @@ def _per_row_rejection(solution, m, seed, pilot=PILOT_SIZE):
         bound *= 2.0
 
 
+def _doublings(record):
+    """The doublings of the bound that the sampler's redo warnings announce."""
+    return [int(match.group(1)) for match in
+            (re.search(r"doubling it (\d+) times", str(w.message)) for w in record) if match]
+
+
 class TestRejectionMatchesPerRowReference:
-    """The lockstep sampler consumes every row stream as the per-row one did."""
+    """The block-stream sampler draws the law of the per-row reference, from
+    the same pilot bound; the two consume their streams differently, so they
+    are compared in distribution, not by bytes."""
 
     def _gauss_linear(self):
         initial = make_gaussian(GaussianParams([0.0, 0.0], np.eye(2)))
@@ -820,16 +831,21 @@ class TestRejectionMatchesPerRowReference:
         f_y = make_gaussian(GaussianParams([0.25], [[0.25]]))
         return bjw_density(initial, fmap, f_y, pushforward_density(initial, fmap))
 
+    def _pilot_bound(self, solution, seed):
+        pilot = solution.parts["initial"].sample(rng_for(seed, KIND_PILOT, 0),
+                                                 solvers.PILOT_SIZE)
+        return 1.2 * float(_ratio_of(solution)(pilot).max())
+
     def test_gauss_linear_instance(self, monkeypatch):
         # the second case spans several blocks, the last one partial
         for block, m in ((solvers.ROW_BLOCK, 300), (64, 301)):
             monkeypatch.setattr(solvers, "ROW_BLOCK", block)
             solution = self._gauss_linear()
             batch = bjw_rejection_sample(solution, m, seed=3)
-            rows, proposals, bound = _per_row_rejection(solution, m, seed=3)
-            np.testing.assert_array_equal(batch.data, rows)
-            assert solution.diagnostics["proposals"] == proposals
-            assert solution.diagnostics["bound"] == bound
+            rows, _, bound = _per_row_rejection(solution, m, seed=3)
+            assert solution.diagnostics["bound"] == bound == self._pilot_bound(solution, 3)
+            _, p_value = energy_distance_test(batch.data, rows, seed=3)
+            assert p_value >= 0.01
 
     def test_kde_instance(self, monkeypatch):
         # the route bjw-kde draws by: an estimated pushforward, sampled through
@@ -838,36 +854,39 @@ class TestRejectionMatchesPerRowReference:
         solution = _bjw_gauss_linear(
             lambda initial, fmap: kde_pushforward(initial, fmap, 500, 2))
         data = solution.sample(301, seed=5)
-        rows, proposals, bound = _per_row_rejection(solution, 301, seed=5)
-        np.testing.assert_array_equal(data, rows)
-        assert solution.diagnostics["proposals"] == proposals
-        assert solution.diagnostics["bound"] == bound
+        rows, _, bound = _per_row_rejection(solution, 301, seed=5)
+        assert solution.diagnostics["bound"] == bound == self._pilot_bound(solution, 5)
+        _, p_value = energy_distance_test(data, rows, seed=5)
+        assert p_value >= 0.01
 
-    def test_bound_doubling(self):
+    def test_bound_doubling(self, monkeypatch):
         # two pilot draws rarely come near the ratio's peak, so the first
-        # bound is too low and the run is redone with a doubled bound
+        # bound is too low: each overrun doubles it as often as that ratio
+        # needs and redoes the run once
+        monkeypatch.setattr(solvers, "PILOT_SIZE", 2)
         solution = self._gauss_linear()
-        initial = solution.parts["initial"]
         with pytest.warns(RuntimeWarning, match="doubling") as record:
-            batch = bjw_rejection_sample(solution, 300, seed=11, pilot=2)
-        doublings = sum("doubling" in str(w.message) for w in record)
-        assert doublings >= 1
-        pilot_draws = initial.sample(rng_for(11, KIND_PILOT, 0), 2)
-        peak = float(_ratio_of(solution)(pilot_draws).max())
-        assert solution.diagnostics["bound"] == 1.2 * peak * 2**doublings
-        rows, proposals, bound = _per_row_rejection(solution, 300, seed=11, pilot=2)
-        np.testing.assert_array_equal(batch.data, rows)
-        assert solution.diagnostics["proposals"] == proposals
-        assert solution.diagnostics["bound"] == bound
+            batch = bjw_rejection_sample(solution, 300, seed=11)
+        doublings = math.log2(solution.diagnostics["bound"] / self._pilot_bound(solution, 11))
+        assert doublings == int(doublings)
+        assert 1 <= doublings <= solvers.REJECTION_MAX_DOUBLINGS
+        assert sum(_doublings(record)) == doublings
+        assert len(record) < doublings
+        rows, _, _ = _per_row_rejection(solution, 300, seed=11)
+        _, p_value = energy_distance_test(batch.data, rows, seed=11)
+        assert p_value >= 0.01
 
     def test_bound_doublings_capped(self, monkeypatch):
-        # the setup of test_bound_doubling needs five doublings
+        # the setup of test_bound_doubling needs five doublings: its first
+        # overrun asks for two, its second for three more
+        monkeypatch.setattr(solvers, "PILOT_SIZE", 2)
         monkeypatch.setattr(solvers, "REJECTION_MAX_DOUBLINGS", 4)
         solution = self._gauss_linear()
-        with pytest.warns(RuntimeWarning, match="doubling"):
+        with pytest.warns(RuntimeWarning, match="doubling it 2 times"):
             with pytest.raises(PredictabilityError,
-                               match=r"exceeds the bound [\d.e+]+ after 4 doublings"):
-                bjw_rejection_sample(solution, 300, seed=11, pilot=2)
+                               match=r"theta=.* needs 5 doublings of the pilot bound "
+                                     r"[\d.e+-]+, more than 4"):
+                bjw_rejection_sample(solution, 300, seed=11)
 
 
 def _per_row_newton(fmap, y, tail, theta0, counts):
@@ -1432,3 +1451,79 @@ def test_rejection_evaluates_the_initial_only_to_draw(monkeypatch):
     batch = bjw_rejection_sample(solution, 300, seed=5)
     assert batch.data.shape == (300, 2)
     assert solution.diagnostics["proposals"] >= 300
+
+
+# ---------------------------------------------------------------------------
+# Rejection draws each block of rows from one stream
+# ---------------------------------------------------------------------------
+
+
+def test_proposal_calls_do_not_grow_with_rows(monkeypatch):
+    # one call for the pilot and one per round of a block; m = 2000 and 4000
+    # are one block each, whose rounds are its slowest row's proposals:
+    # about log(m) / -log(1 - acceptance), a few dozen here, not one per row
+    solution = _bjw_gauss_linear(lambda initial, fmap: kde_pushforward(initial, fmap, 500, 2))
+    initial = solution.parts["initial"]
+    calls = []
+    real = initial.sample
+
+    def counted(rng, n):
+        calls[-1] += 1
+        return real(rng, n)
+
+    monkeypatch.setattr(initial, "sample", counted)
+    for m in (2000, 4000):
+        calls.append(0)
+        assert bjw_rejection_sample(solution, m, seed=1).m == m
+    assert max(calls) < 40 and abs(calls[1] - calls[0]) < 10
+
+
+def test_rejection_seeds_one_stream_per_block(monkeypatch):
+    streams = []
+    real = solvers.rng_for
+
+    def recording(seed, kind, index):
+        streams.append((seed, kind, index))
+        return real(seed, kind, index)
+
+    monkeypatch.setattr(solvers, "rng_for", recording)
+    monkeypatch.setattr(solvers, "rng_streams", None)  # seeds no per-row generators
+    monkeypatch.setattr(solvers, "ROW_BLOCK", 64)
+    solution = _bjw_gauss_linear(lambda initial, fmap: kde_pushforward(initial, fmap, 500, 2))
+    streams.clear()  # the KDE's fit stream
+    bjw_rejection_sample(solution, 301, seed=7)
+    assert streams == [(7, KIND_PROBE, 0), (7, KIND_PILOT, 0)] + [
+        (7, KIND_ROWS, b) for b in range(math.ceil(301 / 64))]
+
+
+def _heavy_tailed_kde_update():
+    """N(0, 1) updated to f_Y = N(0, 1) under the identity, with a KDE of 200
+    draws at bandwidth 0.3 as the pushforward: past the KDE's data its tail
+    falls far faster than f_Y's, so the ratio grows without bound."""
+    gauss = make_gaussian(GaussianParams([0.0], [[1.0]]))
+    kde = fit_kde(np.random.default_rng(0).standard_normal((200, 1)), bandwidth=0.3)
+    return bjw_density(gauss, linear_map(np.eye(1)), gauss, kde)
+
+
+def test_heavy_tailed_ratio_raises_without_a_pass_per_doubling():
+    solution = _heavy_tailed_kde_update()
+    with pytest.warns(RuntimeWarning, match="doubling") as record:
+        with pytest.raises(PredictabilityError, match="theta=") as error:
+            bjw_rejection_sample(solution, 3, seed=1)
+    needed = int(re.search(r"needs (\d+) doublings", str(error.value)).group(1))
+    assert needed > solvers.REJECTION_MAX_DOUBLINGS
+    assert len(record) < sum(_doublings(record)) <= solvers.REJECTION_MAX_DOUBLINGS
+
+
+def test_probe_reads_the_pushforward_in_log_space():
+    # log N(40; 0, 1.0001) = -800.8 underflows in pdf space, yet 40 is inside
+    # the pushforward's support: the ratio, not the probe, is what fails here
+    gauss = make_gaussian(GaussianParams([0.0], [[1.0]]))
+    push = make_gaussian(GaussianParams([0.0], [[1.0001]]))
+    f_y = make_gaussian(GaussianParams([40.0], [[1.0]]))
+    y = np.array([[40.0]])
+    assert push.pdf(y)[0] == 0.0 and push.log_pdf(y)[0] > -np.inf
+    solution = bjw_density(gauss, linear_map(np.eye(1)), f_y, push)
+    with pytest.warns(RuntimeWarning, match="doubling"):
+        with pytest.raises(PredictabilityError, match=r"theta=.*unbounded under the proposal"):
+            bjw_rejection_sample(solution, 100, seed=1)

@@ -119,6 +119,23 @@ class TestEnergyDistance:
         assert (stat, p_value) == energy_distance_test(x[:, None], y[:, None],
                                                        n_permutations=200, seed=5)
 
+    def test_permutation_table_is_int32(self, monkeypatch):
+        # half the bytes of int64: 1.65 MB for 2,048 rows and 200 permutations
+        from sip_lab import _kernels
+        tables = []
+        real = _kernels.energy_stats
+
+        def recording(points, groupings, n1):
+            tables.append(groupings)
+            return real(points, groupings, n1)
+
+        monkeypatch.setattr(_kernels, "energy_stats", recording)
+        rng = np.random.default_rng(99)
+        energy_distance_test(rng.standard_normal((1024, 2)), rng.standard_normal((1024, 2)))
+        (table,) = tables
+        assert table.dtype == np.int32 and table.shape == (201, 2048)
+        assert table.nbytes == 1_646_592
+
     def test_malformed_input_rejected(self):
         rng = np.random.default_rng(98)
         x = rng.standard_normal((40, 2))

@@ -45,11 +45,11 @@ KDE_BLOCK_FLOATS = 1 << 16
 # Points per block of ``ndtr`` and ``Density.log_pdf``: 64 KiB float64 temporaries
 POINT_BLOCK = 8192
 
-# Edge of the square distance blocks of the energy statistics: 512 rows, a
-# 2 MiB block of float64 distances (four KDE buffers).  On a Xeon core with a
-# 2 MiB L2, 256- to 512-row blocks ran a 2048-row test fastest, 1024 rows
-# about a third slower and the whole matrix twice as slow.
-ENERGY_BLOCK = 2 * math.isqrt(KDE_BLOCK_FLOATS)
+# Edge of the square distance blocks of the energy statistics: 256 rows, a
+# 512 KiB block (one KDE buffer).  On a Xeon core with a 4 MiB L2, 2048 rows
+# took 20 ms for 25 groupings and 41-45 ms for 177, against 28-29 and 53-57 ms
+# at 512 rows, whose three buffers (4.8 MB) overflow it, and 5-10% more at 128.
+ENERGY_BLOCK = math.isqrt(KDE_BLOCK_FLOATS)
 
 # The 1-D KDE table: node spacing and reach beyond the outermost centres, in
 # bandwidths; the most nodes a table may have (a wider span, from outliers or

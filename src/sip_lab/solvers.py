@@ -221,32 +221,33 @@ def _draw_starts(rngs, fmap: ForwardMap) -> np.ndarray:
     return out
 
 
-def _solve_rows(attempt, m: int, seed: int, retries: int = ROW_RETRIES,
+def _solve_rows(draw, attempt, m: int, seed: int, retries: int = ROW_RETRIES,
                 label: str = "solver"):
     """Solve m rows in lockstep with retry/drop bookkeeping.
 
-    ``attempt(rngs) -> (rows (k, p), ok (k,))`` makes one attempt at k rows,
-    drawing row i's inputs from ``rngs[i]`` only; the values of rows that
-    are not ok are ignored.  Row i's generator is ``rng_for(seed, KIND_ROWS, i)``,
-    and only the ``ROW_BLOCK`` generators of the current block are live at
-    once.  Each round attempts every pending row of the block at once and
-    only failed rows try again, up to ``retries`` attempts, so every stream
-    is consumed exactly as if the rows ran one after another.  If any of the
-    first ``PILOT_SIZE`` rows fails every attempt, it raises
-    ``NoSolutionError`` before attempting a row past the first block.
-    Returns (rows, diagnostics); a row that fails every attempt counts
-    ``retries`` retries.
+    ``draw(rngs)`` draws each row's target once, a tuple of arrays whose row
+    i comes from ``rngs[i]``; ``attempt(*inputs, rngs) -> (rows (k, p), ok
+    (k,))`` tries k rows and may draw more (a Newton start, a branch).  Row
+    i's generator is ``rng_for(seed, KIND_ROWS, i)``; only the ``ROW_BLOCK``
+    of the current block are live.  Only failed rows try again, with the same
+    target, up to ``retries`` attempts, so each stream is consumed as if the
+    rows ran one by one, and a target with no pre-image is dropped, never
+    swapped for one in range.  If any of the first ``PILOT_SIZE`` rows fails
+    every attempt, it raises ``NoSolutionError`` before attempting a row past
+    the first block.  Returns (rows, diagnostics); a row that fails every
+    attempt counts ``retries`` retries.
     """
     rows = None
     solved = np.zeros(m, dtype=bool)
     retries_used = 0
     for first in range(0, m, ROW_BLOCK):
         rngs = rng_streams(seed, KIND_ROWS, first, min(first + ROW_BLOCK, m))
+        inputs = draw(rngs)
         pending = np.arange(len(rngs))
         for _ in range(retries):
             if not pending.size:
                 break
-            out, ok = attempt([rngs[i] for i in pending])
+            out, ok = attempt(*(a[pending] for a in inputs), [rngs[i] for i in pending])
             if rows is None:
                 rows = np.empty((m, out.shape[1]))
             rows[first + pending[ok]] = out[ok]
@@ -294,8 +295,8 @@ def _change_of_variables(support: Support, q: int, f_y: Density, f_c: Density | 
     ``sample(n, seed)`` draws y from f_Y, then c from f_C, on its own
     stream; ``inverse(y, c, rngs) -> (theta (k, p), ok (k,))`` maps all
     pending rows back at once and may draw more from those streams (a
-    Newton start, a branch).  Rows that are not ok draw again.  A caller
-    with a form of the density of its own passes it as ``density``.
+    Newton start, a branch).  Rows that are not ok retry with their y and c.
+    A caller with a form of the density of its own passes it as ``density``.
     """
     p = support.dim
     n_c = 0 if f_c is None else f_c.dim
@@ -315,15 +316,14 @@ def _change_of_variables(support: Support, q: int, f_y: Density, f_c: Density | 
         density = Density(p, support, log_pdf_fn=log_pdf_fn, name=name)
     solution = SipSolution(density)
 
-    def attempt(rngs):
+    def draw(rngs):
         y = np.vstack([f_y.sample(rng, 1) for rng in rngs])
-        c = np.empty((len(rngs), 0)) if f_c is None \
+        return y, np.empty((len(rngs), 0)) if f_c is None \
             else np.vstack([f_c.sample(rng, 1) for rng in rngs])
-        return inverse(y, c, rngs)
 
     def sample(n, seed):
         # looked up by module-global name, so perfbench's tracer sees each draw
-        data, diag = _solve_rows(attempt, n, seed, label=name)
+        data, diag = _solve_rows(draw, inverse, n, seed, label=name)
         solution.diagnostics.update(diag)
         return data.reshape(-1, p)  # (0, p) when n is 0
 
@@ -362,7 +362,7 @@ def intuitive_sample(fmap: ForwardMap, f_y: Density,
     trailing coordinates independently, then root-solve for the leading
     block.  The observable image of the output is independent of the
     trailing coordinates by construction.  Rows that fail Newton after
-    retries (fresh draws each time) are dropped and counted; ``sample``
+    retries (a fresh start each time) are dropped and counted; ``sample``
     raises ``NoSolutionError`` when any of its first 512 rows fails, as it
     does when the observable support is unreachable or the leading q x q
     Jacobian block is singular.

@@ -78,6 +78,19 @@ def test_every_example_runs_and_passes(tmp_path, example):
     assert all(check["passed"] for check in report["checks"])
 
 
+def test_holm_passes_a_correct_run_that_one_raw_p_value_fails(tmp_path):
+    # stochastic-map-mean runs 11 tests; at this seed one KS p-value is
+    # 0.0014, which failed the uncorrected check, and 11 x 0.0014 >= 0.01
+    out = tmp_path / "smm"
+    code = main(["stochastic-map-mean", "--samples", "2000", "--seed", "27",
+                 "--out", str(out)])
+    checks = json.loads((out / "stochastic-map-mean_report.json").read_text())["checks"]
+    (check,) = [c for c in checks if c["name"] == "pushforward"]
+    raw = [float(note.split("=")[1]) for note in check["details"].split(", ")]
+    assert code == 0 and len(raw) == 11 and min(raw) < 0.01
+    assert check["statistic"] == pytest.approx(11 * min(raw), rel=1e-3)
+
+
 def test_csv_format_contract(tmp_path):
     _, out = _run(tmp_path, "two-to-one")
     raw = (out / "two-to-one_samples.csv").read_bytes()

@@ -77,7 +77,8 @@ class TestRetryPolicy:
             return np.ones((len(rngs), 1)), ok
 
         with pytest.warns(RuntimeWarning, match="dropped"):
-            data, diag = _solve_rows(flaky, 400, seed=2, retries=1, label="flaky")
+            data, diag = _solve_rows(lambda rngs: (), flaky, 400, seed=2, retries=1,
+                                     label="flaky")
         assert diag["failures"] > 0
         assert diag["rows_returned"] == data.shape[0] == 400 - diag["failures"]
 
@@ -91,7 +92,8 @@ class TestRetryPolicy:
             ok = np.array([rng.random() < 0.5 for rng in rngs])
             return np.ones((len(rngs), 1)), ok
 
-        data, diag = _solve_rows(flaky, 300, seed=3, retries=10, label="flaky")
+        data, diag = _solve_rows(lambda rngs: (), flaky, 300, seed=3, retries=10,
+                                 label="flaky")
         # failing 10 draws in a row at p=0.5 is a 1-in-1024 event per row
         assert diag["failures"] <= 2
         assert diag["retries"] > 0

@@ -943,15 +943,18 @@ def _per_row_start(rng, fmap):
     return out
 
 
-def _per_row_solve(attempt, m, seed, retries=solvers.ROW_RETRIES):
-    """Reference row solver: row i retries on stream (seed, KIND_ROWS, i) until
-    ``attempt(rng)`` returns a row, before row i + 1 starts.  (The pilot is
-    the first rows themselves and only checks them, so it is left out.)"""
+def _per_row_solve(reference, m, seed, retries=solvers.ROW_RETRIES):
+    """Reference row solver: row i draws its target once on stream (seed,
+    KIND_ROWS, i), then retries ``attempt(rng, target)`` on the same stream
+    until it returns a row, before row i + 1 starts.  (The pilot is the
+    first rows themselves and only checks them, so it is left out.)"""
+    draw, attempt = reference
     rows, failures, retries_used = [], 0, 0
     for i in range(m):
         rng = rng_for(seed, KIND_ROWS, i)
+        target = draw(rng)
         for k in range(retries):
-            row = attempt(rng)
+            row = attempt(rng, target)
             if row is not None:
                 rows.append(row)
                 retries_used += k
@@ -964,31 +967,28 @@ def _per_row_solve(attempt, m, seed, retries=solvers.ROW_RETRIES):
 
 
 def _per_row_cov_exact(fmap, f_y, counts):
-    def attempt(rng):
-        y = f_y.sample(rng, 1)[0]
+    def attempt(rng, y):
         start = _per_row_start(rng, fmap)
         return _per_row_newton(fmap, y, np.empty(0), start, counts)
 
-    return attempt
+    return lambda rng: f_y.sample(rng, 1)[0], attempt
 
 
 def _per_row_intuitive(fmap, f_y, f_aux, counts):
-    def attempt(rng):
-        y = f_y.sample(rng, 1)[0]
-        tail = f_aux.sample(rng, 1)[0]
+    def attempt(rng, target):
+        y, tail = target
         start = _per_row_start(rng, fmap)
         head = _per_row_newton(fmap, y, tail, start, counts)
         return None if head is None else np.concatenate([head, tail])
 
-    return attempt
+    return lambda rng: (f_y.sample(rng, 1)[0], f_aux.sample(rng, 1)[0]), attempt
 
 
 def _per_row_mixture(fmap, f_y, partition, w):
     weighted = iter(w)
     branch_weight = [next(weighted) if b.weighted else 1.0 for b in partition]
 
-    def attempt(rng):
-        y = f_y.sample(rng, 1)[0]
+    def attempt(rng, y):
         candidates, weights = [], []
         for wt, branch in zip(branch_weight, partition):
             theta = np.atleast_1d(np.asarray(branch.inverse(y), dtype=float))
@@ -1004,29 +1004,28 @@ def _per_row_mixture(fmap, f_y, partition, w):
             return None
         return candidates[rng.choice(len(candidates), p=weights / total)]
 
-    return attempt
+    return lambda rng: f_y.sample(rng, 1)[0], attempt
 
 
 def _per_row_bbe_linear(A, f_y, lower, upper):
     aug_inv = np.linalg.inv(np.vstack([A, null_space_rows(A)]))
 
-    def attempt(rng):
+    def draw(rng):
         y = f_y.sample(rng, 1)[0]
-        c = lower + rng.random(lower.shape[0]) * (upper - lower)
-        return aug_inv @ np.concatenate([y, c])
+        return np.concatenate([y, lower + rng.random(lower.shape[0]) * (upper - lower)])
 
-    return attempt
+    return draw, lambda rng, target: aug_inv @ target
 
 
 def _per_row_bbe_polar(f_y):
-    def attempt(rng):
-        y = f_y.sample(rng, 1)[0, 0]
+    def attempt(rng, target):
+        y, c = target
         r = math.sqrt(2.0 * y)
         phi1, phi2 = polar_arc(r)
-        phi = phi1 + rng.random() * (phi2 - phi1)
+        phi = phi1 + c * (phi2 - phi1)
         return np.array([r * math.cos(phi), r * math.sin(phi)])
 
-    return attempt
+    return lambda rng: (f_y.sample(rng, 1)[0, 0], rng.random()), attempt
 
 
 def _cubic_map():
@@ -1066,23 +1065,28 @@ class TestRowSolversMatchPerRowReference:
         counts = collections.Counter()
         self._check(cov_exact(fmap, f_y), _per_row_cov_exact(fmap, f_y, counts), 400, 3)
 
-    def test_cov_exact_square_map_halves_and_retries(self):
+    def test_cov_exact_square_map_halves_and_retries(self, monkeypatch):
         # y < 0 has no root (step halving stalls near 0) and y > 1 has its
-        # roots outside (-1, 1); starts near 0 overshoot and halve
+        # roots outside (-1, 1), so those rows fail every retry and are
+        # dropped (PILOT_SIZE = 0: not raised); starts near 0 overshoot and halve
+        monkeypatch.setattr(solvers, "PILOT_SIZE", 0)
         fmap = square_map(-1.0, 1.0)
         f_y = make_uniform([-0.2], [1.2])
         counts = collections.Counter()
-        diag = self._check(cov_exact(fmap, f_y), _per_row_cov_exact(fmap, f_y, counts),
-                           400, 5)
+        with pytest.warns(RuntimeWarning, match="dropped"):
+            diag = self._check(cov_exact(fmap, f_y), _per_row_cov_exact(fmap, f_y, counts),
+                               400, 5)
         assert diag["retries"] > 0
         assert counts["halved"] > 0 and counts["halving"] > 0 and counts["domain"] > 0
 
     def test_m_not_a_multiple_of_the_block(self, monkeypatch):
         monkeypatch.setattr(solvers, "ROW_BLOCK", 64)
+        monkeypatch.setattr(solvers, "PILOT_SIZE", 0)
         fmap = square_map(-1.0, 1.0)
         f_y = make_uniform([-0.2], [1.2])
         counts = collections.Counter()
-        self._check(cov_exact(fmap, f_y), _per_row_cov_exact(fmap, f_y, counts), 301, 7)
+        with pytest.warns(RuntimeWarning, match="dropped"):
+            self._check(cov_exact(fmap, f_y), _per_row_cov_exact(fmap, f_y, counts), 301, 7)
 
     def test_intuitive_sum_map(self):
         fmap = linear_map([[1.0, 1.0]])
@@ -1100,15 +1104,17 @@ class TestRowSolversMatchPerRowReference:
         self._check(intuitive_sample(fmap, f_y, f_aux),
                     _per_row_intuitive(fmap, f_y, f_aux, counts), 200, 13)
 
-    def test_intuitive_batch_only_map(self):
+    def test_intuitive_batch_only_map(self, monkeypatch):
         # polar_quadratic_map evaluates (n, 2) batches only; rows whose
-        # theta_2^2 exceeds 2y have no root and retry
+        # theta_2^2 exceeds 2y have no root, retry and are dropped
+        monkeypatch.setattr(solvers, "PILOT_SIZE", 0)
         fmap = polar_quadratic_map()
         f_y = make_uniform([0.05], [0.45])
         f_aux = make_uniform([0.0], [0.9])
         counts = collections.Counter()
-        diag = self._check(intuitive_sample(fmap, f_y, f_aux),
-                           _per_row_intuitive(fmap, f_y, f_aux, counts), 300, 31)
+        with pytest.warns(RuntimeWarning, match="dropped"):
+            diag = self._check(intuitive_sample(fmap, f_y, f_aux),
+                               _per_row_intuitive(fmap, f_y, f_aux, counts), 300, 31)
         assert diag["retries"] > 0
 
     @pytest.mark.parametrize("w", [0.0, 0.5])
@@ -1122,17 +1128,24 @@ class TestRowSolversMatchPerRowReference:
         self._check(cov_mixture_family(fmap, f_y, partition(), MixtureWeights(weights)),
                     _per_row_mixture(fmap, f_y, partition(), weights), 400, 17)
 
-    def test_cov_mixture_family_rows_without_mass_retry(self):
+    def test_cov_mixture_family_rows_without_mass_retry(self, monkeypatch):
         # on (-0.5, 1) the only pre-image of y > 0.25 is +sqrt(y), which
-        # carries weight 0 here, so those rows fail and draw again
+        # carries weight 0 here: 1/6 of f_Y's mass has no pre-image with
+        # mass, and a retry keeps y, so those rows fail every retry.  The
+        # pilot raises; with no pilot the rows are counted drops.
         fmap = square_map(-0.5, 1.0)
         f_y = make_uniform([0.0], [0.3])
         weights = [1.0, 0.0]
-        diag = self._check(cov_mixture_family(fmap, f_y, two_branch_partition(),
-                                              MixtureWeights(weights)),
-                           _per_row_mixture(fmap, f_y, two_branch_partition(), weights),
-                           400, 29)
-        assert diag["retries"] > 0
+        solution = cov_mixture_family(fmap, f_y, two_branch_partition(),
+                                      MixtureWeights(weights))
+        with pytest.raises(NoSolutionError, match="no solvable pre-image"):
+            solution.sample(400, 29)
+        monkeypatch.setattr(solvers, "PILOT_SIZE", 0)
+        with pytest.warns(RuntimeWarning, match="dropped"):
+            diag = self._check(solution, _per_row_mixture(fmap, f_y, two_branch_partition(),
+                                                          weights), 400, 29)
+        assert 0.1 < diag["failures"] / 400 < 0.25
+        assert diag["retries"] == solvers.ROW_RETRIES * diag["failures"]
 
     def test_bbe_linear(self):
         A = np.array([[-1.0 / 3.0, 4.0 / 3.0]])
@@ -1302,7 +1315,7 @@ def test_rows_all_dropped_keep_the_columns(monkeypatch):
 
     monkeypatch.setattr(solvers, "PILOT_SIZE", 0)  # drop the rows, do not raise
     with pytest.warns(RuntimeWarning, match="dropped"):
-        data, diag = solvers._solve_rows(never, 20, seed=1, retries=2)
+        data, diag = solvers._solve_rows(lambda rngs: (), never, 20, seed=1, retries=2)
     assert data.shape == (0, 3)
     assert diag["rows_returned"] == 0
 
@@ -1355,12 +1368,12 @@ def test_sample_attempts_each_row_once_when_none_fails(monkeypatch):
     attempted = []
     real = solvers._solve_rows
 
-    def counting(attempt, m, seed, **kwargs):
-        def counted(rngs):
-            attempted.append(len(rngs))
-            return attempt(rngs)
+    def counting(draw, attempt, m, seed, **kwargs):
+        def counted(*inputs):
+            attempted.append(len(inputs[-1]))
+            return attempt(*inputs)
 
-        return real(counted, m, seed, **kwargs)
+        return real(draw, counted, m, seed, **kwargs)
 
     monkeypatch.setattr(solvers, "_solve_rows", counting)
     # a linear map: Newton solves every row at its first attempt
@@ -1378,6 +1391,14 @@ def test_observable_mass_partly_outside_the_range_raises():
     solution = intuitive_sample(square_map(0.0, 1.0), make_uniform([0.5], [5.0]), None)
     with pytest.raises(NoSolutionError, match="no solvable pre-image"):
         solution.sample(1000, 1)
+
+
+def test_observable_mass_out_of_the_range_is_not_truncated():
+    # theta^2 on (0, 1) reaches half of U(0.5, 1.5); a retry keeps its y, so
+    # a y above 1 fails every retry instead of being replaced by one below
+    solution = intuitive_sample(square_map(0.0, 1.0), make_uniform([0.5], [1.5]), None)
+    with pytest.raises(NoSolutionError, match="no solvable pre-image"):
+        solution.sample(2000, 1)
 
 
 def test_unreachable_support_attempts_no_row_past_the_first_block(monkeypatch):

@@ -20,7 +20,7 @@ from sip_lab import (
     pushforward_check,
 )
 from sip_lab._special import kolmogorov
-from sip_lab.sampling import rng_for
+from sip_lab.sampling import KIND_PERMUTATION, rng_for
 from sip_lab.verification import _two_sample_ks
 
 
@@ -86,6 +86,27 @@ class TestTwoSampleKs:
         assert p_value < 1e-6
 
 
+def _record_tables(monkeypatch):
+    """The groupings of every ``energy_stats`` call, in call order."""
+    from sip_lab import _kernels
+    tables = []
+    real = _kernels.energy_stats
+
+    def recording(points, groupings, n1):
+        tables.append(groupings)
+        return real(points, groupings, n1)
+
+    monkeypatch.setattr(_kernels, "energy_stats", recording)
+    return tables
+
+
+def _full_table(n, seed, n_permutations=200):
+    """The identity and all of a test's permutations, from the same streams."""
+    rows = [np.arange(n)] + [rng_for(seed, KIND_PERMUTATION, k).permutation(n)
+                             for k in range(n_permutations)]
+    return np.vstack(rows).astype(np.int32)
+
+
 class TestEnergyDistance:
     def test_same_distribution_passes(self):
         rng = np.random.default_rng(93)
@@ -120,21 +141,51 @@ class TestEnergyDistance:
                                                        n_permutations=200, seed=5)
 
     def test_permutation_table_is_int32(self, monkeypatch):
-        # half the bytes of int64: 1.65 MB for 2,048 rows and 200 permutations
-        from sip_lab import _kernels
-        tables = []
-        real = _kernels.energy_stats
-
-        def recording(points, groupings, n1):
-            tables.append(groupings)
-            return real(points, groupings, n1)
-
-        monkeypatch.setattr(_kernels, "energy_stats", recording)
+        # half the bytes of int64; a test that the first batch decides
+        # builds only its 25 groupings
+        tables = _record_tables(monkeypatch)
         rng = np.random.default_rng(99)
         energy_distance_test(rng.standard_normal((1024, 2)), rng.standard_normal((1024, 2)))
         (table,) = tables
-        assert table.dtype == np.int32 and table.shape == (201, 2048)
-        assert table.nbytes == 1_646_592
+        assert table.dtype == np.int32 and table.shape == (25, 2048)
+        assert table.nbytes == 204_800
+
+    def test_work_is_one_batch_when_decided_two_when_not(self, monkeypatch):
+        tables = _record_tables(monkeypatch)
+        rng = np.random.default_rng(100)
+        x, y = rng.standard_normal((300, 1)), rng.standard_normal((300, 1))
+        _, p_same = energy_distance_test(x, y, seed=4)
+        assert [t.shape for t in tables] == [(25, 600)] and p_same >= 2 / 24
+        tables.clear()
+        _, p_shifted = energy_distance_test(x, y + 1.0, seed=4)
+        assert [t.shape for t in tables] == [(25, 600), (177, 600)]
+        assert p_shifted == 1 / 201
+        # each batch seeds only its own streams: the second batch's table
+        # holds permutations 24..199 of the full test's
+        assert np.array_equal(tables[1][1:], _full_table(600, 4)[25:])
+
+    def test_verdict_at_001_is_the_full_tests(self):
+        # N(0, 1) against N(delta, 1) at 300 + 300 rows, 60 instances whose
+        # full 200-permutation p-values straddle 0.01
+        from sip_lab import _kernels
+        verdicts, stops = [], []
+        for delta in (0.1, 0.15, 0.2, 0.25, 0.3, 0.35):
+            for seed in range(10):
+                rng = np.random.default_rng([seed, round(delta * 100)])
+                x, y = rng.standard_normal(300), rng.standard_normal(300) + delta
+                pooled = np.concatenate([x, y])[:, None]
+                stats = _kernels.energy_stats(pooled, _full_table(600, seed), 300)
+                hits = np.flatnonzero(stats[1:] >= stats[0])
+                reference = (1 + hits.size) / 201
+                _, p_value = energy_distance_test(x, y, seed=seed)
+                assert (p_value >= 0.01) == (reference >= 0.01)
+                stops.append(np.count_nonzero(hits < 24) >= 2)
+                if stops[-1]:
+                    assert hits[1] + 1 <= 24 and p_value == 2 / (hits[1] + 1)
+                else:
+                    assert p_value == reference
+                verdicts.append(reference >= 0.01)
+        assert 15 <= sum(verdicts) <= 45 and 10 <= sum(stops) <= 30
 
     def test_malformed_input_rejected(self):
         rng = np.random.default_rng(98)
@@ -201,6 +252,24 @@ class TestPushforwardCheck:
         report = pushforward_check(solution.sample(4000, 22), fmap, wrong_target,
                                    seed=22)
         assert not report.passed
+
+    @pytest.mark.parametrize("ks, energy, statistic", [
+        ((0.004, 0.5), 0.2, 0.012),  # raw min below 0.01, Holm-adjusted above it
+        ((0.5, 0.2), 0.003, 0.009),
+        ((0.9, 0.6), 0.4, 1.0),  # k p_min is capped at 1
+    ])
+    def test_statistic_is_holms_adjusted_smallest_p(self, monkeypatch, ks, energy, statistic):
+        from sip_lab import verification
+        f_y = make_gaussian(GaussianParams([0.0, 0.5], np.eye(2)))
+        fmap = linear_map(np.eye(2))
+        samples = cov_exact(fmap, f_y).sample(300, seed=3)
+        raw = iter(ks)
+        monkeypatch.setattr(verification, "ks_test_1d", lambda *args: (0.0, next(raw)))
+        monkeypatch.setattr(verification, "energy_distance_test", lambda *args: (0.0, energy))
+        report = pushforward_check(samples, fmap, f_y, seed=3)
+        assert report.statistic == pytest.approx(statistic, rel=1e-12)
+        assert report.passed == (statistic >= 0.01)
+        assert report.details == f"ks[0]={ks[0]:.4g}, ks[1]={ks[1]:.4g}, energy={energy:.4g}"
 
     def test_wrong_width_samples_rejected(self):
         f_y = make_gaussian(GaussianParams([0.0], [[1.0]]))

@@ -226,16 +226,14 @@ def _solve_rows(draw, attempt, m: int, seed: int, retries: int = ROW_RETRIES,
     """Solve m rows in lockstep with retry/drop bookkeeping.
 
     ``draw(rngs)`` draws each row's target once, a tuple of arrays whose row
-    i comes from ``rngs[i]``; ``attempt(*inputs, rngs) -> (rows (k, p), ok
-    (k,))`` tries k rows and may draw more (a Newton start, a branch).  Row
-    i's generator is ``rng_for(seed, KIND_ROWS, i)``; only the ``ROW_BLOCK``
-    of the current block are live.  Only failed rows try again, with the same
-    target, up to ``retries`` attempts, so each stream is consumed as if the
-    rows ran one by one, and a target with no pre-image is dropped, never
-    swapped for one in range.  If any of the first ``PILOT_SIZE`` rows fails
-    every attempt, it raises ``NoSolutionError`` before attempting a row past
-    the first block.  Returns (rows, diagnostics); a row that fails every
-    attempt counts ``retries`` retries.
+    i comes from ``rngs[i]``, ``rng_for(seed, KIND_ROWS, i)``, live one
+    ``ROW_BLOCK`` at a time; ``attempt(*targets, rngs) -> (rows (k, p), ok (k,))``
+    tries k rows and may draw more.  Only failed rows try again, with the same
+    target, up to ``retries`` attempts, so each stream is consumed as if the rows
+    ran one by one and a target with no pre-image is dropped, never swapped.  If
+    any of the first ``PILOT_SIZE`` rows fails every attempt, it raises
+    ``NoSolutionError`` before attempting a row past the first block.  Returns
+    (rows, diagnostics); a row that fails every attempt counts ``retries`` retries.
     """
     rows = None
     solved = np.zeros(m, dtype=bool)
@@ -269,7 +267,7 @@ def _solve_rows(draw, attempt, m: int, seed: int, retries: int = ROW_RETRIES,
     failure_rate = failures / m if m else 0.0
     if failure_rate > FAILURE_WARN_RATE:
         warnings.warn(
-            f"{label}: {failures}/{m} rows dropped after {retries} retries each",
+            f"{label}: {failures}/{m} rows dropped after {retries} attempts each",
             RuntimeWarning,
         )
     data = rows[solved] if m else np.empty((0, 0))
@@ -285,7 +283,8 @@ def _solve_rows(draw, attempt, m: int, seed: int, retries: int = ROW_RETRIES,
 
 
 def _change_of_variables(support: Support, q: int, f_y: Density, f_c: Density | None,
-                         forward, inverse, name: str, density: Density = None) -> SipSolution:
+                         forward, inverse, name: str, density: Density = None,
+                         retries: int = 1) -> SipSolution:
     """The solution that a reparameterization theta <-> (y, c) makes of f_Y f_C.
 
     ``forward((n, p) theta) -> (y, c, log|det d(y, c)/d theta|)`` gives the
@@ -295,8 +294,9 @@ def _change_of_variables(support: Support, q: int, f_y: Density, f_c: Density | 
     ``sample(n, seed)`` draws y from f_Y, then c from f_C, on its own
     stream; ``inverse(y, c, rngs) -> (theta (k, p), ok (k,))`` maps all
     pending rows back at once and may draw more from those streams (a
-    Newton start, a branch).  Rows that are not ok retry with their y and c.
-    A caller with a form of the density of its own passes it as ``density``.
+    Newton start, a branch).  Rows that are not ok retry with their y and c,
+    up to ``retries`` attempts, which only a fresh Newton start can use.  A
+    caller with a form of the density of its own passes it as ``density``.
     """
     p = support.dim
     n_c = 0 if f_c is None else f_c.dim
@@ -323,7 +323,7 @@ def _change_of_variables(support: Support, q: int, f_y: Density, f_c: Density | 
 
     def sample(n, seed):
         # looked up by module-global name, so perfbench's tracer sees each draw
-        data, diag = _solve_rows(draw, inverse, n, seed, label=name)
+        data, diag = _solve_rows(draw, inverse, n, seed, retries=retries, label=name)
         solution.diagnostics.update(diag)
         return data.reshape(-1, p)  # (0, p) when n is 0
 
@@ -351,7 +351,8 @@ def _newton_solution(fmap: ForwardMap, f_y: Density, f_aux: Density | None,
         heads, ok, _ = _newton_rows(fmap, y, tail, _draw_starts(rngs, fmap))
         return np.hstack([heads, tail]), ok
 
-    return _change_of_variables(fmap.domain, q, f_y, f_aux, forward, inverse, name)
+    return _change_of_variables(fmap.domain, q, f_y, f_aux, forward, inverse, name,
+                                retries=ROW_RETRIES)
 
 
 def intuitive_sample(fmap: ForwardMap, f_y: Density,

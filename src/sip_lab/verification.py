@@ -24,7 +24,9 @@ from .sampling import KIND_PERMUTATION, KIND_PROBE, rng_for, rng_streams
 ENERGY_MAX_GROUP = 1024
 # under the null, 0..24 of 24 permutations reach the observed one equally often: 2/25 go on
 ENERGY_FIRST_BATCH = 24
-# (1 + g) / 201 < 0.01 only for g <= 1: a second permutation that reaches it decides a pass
+# later batches end at multiples of 200, so at 2048 rows no indicator table passes 3.3 MB
+ENERGY_BATCH = 200
+# at level 2 / N the N-permutation test fails only for g <= 1, and a stop's 2 / L passes
 ENERGY_STOP = 2
 
 
@@ -155,13 +157,12 @@ def energy_distance_test(x: np.ndarray, y: np.ndarray, n_permutations: int = 200
     Permutation k uses the generator stream (seed, permutation-kind, k), so
     the p-value is deterministic and independent of execution order.  The
     statistics come from ``_kernels.energy_stats``, which walks the pooled
-    distance matrix in blocks and never holds it whole.
-
-    The first ENERGY_FIRST_BATCH permutations are scored first.  If the
-    ENERGY_STOP-th to reach the observed statistic is permutation L, the test
-    stops with Besag & Clifford's p = ENERGY_STOP / L.  Else it scores the rest
-    and p = (1 + g) / (n_permutations + 1) for the g that reach it.  Both are
-    valid, and a stop means g >= 2, so the verdict at 0.01 is the full test's.
+    distance matrix in blocks and never holds it whole.  Permutations are
+    scored in batches (ENERGY_FIRST_BATCH, then up to each multiple of
+    ENERGY_BATCH) until the ENERGY_STOP-th to reach the observed statistic,
+    permutation L, gives Besag & Clifford's p = 2 / L; else p = (1 + g) /
+    (n_permutations + 1).  A stop means g >= 2, so at levels up to
+    2 / n_permutations (0.01 at 200) the verdict is the full test's.
 
     Raises ValueError for input of more than two dimensions, an empty group,
     a non-finite row among those tested, or fewer than one permutation.
@@ -187,20 +188,20 @@ def energy_distance_test(x: np.ndarray, y: np.ndarray, n_permutations: int = 200
     pooled = np.vstack(groups)
     total = pooled.shape[0]
 
-    def reach(first, stop):  # observed statistic; which of permutations first.. reach it
-        groupings = np.empty((stop - first + 1, total), dtype=np.int32)
+    ends = sorted({min(ENERGY_FIRST_BATCH, n_permutations), n_permutations,
+                   *range(ENERGY_BATCH, n_permutations, ENERGY_BATCH)})
+    hits = []  # the 1-based index of each permutation that reaches the observed statistic
+    for start, stop in zip([0, *ends], ends):
+        groupings = np.empty((stop - start + 1, total), dtype=np.int32)
         groupings[0] = np.arange(total)
-        for row, rng in zip(groupings[1:], rng_streams(seed, KIND_PERMUTATION, first, stop)):
+        for row, rng in zip(groupings[1:], rng_streams(seed, KIND_PERMUTATION, start, stop)):
             row[:] = rng.permutation(total)
         stats = _kernels.energy_stats(pooled, groupings, n1)
-        return float(stats[0]), np.flatnonzero(stats[1:] >= stats[0])
-
-    head = min(ENERGY_FIRST_BATCH, n_permutations)
-    observed, hits = reach(0, head)
-    if hits.size >= ENERGY_STOP:
-        return observed, ENERGY_STOP / float(hits[ENERGY_STOP - 1] + 1)
-    rest = reach(head, n_permutations)[1].size if n_permutations > head else 0
-    return observed, (1 + hits.size + rest) / (n_permutations + 1)
+        observed = float(stats[0]) if not start else observed
+        hits.extend(start + 1 + np.flatnonzero(stats[1:] >= stats[0]))
+        if len(hits) >= ENERGY_STOP:
+            return observed, ENERGY_STOP / float(hits[ENERGY_STOP - 1])
+    return observed, (1 + len(hits)) / (n_permutations + 1)
 
 
 def pushforward_check(samples, fmap, f_y: Density, alpha: float = 0.01,
@@ -210,10 +211,9 @@ def pushforward_check(samples, fmap, f_y: Density, alpha: float = 0.01,
     Maps the (m, p) ``samples`` and runs a per-marginal KS test against the
     observable marginal CDFs (two-sample against m observable draws when
     those are missing); for multivariate observables an energy-distance
-    permutation test against m observable draws is added.  Passes when the
-    Holm-adjusted smallest of the k p-values, min(1, k p_min), is at least
-    alpha, so a correct solution fails with probability at most alpha;
-    ``details`` keeps every raw p-value.
+    permutation test against m observable draws is added, capped at k
+    ``n_permutations`` so that it can fail at alpha / k.  Passes when Holm's
+    adjusted smallest of the k p-values, min(1, k p_min), is at least alpha.
     """
     theta = np.asarray(samples, dtype=float)
     if theta.ndim != 2 or theta.shape[1] != fmap.p:
@@ -243,7 +243,7 @@ def pushforward_check(samples, fmap, f_y: Density, alpha: float = 0.01,
         if not f_y.has_sampler:
             raise ValueError("multivariate check needs an observable sampler")
         reference = f_y.sample(rng_for(seed, KIND_PROBE, 2), m)
-        _, p_energy = energy_distance_test(images, reference, n_permutations, seed)
+        _, p_energy = energy_distance_test(images, reference, (q + 1) * n_permutations, seed)
         p_values.append(p_energy)
         notes.append(f"energy={p_energy:.4g}")
 

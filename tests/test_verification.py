@@ -163,6 +163,12 @@ class TestEnergyDistance:
         # each batch seeds only its own streams: the second batch's table
         # holds permutations 24..199 of the full test's
         assert np.array_equal(tables[1][1:], _full_table(600, 4)[25:])
+        # later batches end at multiples of 200
+        tables.clear()
+        _, p_shifted = energy_distance_test(x, y + 1.0, n_permutations=600, seed=4)
+        assert [t.shape for t in tables] == [(25, 600), (177, 600), (201, 600), (201, 600)]
+        assert p_shifted == 1 / 601
+        assert np.array_equal(tables[3][1:], _full_table(600, 4, 600)[401:])
 
     def test_verdict_at_001_is_the_full_tests(self):
         # N(0, 1) against N(delta, 1) at 300 + 300 rows, 60 instances whose
@@ -179,13 +185,13 @@ class TestEnergyDistance:
                 reference = (1 + hits.size) / 201
                 _, p_value = energy_distance_test(x, y, seed=seed)
                 assert (p_value >= 0.01) == (reference >= 0.01)
-                stops.append(np.count_nonzero(hits < 24) >= 2)
-                if stops[-1]:
-                    assert hits[1] + 1 <= 24 and p_value == 2 / (hits[1] + 1)
+                if hits.size >= 2:  # stopped at the second hit, permutation L
+                    assert p_value == 2 / (hits[1] + 1)
+                    stops.append(hits[1] + 1 <= 24)
                 else:
                     assert p_value == reference
                 verdicts.append(reference >= 0.01)
-        assert 15 <= sum(verdicts) <= 45 and 10 <= sum(stops) <= 30
+        assert 15 <= sum(verdicts) <= 45 and 10 <= sum(stops) < len(stops)
 
     def test_malformed_input_rejected(self):
         rng = np.random.default_rng(98)
@@ -253,23 +259,48 @@ class TestPushforwardCheck:
                                    seed=22)
         assert not report.passed
 
-    @pytest.mark.parametrize("ks, energy, statistic", [
-        ((0.004, 0.5), 0.2, 0.012),  # raw min below 0.01, Holm-adjusted above it
-        ((0.5, 0.2), 0.003, 0.009),
-        ((0.9, 0.6), 0.4, 1.0),  # k p_min is capped at 1
+    # the energy p-values are (1 + g) / 601, as its 3 x 200 permutations give
+    @pytest.mark.parametrize("ks, reached, statistic", [
+        ((0.004, 0.5), 50, 0.012),  # raw min below 0.01, Holm-adjusted above it
+        ((0.5, 0.2), 0, 3 / 601),  # no permutation reaches the observed statistic
+        ((0.5, 0.2), 1, 6 / 601),  # one does: fails at 0.01 / 3, as at 0.01 alone
+        ((0.5, 0.2), 2, 9 / 601),  # two do
+        ((0.9, 0.6), 600, 1.0),  # k p_min is capped at 1
     ])
-    def test_statistic_is_holms_adjusted_smallest_p(self, monkeypatch, ks, energy, statistic):
+    def test_statistic_is_holms_adjusted_smallest_p(self, monkeypatch, ks, reached, statistic):
         from sip_lab import verification
         f_y = make_gaussian(GaussianParams([0.0, 0.5], np.eye(2)))
         fmap = linear_map(np.eye(2))
         samples = cov_exact(fmap, f_y).sample(300, seed=3)
         raw = iter(ks)
+        caps = []
+
+        def energy(x, y, n_permutations, seed):
+            caps.append(n_permutations)
+            return 0.0, (1 + reached) / (n_permutations + 1)
+
         monkeypatch.setattr(verification, "ks_test_1d", lambda *args: (0.0, next(raw)))
-        monkeypatch.setattr(verification, "energy_distance_test", lambda *args: (0.0, energy))
+        monkeypatch.setattr(verification, "energy_distance_test", energy)
         report = pushforward_check(samples, fmap, f_y, seed=3)
+        assert caps == [600]
         assert report.statistic == pytest.approx(statistic, rel=1e-12)
         assert report.passed == (statistic >= 0.01)
-        assert report.details == f"ks[0]={ks[0]:.4g}, ks[1]={ks[1]:.4g}, energy={energy:.4g}"
+        energy_p = (1 + reached) / 601
+        assert report.details == f"ks[0]={ks[0]:.4g}, ks[1]={ks[1]:.4g}, energy={energy_p:.4g}"
+
+    def test_wrong_dependence_fails_by_the_energy_test_alone(self):
+        # correct N(0, 1) marginals, correlation 0 where the observable's is
+        # 0.5: every KS test passes even unadjusted, and the energy test, the
+        # only one that sees the joint law, fails the check
+        fmap = linear_map(np.eye(2))
+        f_y = make_gaussian(GaussianParams([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]]))
+        wrong = make_gaussian(GaussianParams([0.0, 0.0], np.eye(2)))
+        samples = wrong.sample(rng_for(4, 0, 0), 2000)
+        for j in range(2):
+            assert ks_test_1d(samples[:, j], lambda v, j=j: f_y.marginal_cdf(j, v))[1] >= 0.01
+        report = pushforward_check(samples, fmap, f_y, seed=4)
+        assert not report.passed
+        assert report.details.endswith("energy=0.001664")  # 1 / 601
 
     def test_wrong_width_samples_rejected(self):
         f_y = make_gaussian(GaussianParams([0.0], [[1.0]]))

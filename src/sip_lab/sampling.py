@@ -1,9 +1,9 @@
 """Seeded sample containers and generator streams.
 
 Stream ``(root seed, stream kind, index)`` has its own generator, so its draws
-depend only on those three numbers: a row's for the row solvers, a block's for
-rejection.  Stream i's generator, ``PCG64(SeedSequence([seed, kind, i]))``, is
-seeded a block at a time by :func:`rng_streams`.
+depend only on those three numbers: a row's target, or a block's inverse or
+rejection draws.  Stream i's generator, ``PCG64(SeedSequence([seed, kind, i]))``,
+is seeded a block at a time by :func:`rng_streams`.
 """
 
 from __future__ import annotations
@@ -12,12 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Stream-kind tags keep row, pilot, permutation, probe and fit streams disjoint.
+# Stream-kind tags keep row, pilot, permutation, probe, fit and inverse streams disjoint.
 KIND_ROWS = 0
 KIND_PILOT = 1
 KIND_PERMUTATION = 2
 KIND_PROBE = 3
 KIND_FIT = 4
+KIND_INVERSE = 5  # a row-solver block's Newton starts and branch picks, not its targets
 
 
 @dataclass(frozen=True)

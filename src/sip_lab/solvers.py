@@ -16,11 +16,11 @@ estimated pushforward, draws by rejection against its initial density.
 Every solution draws through ``sample(n, seed) -> (n, p)``, which records its
 counters in ``diagnostics``; results depend only on (seed, row count).  The
 row solvers advance the pending rows of a block of ``ROW_BLOCK`` rows in
-lockstep through one loop, :func:`_solve_rows`, and row i draws from its own
-generator stream (seed, KIND_ROWS, i); a run's first ``PILOT_SIZE`` rows are
-its pilot.  Rejection (:func:`bjw_rejection_sample`) draws block b from the
-one stream (seed, KIND_ROWS, b), one proposal call, one ratio evaluation and
-one uniform call per round.
+lockstep through one loop, :func:`_solve_rows`: row i draws its target from
+stream (seed, KIND_ROWS, i), and block b's Newton starts or branch picks come
+from stream (seed, KIND_INVERSE, b); a run's first ``PILOT_SIZE`` rows are its
+pilot.  Rejection (:func:`bjw_rejection_sample`) draws block b from the one
+stream (seed, KIND_ROWS, b), one call of each kind per round.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from .forward_maps import (
 from .gaussian_algebra import bjw_gaussian_linear, pushforward_gaussian_linear, update_gain
 from .sampling import (
     KIND_FIT,
+    KIND_INVERSE,
     KIND_PILOT,
     KIND_PROBE,
     KIND_ROWS,
@@ -72,7 +73,7 @@ NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 NEWTON_HALVINGS = 30
 ROW_RETRIES = 10
-ROW_BLOCK = 4096  # rows whose generators are live at once; one rejection stream
+ROW_BLOCK = 4096  # rows whose target generators are live at once; one inverse or rejection stream
 PILOT_SIZE = 512  # leading rows of a run that must each solve; rejection's pilot
 REJECTION_MAX_PROPOSALS = 100_000  # rounds per block
 REJECTION_MAX_DOUBLINGS = 10  # of the pilot bound, in all
@@ -205,47 +206,33 @@ def _solve_blocks(jac: np.ndarray, resid: np.ndarray):
         return delta, solved
 
 
-def _draw_starts(rngs, fmap: ForwardMap) -> np.ndarray:
-    """Newton starts for the head block, one row per generator.
-
-    Uniform on the head block of the domain box; standard normal on
-    unbounded coordinates.  Each generator draws q uniforms, then q normals.
-    """
-    q = fmap.q
-    lo = fmap.domain.lower[:q]
-    hi = fmap.domain.upper[:q]
-    finite = np.isfinite(lo) & np.isfinite(hi)
-    u = np.array([rng.random(q) for rng in rngs])
-    out = np.array([rng.standard_normal(q) for rng in rngs])
-    out[:, finite] = lo[finite] + u[:, finite] * (hi[finite] - lo[finite])
-    return out
-
-
 def _solve_rows(draw, attempt, m: int, seed: int, retries: int = ROW_RETRIES,
                 label: str = "solver"):
     """Solve m rows in lockstep with retry/drop bookkeeping.
 
     ``draw(rngs)`` draws each row's target once, a tuple of arrays whose row
     i comes from ``rngs[i]``, ``rng_for(seed, KIND_ROWS, i)``, live one
-    ``ROW_BLOCK`` at a time; ``attempt(*targets, rngs) -> (rows (k, p), ok (k,))``
-    tries k rows and may draw more.  Only failed rows try again, with the same
-    target, up to ``retries`` attempts, so each stream is consumed as if the rows
-    ran one by one and a target with no pre-image is dropped, never swapped.  If
-    any of the first ``PILOT_SIZE`` rows fails every attempt, it raises
-    ``NoSolutionError`` before attempting a row past the first block.  Returns
-    (rows, diagnostics); a row that fails every attempt counts ``retries`` retries.
+    ``ROW_BLOCK`` at a time.  ``attempt(*targets, rng) -> (rows (k, p), ok (k,))``
+    tries the k pending rows of block b, in row order, and may draw from
+    ``rng``, the block's one stream ``rng_for(seed, KIND_INVERSE, b)``.  Only
+    failed rows try again, with the same target, up to ``retries`` attempts, so
+    a target with no pre-image is dropped, never swapped.  If any of the first
+    ``PILOT_SIZE`` rows fails every attempt, it raises ``NoSolutionError``
+    before attempting a row past the first block.  Returns (rows, diagnostics);
+    a row that fails every attempt counts ``retries`` retries.
     """
     rows = None
     solved = np.zeros(m, dtype=bool)
     retries_used = 0
-    for first in range(0, m, ROW_BLOCK):
-        rngs = rng_streams(seed, KIND_ROWS, first, min(first + ROW_BLOCK, m))
-        inputs = draw(rngs)
-        pending = np.arange(len(rngs))
+    for b, first in enumerate(range(0, m, ROW_BLOCK)):
+        stop = min(first + ROW_BLOCK, m)
+        inputs = draw(rng_streams(seed, KIND_ROWS, first, stop))
+        rng = rng_for(seed, KIND_INVERSE, b)
+        pending = np.arange(stop - first)
         for _ in range(retries):
             if not pending.size:
                 break
-            out, ok = attempt(*(a[pending] for a in inputs), [rngs[i] for i in pending])
+            out, ok = attempt(*(a[pending] for a in inputs), rng)
             if rows is None:
                 rows = np.empty((m, out.shape[1]))
             rows[first + pending[ok]] = out[ok]
@@ -292,11 +279,12 @@ def _change_of_variables(support: Support, q: int, f_y: Density, f_c: Density | 
     its density is f_Y(y) f_C(c) |det|, summed in log space in that order.
     ``f_c=None`` means there are no contour coordinates.  Row i of
     ``sample(n, seed)`` draws y from f_Y, then c from f_C, on its own
-    stream; ``inverse(y, c, rngs) -> (theta (k, p), ok (k,))`` maps all
-    pending rows back at once and may draw more from those streams (a
-    Newton start, a branch).  Rows that are not ok retry with their y and c,
-    up to ``retries`` attempts, which only a fresh Newton start can use.  A
-    caller with a form of the density of its own passes it as ``density``.
+    stream, the engine's only loop over rows; ``inverse(y, c, rng) ->
+    (theta (k, p), ok (k,))`` maps a block's pending rows back at once and
+    may draw Newton starts or branch picks from the block's one generator.
+    Rows that are not ok retry with their y and c, up to ``retries`` attempts,
+    which only a fresh Newton start can use.  A caller with a form of the
+    density of its own passes it as ``density``.
     """
     p = support.dim
     n_c = 0 if f_c is None else f_c.dim
@@ -341,14 +329,21 @@ def _newton_solution(fmap: ForwardMap, f_y: Density, f_aux: Density | None,
     """T = (g(theta), theta_tail) with f_C = f_aux, inverted by damped Newton
     on the leading block from a random start in the domain box."""
     q = fmap.q
+    lo, hi = fmap.domain.lower[:q], fmap.domain.upper[:q]
+    finite = np.isfinite(lo) & np.isfinite(hi)
 
     def forward(pts):
         dets = np.abs(np.linalg.det(jacobian_batch(fmap, pts)[:, :, :q]))
         with np.errstate(divide="ignore"):
             return eval_batch(fmap, pts), pts[:, q:], np.log(dets)
 
-    def inverse(y, tail, rngs):
-        heads, ok, _ = _newton_rows(fmap, y, tail, _draw_starts(rngs, fmap))
+    def inverse(y, tail, rng):
+        # starts: uniform on the head block of the domain box, standard
+        # normal on unbounded coordinates; k x q uniforms, then k x q normals
+        u = rng.random(y.shape)
+        start = rng.standard_normal(y.shape)
+        start[:, finite] = lo[finite] + u[:, finite] * (hi[finite] - lo[finite])
+        heads, ok, _ = _newton_rows(fmap, y, tail, start)
         return np.hstack([heads, tail]), ok
 
     return _change_of_variables(fmap.domain, q, f_y, f_aux, forward, inverse, name,
@@ -417,8 +412,8 @@ def cov_mixture_family(fmap: ForwardMap, f_y: Density, branches,
     forward to the same observable density.  T = g has no contour
     coordinates; the branch weight joins the log Jacobian.  The sampler
     inverts every branch and tests membership and the domain for all
-    pending rows at once; each row then picks one of its pre-images on its
-    own stream.
+    pending rows at once; the rows with a pre-image of mass then pick one by
+    weight, from one uniform each, drawn in one call on the block's stream.
     """
     if fmap.p != fmap.q:
         raise ValueError("mixture family requires a square map")
@@ -445,8 +440,8 @@ def cov_mixture_family(fmap: ForwardMap, f_y: Density, branches,
         with np.errstate(divide="ignore"):
             return eval_batch(fmap, pts), None, np.log(dets) + np.log(weight)
 
-    def inverse(y, c, rngs):
-        k = len(rngs)
+    def inverse(y, c, rng):
+        k = y.shape[0]
         pieces = np.stack([np.asarray(b.inverse(y), dtype=float).reshape(k, fmap.p)
                            for b in branches])
         valid = np.stack([np.asarray(b.member(theta), dtype=bool) & fmap.domain.contains(theta)
@@ -454,8 +449,8 @@ def cov_mixture_family(fmap: ForwardMap, f_y: Density, branches,
         weights = np.where(valid, branch_weight, 0.0)
         total = weights.sum(axis=1)  # the zeros leave each row's sum as it was
         ok = total > 0  # else no pre-image, or this family member puts no mass on them
-        # rng.choice(pre-images, p=weights / total) for every ok row, one random() each
-        u = np.array([rng.random() for rng, has in zip(rngs, ok) if has])
+        # rng.choice(pre-images, p=weights / total) for every ok row, one uniform each
+        u = rng.random(int(ok.sum()))
         cdf = np.cumsum(weights[ok] / total[ok, None], axis=1)
         pick = np.argmax(cdf / cdf[:, -1:] > u[:, None], axis=1)
         rows = np.empty((k, fmap.p))
@@ -508,7 +503,7 @@ def _linear_solution(T: np.ndarray, q: int, f_y: Density, f_c: Density | None,
     def forward(pts):
         return pts @ head.T, pts @ rest.T, log_det
 
-    def inverse(y, c, rngs=None):
+    def inverse(y, c, rng=None):
         # a stack of matrix-vector products rounds as the one-row product does
         rows = np.matmul(T_inv, np.hstack([y, c])[:, :, None])[:, :, 0]
         return rows, np.ones(len(rows), dtype=bool)
@@ -558,7 +553,7 @@ def bbe_polar(f_y: Density) -> SipSolution:
     T = (r^2 / 2, (phi - phi1(r)) / (phi2(r) - phi1(r))): radius plays the
     observable-indexing coordinate, polar angle the contour coordinate with
     a uniform distribution on the admissible arc, so the log Jacobian is
-    that of the angular conditional.
+    that of the angular conditional.  The inverse draws nothing.
     """
 
     def forward(pts):
@@ -570,14 +565,11 @@ def bbe_polar(f_y: Density) -> SipSolution:
             return (0.5 * r * r, (phi - phi1) / (phi2 - phi1),
                     np.log(angular_conditional(phi, r)))
 
-    def inverse(y, c, rngs):
+    def inverse(y, c, rng):
         r = np.sqrt(2.0 * y[:, 0])
         phi1, phi2 = polar_arc(r)
         phi = phi1 + c[:, 0] * (phi2 - phi1)
-        # math.cos and math.sin: the platform libm, as in the one-row sampler
-        rows = np.array([(ri * math.cos(fi), ri * math.sin(fi))
-                         for ri, fi in zip(r.tolist(), phi.tolist())])
-        return rows, np.ones(len(rngs), dtype=bool)
+        return np.column_stack([r * np.cos(phi), r * np.sin(phi)]), np.ones(len(r), dtype=bool)
 
     solution = _change_of_variables(Support([0.0, 0.0], [1.0, 1.0]), 1, f_y,
                                     make_uniform(0.0, 1.0), forward, inverse, "bbe_polar")
@@ -716,8 +708,10 @@ def bjw_rejection_sample(solution: SipSolution, m: int, seed: int) -> SampleBatc
     exp(log f_Y(g(theta)) - log pushforward(g(theta))).  The bound is 1.2
     times the largest of ``PILOT_SIZE`` pilot ratios on stream
     (seed, KIND_PILOT, 0), whatever m is.  Block b of ``ROW_BLOCK`` rows draws
-    from stream (seed, KIND_ROWS, b): each round one proposal call for its
-    pending rows, one ratio evaluation and one uniform call.  A block with
+    from stream (seed, KIND_ROWS, b): each round draws one proposal per pending
+    row, at least ``PILOT_SIZE``, in one call, with one ratio evaluation and one
+    uniform call; its first acceptances fill the pending rows, and
+    ``proposals`` counts up to the one that fills the block.  A block with
     rows pending after ``REJECTION_MAX_PROPOSALS`` rounds raises
     ``NonConvergenceError``.  A pass stops at its first ratio over the bound,
     which is doubled as often as that ratio needs before the run is redone
@@ -774,24 +768,26 @@ def bjw_rejection_sample(solution: SipSolution, m: int, seed: int) -> SampleBatc
         proposals = 0
         for b, first in enumerate(range(0, m, ROW_BLOCK)):
             rng = rng_for(seed, KIND_ROWS, b)
-            pending = np.arange(first, min(first + ROW_BLOCK, m))
+            filled, stop = first, min(first + ROW_BLOCK, m)
             for _ in range(REJECTION_MAX_PROPOSALS):
-                theta = proposal.sample(rng, pending.size)
+                n = max(stop - filled, PILOT_SIZE)
+                theta = proposal.sample(rng, n)
                 r = ratio(theta)
-                u = rng.random(pending.size)
+                u = rng.random(n)
                 high = r > bound
                 if high.any():
                     i = np.argmax(high)
                     return None, None, (theta[i], float(r[i]))
-                proposals += pending.size
-                accept = u * bound <= r
-                rows[pending[accept]] = theta[accept]
-                pending = pending[~accept]
-                if not pending.size:
+                accepted = np.flatnonzero(u * bound <= r)[:stop - filled]
+                rows[filled:filled + accepted.size] = theta[accepted]
+                filled += accepted.size
+                if filled == stop:
+                    proposals += int(accepted[-1]) + 1
                     break
+                proposals += n
             else:
                 raise NonConvergenceError(
-                    f"rejection sampler gave up: {pending.size} of {m} rows "
+                    f"rejection sampler gave up: {stop - filled} of {m} rows "
                     f"accepted none of {REJECTION_MAX_PROPOSALS} proposals at bound "
                     f"{bound:.6g}; the ratio is likely unbounded under the proposal, so "
                     "no finite bound accepts at a usable rate"

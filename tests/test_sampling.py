@@ -62,9 +62,15 @@ class TestRngStreams:
             rng_streams(7, KIND_ROWS, 2**32 - 1, 2**32 + 1)
 
 
+def _row_index(rngs):
+    """A target that is each row's index in its block."""
+    return (np.arange(len(rngs)),)
+
+
 class TestRetryPolicy:
     # PILOT_SIZE = 0: no leading row has to solve, so the run drops rows
-    # instead of raising NoSolutionError
+    # instead of raising NoSolutionError; each attempt draws one uniform per
+    # pending row from its block's one generator
 
     def test_high_failure_rate_warns_and_drops(self, monkeypatch):
         from sip_lab import solvers
@@ -72,13 +78,11 @@ class TestRetryPolicy:
 
         monkeypatch.setattr(solvers, "PILOT_SIZE", 0)
 
-        def flaky(rngs):
-            ok = np.array([rng.random() < 0.3 for rng in rngs])
-            return np.ones((len(rngs), 1)), ok
+        def flaky(index, rng):
+            return np.ones((len(index), 1)), rng.random(len(index)) < 0.3
 
         with pytest.warns(RuntimeWarning, match="dropped"):
-            data, diag = _solve_rows(lambda rngs: (), flaky, 400, seed=2, retries=1,
-                                     label="flaky")
+            data, diag = _solve_rows(_row_index, flaky, 400, seed=2, retries=1, label="flaky")
         assert diag["failures"] > 0
         assert diag["rows_returned"] == data.shape[0] == 400 - diag["failures"]
 
@@ -88,12 +92,10 @@ class TestRetryPolicy:
 
         monkeypatch.setattr(solvers, "PILOT_SIZE", 0)
 
-        def flaky(rngs):
-            ok = np.array([rng.random() < 0.5 for rng in rngs])
-            return np.ones((len(rngs), 1)), ok
+        def flaky(index, rng):
+            return np.ones((len(index), 1)), rng.random(len(index)) < 0.5
 
-        data, diag = _solve_rows(lambda rngs: (), flaky, 300, seed=3, retries=10,
-                                 label="flaky")
+        data, diag = _solve_rows(_row_index, flaky, 300, seed=3, retries=10, label="flaky")
         # failing 10 draws in a row at p=0.5 is a 1-in-1024 event per row
         assert diag["failures"] <= 2
         assert diag["retries"] > 0

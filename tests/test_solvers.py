@@ -48,7 +48,15 @@ from sip_lab import (
 from sip_lab import solvers
 from sip_lab.forward_maps import eval_batch, jacobian_at, null_space_rows, \
     polar_quadratic_map
-from sip_lab.sampling import KIND_FIT, KIND_PILOT, KIND_PROBE, KIND_ROWS, rng_for, rng_streams
+from sip_lab.sampling import (
+    KIND_FIT,
+    KIND_INVERSE,
+    KIND_PILOT,
+    KIND_PROBE,
+    KIND_ROWS,
+    rng_for,
+    rng_streams,
+)
 from sip_lab.solvers import PILOT_SIZE, angular_conditional, polar_arc
 
 
@@ -931,55 +939,66 @@ def _per_row_newton(fmap, y, tail, theta0, counts):
     return theta[:q]
 
 
-def _per_row_start(rng, fmap):
+def _block_starts(rng, fmap, k):
+    """One attempt's Newton starts for k pending rows, drawn as the engine
+    draws them: k x q uniforms, then k x q normals, from the block's stream."""
     q = fmap.q
     lo, hi = fmap.domain.lower[:q], fmap.domain.upper[:q]
     finite = np.isfinite(lo) & np.isfinite(hi)
-    out = np.empty(q)
-    u = rng.random(q)
-    z = rng.standard_normal(q)
-    out[finite] = lo[finite] + u[finite] * (hi[finite] - lo[finite])
-    out[~finite] = z[~finite]
+    u = rng.random((k, q))
+    z = rng.standard_normal((k, q))
+    out = np.empty((k, q))
+    out[:, finite] = lo[finite] + u[:, finite] * (hi[finite] - lo[finite])
+    out[:, ~finite] = z[:, ~finite]
     return out
 
 
 def _per_row_solve(reference, m, seed, retries=solvers.ROW_RETRIES):
     """Reference row solver: row i draws its target once on stream (seed,
-    KIND_ROWS, i), then retries ``attempt(rng, target)`` on the same stream
-    until it returns a row, before row i + 1 starts.  (The pilot is the
-    first rows themselves and only checks them, so it is left out.)"""
+    KIND_ROWS, i).  Block b's attempts then draw from stream (seed,
+    KIND_INVERSE, b), attempt by attempt with the pending rows in row order:
+    ``attempt(rng, targets)`` draws that attempt's randomness for all of them
+    and solves them one row at a time, returning a row or None for each.
+    (The pilot is the first rows themselves and only checks them, so it is
+    left out.)"""
     draw, attempt = reference
-    rows, failures, retries_used = [], 0, 0
-    for i in range(m):
-        rng = rng_for(seed, KIND_ROWS, i)
-        target = draw(rng)
-        for k in range(retries):
-            row = attempt(rng, target)
-            if row is not None:
-                rows.append(row)
-                retries_used += k
+    rows = [None] * m
+    failures, retries_used = 0, 0
+    for b, first in enumerate(range(0, m, solvers.ROW_BLOCK)):
+        block = range(first, min(first + solvers.ROW_BLOCK, m))
+        targets = {i: draw(rng_for(seed, KIND_ROWS, i)) for i in block}
+        rng = rng_for(seed, KIND_INVERSE, b)
+        pending = list(block)
+        for _ in range(retries):
+            if not pending:
                 break
-        else:
-            failures += 1
-            retries_used += retries
-    return np.vstack(rows), {"rows_returned": len(rows), "failures": failures,
+            solved = attempt(rng, [targets[i] for i in pending])
+            for i, row in zip(pending, solved):
+                rows[i] = row
+            pending = [i for i in pending if rows[i] is None]
+            retries_used += len(pending)
+        failures += len(pending)
+    kept = [row for row in rows if row is not None]
+    return np.vstack(kept), {"rows_returned": len(kept), "failures": failures,
                              "retries": retries_used}
 
 
 def _per_row_cov_exact(fmap, f_y, counts):
-    def attempt(rng, y):
-        start = _per_row_start(rng, fmap)
-        return _per_row_newton(fmap, y, np.empty(0), start, counts)
+    def attempt(rng, targets):
+        starts = _block_starts(rng, fmap, len(targets))
+        return [_per_row_newton(fmap, y, np.empty(0), start, counts)
+                for y, start in zip(targets, starts)]
 
     return lambda rng: f_y.sample(rng, 1)[0], attempt
 
 
 def _per_row_intuitive(fmap, f_y, f_aux, counts):
-    def attempt(rng, target):
-        y, tail = target
-        start = _per_row_start(rng, fmap)
-        head = _per_row_newton(fmap, y, tail, start, counts)
-        return None if head is None else np.concatenate([head, tail])
+    def attempt(rng, targets):
+        starts = _block_starts(rng, fmap, len(targets))
+        heads = [_per_row_newton(fmap, y, tail, start, counts)
+                 for (y, tail), start in zip(targets, starts)]
+        return [None if head is None else np.concatenate([head, tail])
+                for head, (_, tail) in zip(heads, targets)]
 
     return lambda rng: (f_y.sample(rng, 1)[0], f_aux.sample(rng, 1)[0]), attempt
 
@@ -988,7 +1007,7 @@ def _per_row_mixture(fmap, f_y, partition, w):
     weighted = iter(w)
     branch_weight = [next(weighted) if b.weighted else 1.0 for b in partition]
 
-    def attempt(rng, y):
+    def pre_images(y):
         candidates, weights = [], []
         for wt, branch in zip(branch_weight, partition):
             theta = np.atleast_1d(np.asarray(branch.inverse(y), dtype=float))
@@ -996,13 +1015,22 @@ def _per_row_mixture(fmap, f_y, partition, w):
             if branch.member(pt)[0] and fmap.domain.contains(pt)[0]:
                 candidates.append(theta)
                 weights.append(wt)
-        if not candidates:
-            return None
-        weights = np.asarray(weights)
-        total = weights.sum()
-        if total <= 0:
-            return None
-        return candidates[rng.choice(len(candidates), p=weights / total)]
+        return candidates, np.asarray(weights)
+
+    def attempt(rng, targets):
+        found = [pre_images(y) for y in targets]
+        has_mass = [bool(candidates) and weights.sum() > 0 for candidates, weights in found]
+        # one uniform for each row with a pre-image of mass, in one call;
+        # each row then picks as rng.choice(candidates, p=weights / total) does
+        u = iter(rng.random(sum(has_mass)).tolist())
+        out = []
+        for (candidates, weights), ok in zip(found, has_mass):
+            if not ok:
+                out.append(None)
+                continue
+            cdf = np.cumsum(weights / weights.sum())
+            out.append(candidates[int(np.searchsorted(cdf / cdf[-1], next(u), side="right"))])
+        return out
 
     return lambda rng: f_y.sample(rng, 1)[0], attempt
 
@@ -1014,18 +1042,20 @@ def _per_row_bbe_linear(A, f_y, lower, upper):
         y = f_y.sample(rng, 1)[0]
         return np.concatenate([y, lower + rng.random(lower.shape[0]) * (upper - lower)])
 
-    return draw, lambda rng, target: aug_inv @ target
+    return draw, lambda rng, targets: [aug_inv @ target for target in targets]
 
 
 def _per_row_bbe_polar(f_y):
-    def attempt(rng, target):
+    def invert(target):
         y, c = target
         r = math.sqrt(2.0 * y)
         phi1, phi2 = polar_arc(r)
         phi = phi1 + c * (phi2 - phi1)
+        # math.cos and math.sin: the platform libm, one point at a time
         return np.array([r * math.cos(phi), r * math.sin(phi)])
 
-    return lambda rng: (f_y.sample(rng, 1)[0, 0], rng.random()), attempt
+    return (lambda rng: (f_y.sample(rng, 1)[0, 0], rng.random()),
+            lambda rng, targets: [invert(target) for target in targets])
 
 
 def _cubic_map():
@@ -1040,8 +1070,9 @@ def _cubic_map():
 
 
 class TestRowSolversMatchPerRowReference:
-    """The lockstep row solvers consume every row stream as the per-row ones
-    did, and return the same rows bit for bit.
+    """The lockstep row solvers draw each row's target from its own stream
+    and each attempt's starts or branch uniforms from its block's one stream,
+    as the references do, and return the same rows bit for bit.
 
     The linear maps here have entries of +-1, whose products are exact: a
     BLAS matrix product over many rows may round a sum of inexact products
@@ -1311,12 +1342,13 @@ def test_sample_of_no_rows_keeps_the_columns(build):
 
 
 def test_rows_all_dropped_keep_the_columns(monkeypatch):
-    def never(rngs):
-        return np.ones((len(rngs), 3)), np.zeros(len(rngs), dtype=bool)
+    def never(index, rng):
+        return np.ones((len(index), 3)), np.zeros(len(index), dtype=bool)
 
     monkeypatch.setattr(solvers, "PILOT_SIZE", 0)  # drop the rows, do not raise
     with pytest.warns(RuntimeWarning, match="dropped"):
-        data, diag = solvers._solve_rows(lambda rngs: (), never, 20, seed=1, retries=2)
+        data, diag = solvers._solve_rows(lambda rngs: (np.arange(len(rngs)),), never, 20,
+                                         seed=1, retries=2)
     assert data.shape == (0, 3)
     assert diag["rows_returned"] == 0
 
@@ -1371,7 +1403,7 @@ def test_sample_attempts_each_row_once_when_none_fails(monkeypatch):
 
     def counting(draw, attempt, m, seed, **kwargs):
         def counted(*inputs):
-            attempted.append(len(inputs[-1]))
+            attempted.append(len(inputs[0]))  # the targets' rows; the last input is the rng
             return attempt(*inputs)
 
         return real(draw, counted, m, seed, **kwargs)
@@ -1518,6 +1550,40 @@ def test_rejection_seeds_one_stream_per_block(monkeypatch):
         (7, KIND_ROWS, b) for b in range(math.ceil(301 / 64))]
 
 
+@pytest.mark.parametrize("build", _ROW_SOLVERS + [
+    # y < 0 and y > 1 have no root in (-1, 1): those rows retry, so a block
+    # makes several attempts on its one generator
+    lambda: cov_exact(square_map(-1.0, 1.0), make_uniform([-0.2], [1.2])),
+], ids=_ROW_SOLVER_IDS + ["cov_exact_retrying"])
+def test_row_solvers_seed_one_inverse_stream_per_block(monkeypatch, build):
+    streams, handed = [], []
+    real_rng_for, real_solve_rows = solvers.rng_for, solvers._solve_rows
+
+    def recording(seed, kind, index):
+        streams.append((seed, kind, index))
+        return real_rng_for(seed, kind, index)
+
+    def checking(draw, attempt, m, seed, **kwargs):
+        def checked(*inputs):
+            handed.append(inputs[-1])
+            return attempt(*inputs)
+
+        return real_solve_rows(draw, checked, m, seed, **kwargs)
+
+    monkeypatch.setattr(solvers, "rng_for", recording)
+    monkeypatch.setattr(solvers, "_solve_rows", checking)
+    monkeypatch.setattr(solvers, "ROW_BLOCK", 64)
+    monkeypatch.setattr(solvers, "PILOT_SIZE", 0)  # drop rows, do not raise
+    solution = build()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the retrying case's drops
+        solution.sample(301, 7)
+    assert streams == [(7, KIND_INVERSE, b) for b in range(math.ceil(301 / 64))]
+    assert all(isinstance(rng, np.random.Generator) for rng in handed)
+    # one generator per block, handed to each of the block's attempts
+    assert len({id(rng) for rng in handed}) == len(streams) <= len(handed)
+
+
 def _heavy_tailed_kde_update():
     """N(0, 1) updated to f_Y = N(0, 1) under the identity, with a KDE of 200
     draws at bandwidth 0.3 as the pushforward: past the KDE's data its tail
@@ -1546,6 +1612,10 @@ def test_probe_reads_the_pushforward_in_log_space():
     y = np.array([[40.0]])
     assert push.pdf(y)[0] == 0.0 and push.log_pdf(y)[0] > -np.inf
     solution = bjw_density(gauss, linear_map(np.eye(1)), f_y, push)
-    with pytest.warns(RuntimeWarning, match="doubling"):
-        with pytest.raises(PredictabilityError, match=r"theta=.*unbounded under the proposal"):
-            bjw_rejection_sample(solution, 100, seed=1)
+    # a round scores at least PILOT_SIZE proposals, so the first one already
+    # finds a ratio past every doubling the cap allows, before any warning
+    with pytest.raises(PredictabilityError, match=r"theta=.*unbounded under the proposal") \
+            as error:
+        bjw_rejection_sample(solution, 100, seed=1)
+    needed = int(re.search(r"needs (\d+) doublings", str(error.value)).group(1))
+    assert needed > solvers.REJECTION_MAX_DOUBLINGS

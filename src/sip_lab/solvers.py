@@ -75,7 +75,7 @@ NEWTON_HALVINGS = 30
 ROW_RETRIES = 10
 ROW_BLOCK = 4096  # rows whose target generators are live at once; one inverse or rejection stream
 PILOT_SIZE = 512  # leading rows of a run that must each solve; rejection's pilot
-REJECTION_MAX_PROPOSALS = 100_000  # rounds per block
+REJECTION_MAX_PROPOSALS = 100_000  # proposals per row of a block before it gives up
 REJECTION_MAX_DOUBLINGS = 10  # of the pilot bound, in all
 FAILURE_WARN_RATE = 0.05
 IMAGE_RTOL = 1e-12  # a Gaussian pushforward this close to the initial's image is exact
@@ -711,9 +711,9 @@ def bjw_rejection_sample(solution: SipSolution, m: int, seed: int) -> SampleBatc
     from stream (seed, KIND_ROWS, b): each round draws one proposal per pending
     row, at least ``PILOT_SIZE``, in one call, with one ratio evaluation and one
     uniform call; its first acceptances fill the pending rows, and
-    ``proposals`` counts up to the one that fills the block.  A block with
-    rows pending after ``REJECTION_MAX_PROPOSALS`` rounds raises
-    ``NonConvergenceError``.  A pass stops at its first ratio over the bound,
+    ``proposals`` counts up to the one that fills the block.  A block that
+    has drawn ``REJECTION_MAX_PROPOSALS`` proposals per row with rows still
+    pending raises ``NonConvergenceError``.  A pass stops at its first ratio over the bound,
     which is doubled as often as that ratio needs before the run is redone
     (with a warning); a ratio that needs more than ``REJECTION_MAX_DOUBLINGS``
     doublings in all, or that overflows, raises ``PredictabilityError``
@@ -769,8 +769,17 @@ def bjw_rejection_sample(solution: SipSolution, m: int, seed: int) -> SampleBatc
         for b, first in enumerate(range(0, m, ROW_BLOCK)):
             rng = rng_for(seed, KIND_ROWS, b)
             filled, stop = first, min(first + ROW_BLOCK, m)
-            for _ in range(REJECTION_MAX_PROPOSALS):
+            drawn, budget = 0, REJECTION_MAX_PROPOSALS * (stop - first)
+            while filled < stop:
+                if drawn >= budget:
+                    raise NonConvergenceError(
+                        f"rejection sampler gave up: {stop - filled} of {m} rows still "
+                        f"pending after {drawn} proposals for a block of {stop - first} "
+                        f"rows at bound {bound:.6g}; the ratio is likely unbounded under "
+                        "the proposal, so no finite bound accepts at a usable rate"
+                    )
                 n = max(stop - filled, PILOT_SIZE)
+                drawn += n
                 theta = proposal.sample(rng, n)
                 r = ratio(theta)
                 u = rng.random(n)
@@ -781,17 +790,7 @@ def bjw_rejection_sample(solution: SipSolution, m: int, seed: int) -> SampleBatc
                 accepted = np.flatnonzero(u * bound <= r)[:stop - filled]
                 rows[filled:filled + accepted.size] = theta[accepted]
                 filled += accepted.size
-                if filled == stop:
-                    proposals += int(accepted[-1]) + 1
-                    break
-                proposals += n
-            else:
-                raise NonConvergenceError(
-                    f"rejection sampler gave up: {stop - filled} of {m} rows "
-                    f"accepted none of {REJECTION_MAX_PROPOSALS} proposals at bound "
-                    f"{bound:.6g}; the ratio is likely unbounded under the proposal, so "
-                    "no finite bound accepts at a usable rate"
-                )
+                proposals += int(accepted[-1]) + 1 if filled == stop else n
         return rows, proposals, None
 
     bound, doublings = 1.2 * peak, 0

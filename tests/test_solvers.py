@@ -606,14 +606,17 @@ class TestBjwRejection:
 
     def test_give_up_error_names_rows_cap_bound_and_cause(self, monkeypatch):
         # f_Y is far wider than the pushforward, so the ratio grows without
-        # bound in the tails and almost no proposal is accepted
+        # bound in the tails and almost no proposal is accepted.  A budget of
+        # 5 proposals per row is 100 for the block; a round scores at least
+        # PILOT_SIZE proposals, so the block gives up after its first round.
         monkeypatch.setattr(solvers, "REJECTION_MAX_PROPOSALS", 5)
         initial = make_gaussian(GaussianParams([0.0], [[1.0]]))
         f_y = make_gaussian(GaussianParams([0.0], [[100.0]]))
         solution = bjw_density(initial, linear_map([[1.0]]), f_y, initial)
         with pytest.raises(NonConvergenceError,
-                           match=r"\d+ of 20 rows accepted none of 5 proposals "
-                                 r"at bound [\d.e+]+; .*unbounded under the proposal"):
+                           match=rf"\d+ of 20 rows still pending after {PILOT_SIZE} "
+                                 r"proposals for a block of 20 rows at bound [\d.e+]+; "
+                                 r".*unbounded under the proposal"):
             bjw_rejection_sample(solution, 20, seed=1)
 
     def test_ratio_overflow_raises_predictability_error(self):
@@ -1046,16 +1049,18 @@ def _per_row_bbe_linear(A, f_y, lower, upper):
 
 
 def _per_row_bbe_polar(f_y):
-    def invert(target):
-        y, c = target
-        r = math.sqrt(2.0 * y)
-        phi1, phi2 = polar_arc(r)
-        phi = phi1 + c * (phi2 - phi1)
-        # math.cos and math.sin: the platform libm, one point at a time
-        return np.array([r * math.cos(phi), r * math.sin(phi)])
+    def attempt(rng, targets):
+        r, phi = [], []
+        for y, c in targets:
+            r.append(math.sqrt(2.0 * y))
+            phi1, phi2 = polar_arc(r[-1])
+            phi.append(phi1 + c * (phi2 - phi1))
+        # np.cos and np.sin over the attempt's angles, as the engine calls
+        # them: NumPy's SIMD loops need not round as the platform libm does
+        r, phi = np.array(r), np.array(phi)
+        return list(np.column_stack([r * np.cos(phi), r * np.sin(phi)]))
 
-    return (lambda rng: (f_y.sample(rng, 1)[0, 0], rng.random()),
-            lambda rng, targets: [invert(target) for target in targets])
+    return lambda rng: (f_y.sample(rng, 1)[0, 0], rng.random()), attempt
 
 
 def _cubic_map():

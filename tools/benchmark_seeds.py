@@ -1,7 +1,7 @@
 """Check every benchmark workload's examples at every benchmark program seed.
 
 Usage:
-    python3 tools/benchmark_seeds.py [--workload NAME ...]
+    python3 tools/benchmark_seeds.py
 
 Run from anywhere in a checkout.  ``perfbench/run.py`` fails a run when an
 example fails a check at the CLI seed that its benchmark seed maps to
@@ -9,13 +9,13 @@ example fails a check at the CLI seed that its benchmark seed maps to
 as perfbench's worker does (one BLAS thread, every flag at its default except
 ``--seed``, ``--samples`` and ``--out``), at every program seed and at the
 workload's ``--samples``.  It prints each failing check with its statistic
-and raw p-values, and exits 1 if any check fails.  Run it before a change
+and raw p-values, and each example that raises, as perfbench's worker counts
+it a failed example; it exits 1 if any run fails.  Run it before a change
 that moves a generator stream.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import json
@@ -35,32 +35,32 @@ from sip_lab import cli  # noqa: E402
 
 
 def failing_checks(example: str, seed: int, samples: int):
-    """(exit code, the failed checks of its report) for one CLI run."""
+    """(the exception it raised or None, the failed checks of its report) for
+    one CLI run."""
     with tempfile.TemporaryDirectory() as out:
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main([example, "--seed", str(seed), "--samples", str(samples),
-                             "--out", out])
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main([example, "--seed", str(seed), "--samples", str(samples),
+                          "--out", out])
+        except Exception as error:  # perfbench's worker counts it a failed example
+            return error, []
         report = json.loads((Path(out) / f"{example}_report.json").read_text())
-    return code, [check for check in report["checks"] if not check["passed"]]
+    return None, [check for check in report["checks"] if not check["passed"]]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", action="append", choices=sorted(WORKLOADS),
-                        help="a workload to check (repeatable; default: all)")
-    names = parser.parse_args(argv).workload or sorted(WORKLOADS)
+def main() -> int:
     failed = 0
-    for name in names:
+    for name in sorted(WORKLOADS):
         examples, samples = WORKLOADS[name]
         runs = 0
         for n, seed in enumerate(PROGRAM_SEEDS):
             for example in examples:
-                code, checks = failing_checks(example, seed, samples)
+                error, checks = failing_checks(example, seed, samples)
                 runs += 1
-                failed += bool(code or checks)
-                if code and not checks:
+                failed += bool(error or checks)
+                if error:
                     print(f"FAIL {name}: benchmark seed {n} (CLI --seed {seed}) "
-                          f"{example} exited {code}")
+                          f"{example} raised {type(error).__name__}: {error}")
                 for check in checks:
                     print(f"FAIL {name}: benchmark seed {n} (CLI --seed {seed}) {example} "
                           f"{check['name']} statistic={check['statistic']:.6g} "

@@ -9,6 +9,7 @@ check, 2 on an unknown example or an invalid flag value).  Identical
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -436,6 +437,7 @@ def run_example(cfg: RunConfig) -> int:
     return 0 if all_passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sip-lab",

@@ -73,7 +73,10 @@ class Support:
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.all((pts >= self.lower) & (pts <= self.upper), axis=1)
+        inside = np.ones(pts.shape[0], dtype=bool)
+        for j in range(self.dim):
+            inside &= (pts[:, j] >= self.lower[j]) & (pts[:, j] <= self.upper[j])
+        return inside
 
 
 def unbounded_support(dim: int) -> Support:
@@ -170,7 +173,7 @@ class Density:
         n = inside.shape[0]
         if n > POINT_BLOCK:
             values = np.empty(n)
-            # a lone last point joins the last block: one-row BLAS calls can round differently
+            # a lone last point joins the last block: a one-row product can round differently
             starts = range(0, n - 1, POINT_BLOCK)
             for start, stop in zip(starts, [*starts[1:], n]):
                 values[start:stop] = self._log_pdf_fn(inside[start:stop])
@@ -211,6 +214,9 @@ def draw(density: Density, n: int, seed: int) -> SampleBatch:
 def make_gaussian(params: GaussianParams) -> Density:
     """Multivariate normal density with Cholesky-based sampling.
 
+    The log density is forward substitution on the Cholesky factor L, scaling by
+    1 / diag(L); for d <= 2 a point rounds alike alone and in a batch.
+
     Raises
     ------
     NotPositiveDefiniteError
@@ -222,10 +228,16 @@ def make_gaussian(params: GaussianParams) -> Density:
     d = params.dim
     chol = np.linalg.cholesky(params.cov)
     log_det = 2.0 * np.sum(np.log(np.diag(chol)))
+    recip = 1.0 / np.diag(chol)
     sigmas = np.sqrt(np.diag(params.cov))
 
     def log_pdf_fn(pts):
-        z = np.linalg.solve(chol, (pts - params.mean).T)
+        z = np.subtract(pts.T, params.mean[:, None], order="C")
+        # inf * 0 where an infinite coordinate meets a zero entry of L: NaN, as in LAPACK
+        with np.errstate(invalid="ignore"):
+            for j in range(d):
+                z[j] -= chol[j, :j] @ z[:j]
+                z[j] *= recip[j]
         return -0.5 * (d * _LOG_2PI + log_det + np.sum(z * z, axis=0))
 
     def sample_fn(rng, n):

@@ -522,13 +522,17 @@ def polar_arc(r):
     """Admissible polar-angle interval (phi1, phi2) at radius r on the unit square.
 
     The full quarter arc (0, pi/2) for r <= 1; the corner-clipped arc for
-    1 < r <= sqrt(2), collapsing to a point at r = sqrt(2).
+    1 < r <= sqrt(2), collapsing to a point at r = sqrt(2).  ``arctan2`` runs
+    where r is not <= 1 (NaN too), and ``bbe_polar`` needs one arc per point.
     """
     r = np.asarray(r, dtype=float)
-    excess = np.sqrt(np.maximum(r * r - 1.0, 0.0))
-    phi1 = np.where(r <= 1.0, 0.0, np.arctan2(excess, 1.0))
-    phi2 = np.where(r <= 1.0, 0.5 * np.pi, np.arctan2(1.0, excess))
-    return phi1, phi2
+    radii = np.atleast_1d(r)
+    outer = np.nonzero(~(radii <= 1.0))
+    excess = np.sqrt(np.square(radii[outer]) - 1.0)
+    phi1, phi2 = np.zeros(radii.shape), np.full(radii.shape, 0.5 * np.pi)
+    phi1[outer] = np.arctan2(excess, 1.0)
+    phi2[outer] = np.arctan2(1.0, excess)
+    return phi1.reshape(r.shape), phi2.reshape(r.shape)
 
 
 def angular_conditional(phi, r):
@@ -537,14 +541,15 @@ def angular_conditional(phi, r):
     Evaluates to the closed-boundary limit on the arc endpoints (the square's
     edges), which keeps quadrature over the closed square accurate.
     """
-    phi = np.asarray(phi, dtype=float)
     r = np.asarray(r, dtype=float)
-    phi1, phi2 = polar_arc(r)
+    return _arc_density(np.asarray(phi, dtype=float), r, *polar_arc(r))
+
+
+def _arc_density(phi, r, phi1, phi2):
     width = phi2 - phi1
     inside = (phi >= phi1) & (phi <= phi2) & (r > 0) & (r <= math.sqrt(2.0)) & (width > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        dens = np.where(inside, 1.0 / np.where(width > 0, width, 1.0), 0.0)
-    return dens
+        return np.where(inside, 1.0 / np.where(width > 0, width, 1.0), 0.0)
 
 
 def bbe_polar(f_y: Density) -> SipSolution:
@@ -553,7 +558,8 @@ def bbe_polar(f_y: Density) -> SipSolution:
     T = (r^2 / 2, (phi - phi1(r)) / (phi2(r) - phi1(r))): radius plays the
     observable-indexing coordinate, polar angle the contour coordinate with
     a uniform distribution on the admissible arc, so the log Jacobian is
-    that of the angular conditional.  The inverse draws nothing.
+    that of the angular conditional.  ``forward`` computes each point's arc
+    once and scores the angle on it.  The inverse draws nothing.
     """
 
     def forward(pts):
@@ -563,7 +569,7 @@ def bbe_polar(f_y: Density) -> SipSolution:
         # 0/0 at the origin and at the corner, where the arc has no width
         with np.errstate(divide="ignore", invalid="ignore"):
             return (0.5 * r * r, (phi - phi1) / (phi2 - phi1),
-                    np.log(angular_conditional(phi, r)))
+                    np.log(_arc_density(phi, r, phi1, phi2)))
 
     def inverse(y, c, rng):
         r = np.sqrt(2.0 * y[:, 0])

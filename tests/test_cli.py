@@ -69,6 +69,18 @@ def test_parser_registers_all_examples():
         assert name in text
 
 
+def test_parser_is_built_once_and_parses_each_call_afresh(monkeypatch):
+    assert build_parser() is build_parser()
+    seen = []
+    monkeypatch.setattr("sip_lab.cli.run_example", lambda cfg: seen.append(cfg) or 0)
+    assert main(["two-to-one", "--w", "0.25", "--seed", "3"]) == 0
+    assert main(["regression-compare", "--sigma", "2.5", "--format", "json"]) == 0
+    assert main(["two-to-one"]) == 0
+    assert seen == [RunConfig(example="two-to-one", w=0.25, seed=3),
+                    RunConfig(example="regression-compare", sigma=2.5, format="json"),
+                    RunConfig(example="two-to-one")]
+
+
 @pytest.mark.parametrize("example", EXAMPLES)
 def test_every_example_runs_and_passes(tmp_path, example):
     code, out = _run(tmp_path, example)

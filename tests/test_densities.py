@@ -53,6 +53,29 @@ class TestGaussian:
         pts = RNG(0).normal(size=(200, 2)) * 3
         np.testing.assert_allclose(np.exp(dens.log_pdf(pts)), dens.pdf(pts), rtol=1e-12)
 
+    def test_point_rounds_alike_alone_and_in_a_batch(self):
+        # forward substitution gives each coordinate of z at most one product
+        # in two dimensions, so a batch does not change a point's rounding
+        dens = make_gaussian(GaussianParams([0.5, -1.0], [[1.0, 0.4], [0.4, 2.0]]))
+        pts = RNG(0).standard_normal((1000, 2))
+        batch = dens.log_pdf(pts)
+        assert all(dens.log_pdf(pts[i]) == batch[i] for i in range(len(pts)))
+
+    def test_ill_conditioned_log_pdf_far_in_the_tails(self):
+        from scipy.stats import multivariate_normal
+
+        rho = 0.999999
+        mean, cov = np.array([0.3, -2.0]), np.array([[1.0, 0.5 * rho], [0.5 * rho, 0.25]])
+        dens = make_gaussian(GaussianParams(mean, cov))
+        # points 0 to 30 standard deviations out, along every whitened direction
+        u = RNG(5).standard_normal((2000, 2))
+        u *= (np.linspace(0.0, 30.0, 2000) / np.linalg.norm(u, axis=1))[:, None]
+        pts = mean + u @ np.linalg.cholesky(cov).T
+        # atol for the log density's zero crossing, near 3 standard deviations
+        np.testing.assert_allclose(dens.log_pdf(pts),
+                                   multivariate_normal(mean, cov).logpdf(pts),
+                                   rtol=1e-10, atol=1e-10)
+
 
 class TestTruncatedGaussian:
     def test_unit_mass(self):
@@ -111,6 +134,25 @@ def test_log_pdf_passes_in_support_points_without_copying():
     np.testing.assert_array_equal(dens.pdf(mixed), [1.0, 0.0])
     np.testing.assert_array_equal(seen[-1], mixed[:1])
     assert dens.log_pdf(np.array([[3.0, 3.0]]))[0] == -np.inf and len(seen) == 2
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 11])
+def test_support_contains_matches_the_row_reduction(d):
+    rng = RNG(d)
+    lower = rng.uniform(-2.0, 0.0, size=d)
+    upper = lower + rng.uniform(0.5, 2.0, size=d)
+    if d:
+        lower[0], upper[-1] = -np.inf, np.inf
+    support = Support(lower, upper)
+    pts = rng.uniform(-3.0, 3.0, size=(400, d))
+    # boundary points, NaN and +-inf, one coordinate at a time
+    specials = np.concatenate([lower, upper, [np.nan, np.inf, -np.inf]])
+    for row in range(0, 400, 3):
+        if d:
+            pts[row, rng.integers(d)] = rng.choice(specials)
+    pts[::50] = 0.5 * (np.maximum(lower, -3.0) + np.minimum(upper, 3.0))
+    expected = np.all((pts >= support.lower) & (pts <= support.upper), axis=1)
+    assert np.array_equal(support.contains(pts), expected)
 
 
 class TestBeta:

@@ -419,6 +419,21 @@ class TestBbePolar:
         assert phi1 == pytest.approx(0.0, abs=1e-15)
         assert phi2 == pytest.approx(math.pi / 2.0, abs=1e-15)
 
+    def test_arc_matches_the_two_branch_reference(self):
+        def reference(r):
+            excess = np.sqrt(np.maximum(r * r - 1.0, 0.0))
+            return (np.where(r <= 1.0, 0.0, np.arctan2(excess, 1.0)),
+                    np.where(r <= 1.0, 0.5 * np.pi, np.arctan2(1.0, excess)))
+
+        special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, np.nextafter(1.0, 2.0),
+                   math.sqrt(2.0), 2.0]
+        r = np.concatenate([special, 1.6 * np.random.default_rng(61).random(4991)])
+        for radii in (r, r.reshape(50, -1), *map(np.float64, special)):
+            got, expected = polar_arc(radii), reference(np.asarray(radii))
+            for a, b in zip(got, expected):
+                assert a.shape == b.shape
+                assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
     @pytest.mark.parametrize("r", [0.05, 0.4, 0.999, 1.0, 1.001, 1.2, 1.4135])
     def test_conditional_integrates_to_one(self, r):
         phi1, phi2 = polar_arc(r)

@@ -58,8 +58,8 @@ class Support:
         hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lo.shape != hi.shape:
             raise ValueError("support bounds must have equal length")
-        if np.any(lo >= hi):
-            raise DomainError(f"empty support box: lower={lo}, upper={hi}")
+        if not np.all(lo < hi):
+            raise DomainError(f"empty or undefined support box: lower={lo}, upper={hi}")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -95,6 +95,8 @@ class GaussianParams:
         cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"cov shape {cov.shape} does not match mean length {mean.size}")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise ValueError(f"mean and covariance must be finite, got {mean} and {cov}")
         asym = np.max(np.abs(cov - cov.T))
         if asym > 1e-12 * max(1.0, np.max(np.abs(cov))):
             raise ValueError(f"covariance is not symmetric (max asymmetry {asym:.3e})")
@@ -139,7 +141,10 @@ class Density:
     in-support points and returns (n,) log densities.  ``log_pdf`` is
     ``-inf`` outside the support, and ``pdf`` is the ``exp`` of ``log_pdf``.
     More than ``POINT_BLOCK`` points reach ``log_pdf_fn`` in blocks, which
-    keeps its temporaries small and gives the values of one call.
+    keeps its temporaries small and gives the values of one call.  A solution
+    density may lack a sampler or marginal CDFs; an observable law may not,
+    and ``sample`` and ``marginal_cdf`` raise ValueError naming a density
+    that lacks them.
     """
 
     def __init__(self, dim, support, log_pdf_fn, sample_fn=None,
@@ -151,14 +156,6 @@ class Density:
         self._marginal_cdfs = marginal_cdfs
         self.name = name
         self.gaussian = gaussian
-
-    @property
-    def has_sampler(self) -> bool:
-        return self._sample_fn is not None
-
-    @property
-    def has_marginal_cdfs(self) -> bool:
-        return self._marginal_cdfs is not None
 
     def pdf(self, x) -> np.ndarray | float:
         pts, single = as_points(x, self.dim)
@@ -215,7 +212,8 @@ def make_gaussian(params: GaussianParams) -> Density:
     """Multivariate normal density with Cholesky-based sampling.
 
     The log density is forward substitution on the Cholesky factor L, scaling by
-    1 / diag(L); for d <= 2 a point rounds alike alone and in a batch.
+    1 / diag(L), one product at a time, and sums the squares in coordinate order,
+    so that in every dimension a point rounds alike alone and in a batch.
 
     Raises
     ------
@@ -223,8 +221,6 @@ def make_gaussian(params: GaussianParams) -> Density:
         If the covariance has a nonpositive eigenvalue (raised by
         ``GaussianParams`` itself, naming the offending eigenvalue).
     """
-    if not isinstance(params, GaussianParams):
-        params = GaussianParams(np.asarray(params[0]), np.asarray(params[1]))
     d = params.dim
     chol = np.linalg.cholesky(params.cov)
     log_det = 2.0 * np.sum(np.log(np.diag(chol)))
@@ -236,9 +232,11 @@ def make_gaussian(params: GaussianParams) -> Density:
         # inf * 0 where an infinite coordinate meets a zero entry of L: NaN, as in LAPACK
         with np.errstate(invalid="ignore"):
             for j in range(d):
-                z[j] -= chol[j, :j] @ z[:j]
+                for k in range(j):
+                    z[j] -= chol[j, k] * z[k]
                 z[j] *= recip[j]
-        return -0.5 * (d * _LOG_2PI + log_det + np.sum(z * z, axis=0))
+        # summed row by row: a pairwise sum's order depends on the batch
+        return -0.5 * (d * _LOG_2PI + log_det + sum(row * row for row in z))
 
     def sample_fn(rng, n):
         z = rng.standard_normal((n, d))
@@ -259,10 +257,10 @@ def make_truncated_gaussian(mu: float, sigma: float, lo: float, hi: float) -> De
     handled as the mirror image of one below it, where ``ndtr`` keeps its
     relative accuracy instead of rounding to 1.
     """
-    if sigma <= 0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    if lo >= hi:
-        raise DomainError(f"empty truncation interval ({lo}, {hi})")
+    if not (math.isfinite(mu) and 0 < sigma < math.inf):
+        raise DomainError(f"need a finite mu and a finite positive sigma, got {mu}, {sigma}")
+    if not lo < hi:
+        raise DomainError(f"empty or undefined truncation interval ({lo}, {hi})")
     alpha = (lo - mu) / sigma
     beta = (hi - mu) / sigma
     # above the mean, work with Z' = -Z on (-beta, -alpha), away from ndtr's 1
@@ -293,8 +291,8 @@ def make_truncated_gaussian(mu: float, sigma: float, lo: float, hi: float) -> De
 
 def make_beta(a: float, b: float) -> Density:
     """Beta(a, b) on (0, 1); sampling delegates to the generator's gamma-ratio method."""
-    if a <= 0 or b <= 0:
-        raise DomainError(f"beta shapes must be positive, got a={a}, b={b}")
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise DomainError(f"beta shapes must be finite and positive, got a={a}, b={b}")
     log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
 
     def log_pdf_fn(pts):
@@ -418,6 +416,8 @@ def fit_kde(samples, bandwidth=None) -> KdeDensity:
     m, d = data.shape
     if m < 2:
         raise ValueError(f"KDE needs at least 2 samples, got {m} (bandwidth undefined)")
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"KDE samples must be finite, got a NaN or an inf among {m} rows")
     explicit = bandwidth is not None
     bandwidth = np.atleast_1d(np.asarray(bandwidth, dtype=float)) if explicit \
         else scott_bandwidth(data)

@@ -711,19 +711,22 @@ def bjw_rejection_sample(solution: SipSolution, m: int, seed: int) -> SampleBatc
 
     The proposal is ``solution.parts["initial"]``, set by :func:`bjw_density`.
     It cancels from the ratio, so a proposal theta scores
-    exp(log f_Y(g(theta)) - log pushforward(g(theta))).  The bound is 1.2
-    times the largest of ``PILOT_SIZE`` pilot ratios on stream
-    (seed, KIND_PILOT, 0), whatever m is.  Block b of ``ROW_BLOCK`` rows draws
-    from stream (seed, KIND_ROWS, b): each round draws one proposal per pending
-    row, at least ``PILOT_SIZE``, in one call, with one ratio evaluation and one
-    uniform call; its first acceptances fill the pending rows, and
-    ``proposals`` counts up to the one that fills the block.  A block that
-    has drawn ``REJECTION_MAX_PROPOSALS`` proposals per row with rows still
-    pending raises ``NonConvergenceError``.  A pass stops at its first ratio over the bound,
-    which is doubled as often as that ratio needs before the run is redone
-    (with a warning); a ratio that needs more than ``REJECTION_MAX_DOUBLINGS``
-    doublings in all, or that overflows, raises ``PredictabilityError``
-    naming theta.
+    exp(log f_Y(g(theta)) - log pushforward(g(theta))).  Every call first
+    probes ``PILOT_SIZE`` observable draws on stream (seed, KIND_PROBE, 0) and raises
+    ``PredictabilityError`` if any falls outside the pushforward's support; an
+    observable without a sampler raises ValueError there, before any row is
+    drawn.  The bound is 1.2 times the largest of ``PILOT_SIZE`` pilot ratios
+    on stream (seed, KIND_PILOT, 0), whatever m is.  Block b of ``ROW_BLOCK``
+    rows draws from stream (seed, KIND_ROWS, b): each round draws one proposal
+    per pending row, at least ``PILOT_SIZE``, in one call, with one ratio
+    evaluation and one uniform call; its first acceptances fill the pending
+    rows, and ``proposals`` counts up to the one that fills the block.  A block
+    that has drawn ``REJECTION_MAX_PROPOSALS`` proposals per row with rows
+    still pending raises ``NonConvergenceError``.  A pass stops at its first
+    ratio over the bound, which is doubled as often as that ratio needs before
+    the run is redone (with a warning); a ratio that needs more than
+    ``REJECTION_MAX_DOUBLINGS`` doublings in all, or that overflows, raises
+    ``PredictabilityError`` naming theta.
     """
     parts = solution.parts
     if not {"initial", "fmap", "f_y", "pushforward"} <= parts.keys():
@@ -751,14 +754,13 @@ def bjw_rejection_sample(solution: SipSolution, m: int, seed: int) -> SampleBatc
 
     # predictability probe on observable draws, in log space: a pushforward
     # density that only underflows there still has those draws in its support
-    if f_y.has_sampler:
-        outside = pushforward.log_pdf(f_y.sample(rng_for(seed, KIND_PROBE, 0),
-                                                 PILOT_SIZE)) == -np.inf
-        if outside.any():
-            raise PredictabilityError(
-                "observable draws fall outside the pushforward support "
-                f"({int(outside.sum())}/{PILOT_SIZE} probe draws)"
-            )
+    outside = pushforward.log_pdf(f_y.sample(rng_for(seed, KIND_PROBE, 0),
+                                             PILOT_SIZE)) == -np.inf
+    if outside.any():
+        raise PredictabilityError(
+            "observable draws fall outside the pushforward support "
+            f"({int(outside.sum())}/{PILOT_SIZE} probe draws)"
+        )
 
     peak = float(ratio(proposal.sample(rng_for(seed, KIND_PILOT, 0), PILOT_SIZE)).max())
     if peak <= 0:

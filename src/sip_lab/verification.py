@@ -3,14 +3,14 @@ grid-based density comparison.
 
 Every check returns a CheckReport whose pass flag is a pure function of
 (statistic, threshold, comparison); all randomized checks are
-deterministic given their seed.  KS p-values, one- and two-sample, come
-from the limiting Kolmogorov distribution in ``_special``; energy p-values stop
-early (Besag & Clifford 1991); the pushforward check is Holm-corrected (1979).
+deterministic given their seed.  KS p-values, always against an observable
+law's analytic marginal CDFs, come from the limiting Kolmogorov distribution
+in ``_special``; energy p-values stop early (Besag & Clifford 1991); the
+pushforward check is Holm-corrected (1979).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +22,8 @@ from .forward_maps import eval_batch
 from .sampling import KIND_PERMUTATION, KIND_PROBE, rng_for, rng_streams
 
 ENERGY_MAX_GROUP = 1024
+# permutations per energy test, and per p-value that the pushforward check corrects for
+ENERGY_PERMUTATIONS = 200
 # under the null, 0..24 of 24 permutations reach the observed one equally often: 2/25 go on
 ENERGY_FIRST_BATCH = 24
 # later batches end at multiples of 200, so at 2048 rows no indicator table passes 3.3 MB
@@ -147,7 +149,7 @@ def ks_test_1d(samples, cdf) -> tuple[float, float]:
     return float(d_stat), p_value
 
 
-def energy_distance_test(x: np.ndarray, y: np.ndarray, n_permutations: int = 200,
+def energy_distance_test(x: np.ndarray, y: np.ndarray, n_permutations: int = ENERGY_PERMUTATIONS,
                          seed: int = 0) -> tuple[float, float]:
     """Two-sample energy-distance permutation test (Szekely & Rizzo).
 
@@ -205,15 +207,16 @@ def energy_distance_test(x: np.ndarray, y: np.ndarray, n_permutations: int = 200
 
 
 def pushforward_check(samples, fmap, f_y: Density, alpha: float = 0.01,
-                      seed: int = 0, n_permutations: int = 200) -> CheckReport:
+                      seed: int = 0) -> CheckReport:
     """Do drawn solution samples actually push forward to the observable density?
 
-    Maps the (m, p) ``samples`` and runs a per-marginal KS test against the
-    observable marginal CDFs (two-sample against m observable draws when
-    those are missing); for multivariate observables an energy-distance
-    permutation test against m observable draws is added, capped at k
-    ``n_permutations`` so that it can fail at alpha / k.  Passes when Holm's
-    adjusted smallest of the k p-values, min(1, k p_min), is at least alpha.
+    Maps the (m, p) ``samples`` and runs a KS test of each image coordinate
+    against the observable's marginal CDF; for multivariate observables an
+    energy-distance permutation test against m observable draws is added,
+    capped at k ``ENERGY_PERMUTATIONS`` so that it can fail at alpha / k.
+    Passes when Holm's adjusted smallest of the k p-values, min(1, k p_min),
+    is at least alpha.  An observable law must have marginal CDFs, and a
+    sampler when q >= 2: ``Density`` raises ValueError naming it otherwise.
     """
     theta = np.asarray(samples, dtype=float)
     if theta.ndim != 2 or theta.shape[1] != fmap.p:
@@ -221,50 +224,26 @@ def pushforward_check(samples, fmap, f_y: Density, alpha: float = 0.01,
             f"samples must be an (m, {fmap.p}) array for this map, "
             f"got shape {theta.shape}"
         )
-    m = theta.shape[0]
     images = eval_batch(fmap, theta)
     q = images.shape[1]
 
     p_values = []
     notes = []
-    if f_y.has_marginal_cdfs:
-        for j in range(q):
-            _, p_j = ks_test_1d(images[:, j], lambda v, j=j: f_y.marginal_cdf(j, v))
-            p_values.append(p_j)
-            notes.append(f"ks[{j}]={p_j:.4g}")
-    else:
-        reference = f_y.sample(rng_for(seed, KIND_PROBE, 1), m)
-        for j in range(q):
-            _, p_j = _two_sample_ks(images[:, j], reference[:, j])
-            p_values.append(p_j)
-            notes.append(f"ks2[{j}]={p_j:.4g}")
+    for j in range(q):
+        _, p_j = ks_test_1d(images[:, j], lambda v, j=j: f_y.marginal_cdf(j, v))
+        p_values.append(p_j)
+        notes.append(f"ks[{j}]={p_j:.4g}")
 
     if q >= 2:
-        if not f_y.has_sampler:
-            raise ValueError("multivariate check needs an observable sampler")
-        reference = f_y.sample(rng_for(seed, KIND_PROBE, 2), m)
-        _, p_energy = energy_distance_test(images, reference, (q + 1) * n_permutations, seed)
+        reference = f_y.sample(rng_for(seed, KIND_PROBE, 2), theta.shape[0])
+        _, p_energy = energy_distance_test(images, reference, (q + 1) * ENERGY_PERMUTATIONS,
+                                           seed)
         p_values.append(p_energy)
         notes.append(f"energy={p_energy:.4g}")
 
     return CheckReport(name="pushforward",
                        statistic=float(min(1.0, len(p_values) * min(p_values))),
                        threshold=alpha, comparison="ge", details=", ".join(notes))
-
-
-def _two_sample_ks(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """Two-sample Kolmogorov-Smirnov test: (D, p).
-
-    D is the largest gap between the two empirical CDFs over the pooled
-    points; p is the limiting Kolmogorov tail at sqrt(nm / (n + m)) D.
-    """
-    a, b = np.sort(a), np.sort(b)
-    n, m = a.shape[0], b.shape[0]
-    pooled = np.concatenate([a, b])
-    gaps = np.searchsorted(a, pooled, side="right") / n \
-        - np.searchsorted(b, pooled, side="right") / m
-    d_stat = float(np.max(np.abs(gaps)))
-    return d_stat, kolmogorov(math.sqrt(n * m / (n + m)) * d_stat)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from scipy.optimize import minimize_scalar
 
 from sip_lab import _kernels
 from sip_lab import (
+    DomainError,
     GaussianParams,
     MixtureWeights,
     NotPositiveDefiniteError,
@@ -26,6 +27,11 @@ from sip_lab.verification import ks_test_1d
 from conftest import random_spd
 
 RNG = lambda s: np.random.default_rng(s)
+
+
+def _assert_rounds_alike(dens, pts):
+    batch = dens.log_pdf(pts)
+    assert all(dens.log_pdf(pts[i]) == batch[i] for i in range(len(pts)))
 
 
 class TestGaussian:
@@ -54,12 +60,18 @@ class TestGaussian:
         np.testing.assert_allclose(np.exp(dens.log_pdf(pts)), dens.pdf(pts), rtol=1e-12)
 
     def test_point_rounds_alike_alone_and_in_a_batch(self):
-        # forward substitution gives each coordinate of z at most one product
-        # in two dimensions, so a batch does not change a point's rounding
+        # forward substitution one product at a time and squares summed in
+        # coordinate order: a batch does not change a point's rounding
         dens = make_gaussian(GaussianParams([0.5, -1.0], [[1.0, 0.4], [0.4, 2.0]]))
-        pts = RNG(0).standard_normal((1000, 2))
-        batch = dens.log_pdf(pts)
-        assert all(dens.log_pdf(pts[i]) == batch[i] for i in range(len(pts)))
+        _assert_rounds_alike(dens, RNG(0).standard_normal((1000, 2)))
+
+    @pytest.mark.parametrize("d", [3, 5, 8, 11])
+    def test_point_rounds_alike_alone_and_in_a_batch_above_two_dims(self, d):
+        # more than one product per coordinate, and from d = 8 more squares
+        # than a pairwise sum adds one by one
+        rng = RNG(d)
+        dens = make_gaussian(GaussianParams(rng.normal(size=d), random_spd(rng, d)))
+        _assert_rounds_alike(dens, RNG(0).standard_normal((1000, d)))
 
     def test_ill_conditioned_log_pdf_far_in_the_tails(self):
         from scipy.stats import multivariate_normal
@@ -75,6 +87,27 @@ class TestGaussian:
         np.testing.assert_allclose(dens.log_pdf(pts),
                                    multivariate_normal(mean, cov).logpdf(pts),
                                    rtol=1e-10, atol=1e-10)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: make_truncated_gaussian(NAN, 1.0, 0.0, 1.0), DomainError),
+    (lambda: make_truncated_gaussian(0.0, NAN, 0.0, 1.0), DomainError),
+    (lambda: make_truncated_gaussian(0.0, 1.0, NAN, 1.0), DomainError),
+    (lambda: make_truncated_gaussian(0.0, 1.0, 0.0, NAN), DomainError),
+    (lambda: make_beta(NAN, 2.0), DomainError),
+    (lambda: make_beta(2.0, math.inf), DomainError),
+    (lambda: GaussianParams([NAN], [[1.0]]), ValueError),
+    (lambda: GaussianParams([0.0], [[NAN]]), ValueError),
+    (lambda: Support([NAN], [1.0]), DomainError),
+    (lambda: fit_kde([[0.0], [1.0], [NAN]], bandwidth=0.5), ValueError),
+], ids=["trunc_mu", "trunc_sigma", "trunc_lo", "trunc_hi", "beta_a", "beta_b_inf",
+        "gauss_mean", "gauss_cov", "support", "kde"])
+def test_non_finite_parameters_raise_at_construction(make, error):
+    with pytest.raises(error):
+        make()
 
 
 class TestTruncatedGaussian:

@@ -15,7 +15,8 @@ import pytest
 from sip_lab import _kernels
 from sip_lab.densities import Density
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _tree(name):
@@ -66,6 +67,32 @@ def test_read_attributes_resolve(name, owner, obj, expected):
     assert expected <= names
     missing = sorted(n for n in names if not hasattr(obj, n))
     assert not missing, f"perfbench/{name} reads {owner}.{missing}, which do not exist"
+
+
+def _module_names(tree):
+    """The names a module binds at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def test_seed_sweep_imports_resolve():
+    """``tools/benchmark_seeds.py`` imports names from ``perfbench/run.py``, so
+    renaming one there breaks the seed sweep."""
+    tool = ast.parse((ROOT / "tools" / "benchmark_seeds.py").read_text())
+    imported = {a.name for node in ast.walk(tool)
+                if isinstance(node, ast.ImportFrom) and node.module == "run"
+                for a in node.names}
+    assert {"PROGRAM_SEEDS", "WORKLOADS"} <= imported
+    missing = sorted(imported - _module_names(_tree("run.py")))
+    assert not missing, f"tools/benchmark_seeds.py imports {missing}, which perfbench/run.py lacks"
 
 
 def test_kde_table_build_is_traced(monkeypatch):

@@ -1639,3 +1639,20 @@ def test_probe_reads_the_pushforward_in_log_space():
         bjw_rejection_sample(solution, 100, seed=1)
     needed = int(re.search(r"needs (\d+) doublings", str(error.value)).group(1))
     assert needed > solvers.REJECTION_MAX_DOUBLINGS
+
+
+def test_rejection_against_an_observable_without_a_sampler_raises_first(monkeypatch):
+    # the support probe draws from the observable before any proposal is drawn
+    initial = make_gaussian(GaussianParams([0.0, 0.0], np.eye(2)))
+    fmap = linear_map([[1.0, 1.0]])
+    gauss = make_gaussian(GaussianParams([0.25], [[0.25]]))
+    f_y = Density(1, gauss.support, gauss.log_pdf, marginal_cdfs=gauss.marginal_cdf,
+                  name="unsampled")
+    solution = bjw_density(initial, fmap, f_y, kde_pushforward(initial, fmap, 500, 1))
+
+    def no_proposals(rng, n):
+        raise AssertionError("proposal drawn")
+
+    monkeypatch.setattr(initial, "sample", no_proposals)
+    with pytest.raises(ValueError, match="density 'unsampled' has no sampler"):
+        solution.sample(50, 1)

@@ -7,6 +7,7 @@ import pytest
 
 from sip_lab import (
     CheckReport,
+    Density,
     GaussianParams,
     GridSpec,
     cov_exact,
@@ -19,9 +20,7 @@ from sip_lab import (
     normalization_check,
     pushforward_check,
 )
-from sip_lab._special import kolmogorov
 from sip_lab.sampling import KIND_PERMUTATION, rng_for
-from sip_lab.verification import _two_sample_ks
 
 
 class TestKsTest:
@@ -55,35 +54,6 @@ class TestKsTest:
         draws[[3, 17]] = np.nan
         with pytest.raises(ValueError, match="2 of the 50 samples are NaN"):
             ks_test_1d(draws, lambda v: np.clip(v, 0, 1))
-
-
-class TestTwoSampleKs:
-    @pytest.mark.parametrize("n,m", [(2, 3), (50, 80), (300, 300), (1000, 37)])
-    def test_statistic_equals_scipy(self, n, m):
-        from scipy.stats import ks_2samp
-
-        rng = np.random.default_rng(n + m)
-        # rounding makes ties within and across the two samples
-        a = np.round(rng.standard_normal(n), 1)
-        b = np.round(rng.standard_normal(m) + 0.2, 1)
-        d_stat, p_value = _two_sample_ks(a, b)
-        assert d_stat == ks_2samp(a, b, method="asymp").statistic
-        assert p_value == kolmogorov(np.sqrt(n * m / (n + m)) * d_stat)
-
-    def test_null_rejection_share_within_binomial_bounds(self):
-        # 400 null replicates at level 0.05: Binomial(400, 0.05) has mean 20
-        # and sd 4.4, and the limiting law is slightly conservative at these sizes
-        rejections = 0
-        for k in range(400):
-            rng = np.random.default_rng(1000 + k)
-            _, p_value = _two_sample_ks(rng.standard_normal(200), rng.standard_normal(150))
-            rejections += p_value < 0.05
-        assert 7 <= rejections <= 33
-
-    def test_shifted_samples_fail(self):
-        rng = np.random.default_rng(97)
-        _, p_value = _two_sample_ks(rng.standard_normal(500), rng.standard_normal(500) + 0.5)
-        assert p_value < 1e-6
 
 
 def _record_tables(monkeypatch):
@@ -301,6 +271,17 @@ class TestPushforwardCheck:
         report = pushforward_check(samples, fmap, f_y, seed=4)
         assert not report.passed
         assert report.details.endswith("energy=0.001664")  # 1 / 601
+
+    @pytest.mark.parametrize("q, lacking", [(1, "marginal_cdfs"), (2, "sample_fn")])
+    def test_observable_without_cdfs_or_sampler_raises(self, q, lacking):
+        # a q >= 2 check draws from the observable for its energy test
+        gauss = make_gaussian(GaussianParams(np.zeros(q), np.eye(q)))
+        parts = {"sample_fn": gauss.sample, "marginal_cdfs": gauss.marginal_cdf}
+        del parts[lacking]
+        f_y = Density(q, gauss.support, gauss.log_pdf, name="partial", **parts)
+        samples = gauss.sample(rng_for(5, 0, 0), 200)
+        with pytest.raises(ValueError, match="density 'partial' has no"):
+            pushforward_check(samples, linear_map(np.eye(q)), f_y, seed=5)
 
     def test_wrong_width_samples_rejected(self):
         f_y = make_gaussian(GaussianParams([0.0], [[1.0]]))

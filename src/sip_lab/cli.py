@@ -251,7 +251,7 @@ def _run_stochastic_map_mean(cfg: RunConfig) -> ExampleResult:
                                   np.concatenate([[spec.mu0], np.zeros(n)]),
                                   np.diag([spec.sigma02] + [spec.sigma_eps2] * n))
     solution_density = make_gaussian(literal)
-    samples = draw(solution_density, cfg.samples, cfg.seed).data
+    samples = draw(solution_density, cfg.samples, cfg.seed)
     result = ExampleResult()
     labels = ("mean_m",) + tuple(f"eps_{i + 1}" for i in range(n))
     result.tables["samples"] = (labels, samples)
@@ -330,7 +330,7 @@ def _run_regression_compare(cfg: RunConfig) -> ExampleResult:
                                      threshold=1e-12, comparison="le"))
 
     density = make_gaussian(cov_solution)
-    samples = draw(density, cfg.samples, cfg.seed).data
+    samples = draw(density, cfg.samples, cfg.seed)
     result.tables["samples"] = (theta_labels(2), samples)
     sd = np.sqrt(np.diag(cov_solution.cov))
     grid = GridSpec(tuple(cov_solution.mean - 4 * sd),

@@ -23,7 +23,7 @@ from . import _kernels
 from ._kernels import POINT_BLOCK
 from ._special import betainc, ndtr, ndtri
 from .errors import DomainError, NotPositiveDefiniteError
-from .sampling import KIND_ROWS, SampleBatch, rng_for, theta_labels
+from .sampling import KIND_ROWS, rng_for
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -197,10 +197,9 @@ class Density:
         return self._marginal_cdfs(int(j), np.asarray(x, dtype=float))
 
 
-def draw(density: Density, n: int, seed: int) -> SampleBatch:
-    """Seeded convenience wrapper returning a SampleBatch."""
-    data = density.sample(rng_for(seed, KIND_ROWS, 0), n)
-    return SampleBatch(data=data, labels=theta_labels(density.dim), seed=seed)
+def draw(density: Density, n: int, seed: int) -> np.ndarray:
+    """The (n, d) array of n draws of ``density`` for root seed ``seed``."""
+    return density.sample(rng_for(seed, KIND_ROWS, 0), n)
 
 
 # ---------------------------------------------------------------------------

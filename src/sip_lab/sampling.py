@@ -1,9 +1,9 @@
 """Seeded sample containers and generator streams.
 
-Stream ``(root seed, stream kind, index)`` has its own generator, so its draws
-depend only on those three numbers: a row's target, or a block's inverse or
-rejection draws.  Stream i's generator, ``PCG64(SeedSequence([seed, kind, i]))``,
-is seeded a block at a time by :func:`rng_streams`.
+Stream ``(root seed, stream kind, index)`` has its own generator, :func:`rng_for`'s
+``PCG64(SeedSequence([seed, kind, index]))``, so its draws depend only on those
+three numbers: a block's inverse or rejection draws, or a test's permutations.
+:func:`rng_streams` seeds them a block at a time, for the row solvers' row targets.
 """
 
 from __future__ import annotations
@@ -51,8 +51,10 @@ def theta_labels(p: int) -> tuple[str, ...]:
 
 
 def rng_for(seed: int, kind: int, index: int) -> np.random.Generator:
-    """Independent generator for one logical stream of a root seed."""
-    return rng_streams(seed, kind, index, index + 1)[0]
+    """Independent generator for one stream; a negative number or index >= 2**32 raises."""
+    if min(seed, kind, index) < 0 or index >= 2 ** 32:
+        raise ValueError(f"stream ({seed}, {kind}, {index}) is out of range")
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, kind, index])))
 
 
 def rng_streams(seed: int, kind: int, first: int, stop: int) -> list[np.random.Generator]:

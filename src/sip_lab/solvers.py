@@ -87,10 +87,10 @@ class SipSolution:
 
     ``density.name`` names the solution.  ``sample`` is set by every solver:
     a callable ``(n, seed) -> (n, p) array`` with deterministic generator
-    streams, which records the counters of its last draw in
-    ``diagnostics``.  Ratio-form solutions keep ``initial``, ``fmap``, ``f_y``
-    and ``pushforward`` in ``parts``, so :func:`bjw_rejection_sample` can
-    draw any of them, also one that ``sample`` draws directly.
+    streams; each draw, also :func:`bjw_rejection_sample`'s, replaces
+    ``diagnostics`` with its counters.  Ratio-form solutions keep ``initial``,
+    ``fmap``, ``f_y`` and ``pushforward`` in ``parts``, so rejection can draw
+    any of them, also one that ``sample`` draws directly.
     """
 
     density: Density
@@ -312,7 +312,7 @@ def _change_of_variables(support: Support, q: int, f_y: Density, f_c: Density | 
     def sample(n, seed):
         # looked up by module-global name, so perfbench's tracer sees each draw
         data, diag = _solve_rows(draw, inverse, n, seed, retries=retries, label=name)
-        solution.diagnostics.update(diag)
+        solution.diagnostics = diag
         return data.reshape(-1, p)  # (0, p) when n is 0
 
     solution.sample = sample
@@ -824,12 +824,12 @@ def bjw_rejection_sample(solution: SipSolution, m: int, seed: int) -> SampleBatc
         )
         bound *= 2.0 ** extra
 
-    solution.diagnostics.update({
+    solution.diagnostics = {
         "acceptance_rate": m / proposals if proposals else float("nan"),
         "proposals": proposals,
         "bound": bound,
         "seed": seed,
-    })
+    }
     return SampleBatch(data=rows, labels=theta_labels(proposal.dim), seed=seed)
 
 

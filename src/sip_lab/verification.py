@@ -19,7 +19,7 @@ from . import _kernels
 from ._special import kolmogorov
 from .densities import Density
 from .forward_maps import eval_batch
-from .sampling import KIND_PERMUTATION, KIND_PROBE, rng_for, rng_streams
+from .sampling import KIND_PERMUTATION, KIND_PROBE, rng_for
 
 ENERGY_MAX_GROUP = 1024
 # permutations per energy test, and per p-value that the pushforward check corrects for
@@ -156,10 +156,11 @@ def energy_distance_test(x: np.ndarray, y: np.ndarray, n_permutations: int = ENE
     ``x`` and ``y`` are (n, d) arrays of observations; a 1-D array is n
     scalar observations.  Groups larger than ENERGY_MAX_GROUP are truncated
     to their leading rows (the rows are iid, so this only costs power).
-    Permutation k uses the generator stream (seed, permutation-kind, k), so
-    the p-value is deterministic and independent of execution order.  The
-    statistics come from ``_kernels.energy_stats``, which walks the pooled
-    distance matrix in blocks and never holds it whole.  Permutations are
+    Permutation k is the k-th permutation of the pooled rows on the test's
+    one generator stream (seed, permutation-kind, 0), so the p-value does not
+    depend on how the permutations are split into batches.  The statistics
+    come from ``_kernels.energy_stats``, which walks the pooled distance
+    matrix in blocks and never holds it whole.  Permutations are
     scored in batches (ENERGY_FIRST_BATCH, then up to each multiple of
     ENERGY_BATCH) until the ENERGY_STOP-th to reach the observed statistic,
     permutation L, gives Besag & Clifford's p = 2 / L; else p = (1 + g) /
@@ -193,11 +194,11 @@ def energy_distance_test(x: np.ndarray, y: np.ndarray, n_permutations: int = ENE
     ends = sorted({min(ENERGY_FIRST_BATCH, n_permutations), n_permutations,
                    *range(ENERGY_BATCH, n_permutations, ENERGY_BATCH)})
     hits = []  # the 1-based index of each permutation that reaches the observed statistic
+    rng = rng_for(seed, KIND_PERMUTATION, 0)
     for start, stop in zip([0, *ends], ends):
-        groupings = np.empty((stop - start + 1, total), dtype=np.int32)
-        groupings[0] = np.arange(total)
-        for row, rng in zip(groupings[1:], rng_streams(seed, KIND_PERMUTATION, start, stop)):
-            row[:] = rng.permutation(total)
+        groupings = np.tile(np.arange(total), (stop - start + 1, 1))  # int64 shuffles fastest
+        rng.permuted(groupings[1:], axis=1, out=groupings[1:])  # successive permutation()s
+        groupings = groupings.astype(np.int32)
         stats = _kernels.energy_stats(pooled, groupings, n1)
         observed = float(stats[0]) if not start else observed
         hits.extend(start + 1 + np.flatnonzero(stats[1:] >= stats[0]))

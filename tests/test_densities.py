@@ -380,23 +380,23 @@ def _family_cases():
 @pytest.mark.parametrize("name,dens", _family_cases())
 def test_sampler_matches_cdf_per_marginal(name, dens):
     """Seed-fixed KS check of every family's sampler against its own CDF."""
-    batch = draw(dens, 10_000, seed=101)
+    samples = draw(dens, 10_000, seed=101)
     for j in range(dens.dim):
-        _, p_value = ks_test_1d(batch.data[:, j], lambda v, j=j: dens.marginal_cdf(j, v))
+        _, p_value = ks_test_1d(samples[:, j], lambda v, j=j: dens.marginal_cdf(j, v))
         assert p_value >= 0.01, f"{name} marginal {j}: p={p_value}"
 
 
 @pytest.mark.parametrize("name,dens", _family_cases())
 def test_samples_lie_in_support(name, dens):
-    batch = draw(dens, 5000, seed=7)
-    assert dens.support.contains(batch.data).all()
+    samples = draw(dens, 5000, seed=7)
+    assert dens.support.contains(samples).all()
 
 
 @pytest.mark.parametrize("name,dens", _family_cases())
 def test_exp_log_pdf_identity(name, dens):
-    batch = draw(dens, 500, seed=3)
-    pdf_vals = dens.pdf(batch.data)
-    log_vals = dens.log_pdf(batch.data)
+    samples = draw(dens, 500, seed=3)
+    pdf_vals = dens.pdf(samples)
+    log_vals = dens.log_pdf(samples)
     pos = pdf_vals > 0
     np.testing.assert_allclose(np.exp(log_vals[pos]), pdf_vals[pos], rtol=1e-12)
 

@@ -48,6 +48,12 @@ class TestRngStreams:
             np.testing.assert_array_equal(
                 rng.random(4), seed_sequence_stream(7, KIND_ROWS, index).random(4))
 
+    def test_rng_for_is_the_first_of_rng_streams(self):
+        for index in (0, 3, 2**32 - 1):
+            (stream,) = rng_streams(7, KIND_ROWS, index, index + 1)
+            np.testing.assert_array_equal(rng_for(7, KIND_ROWS, index).random(4),
+                                          stream.random(4))
+
     def test_empty_range(self):
         assert rng_streams(7, KIND_ROWS, 5, 5) == []
 
@@ -58,6 +64,8 @@ class TestRngStreams:
             rng_streams(-1, KIND_ROWS, 0, 3)
         with pytest.raises(ValueError):
             rng_for(7, KIND_ROWS, 2**32)
+        with pytest.raises(ValueError):
+            rng_for(7, -1, 0)
         with pytest.raises(ValueError):
             rng_streams(7, KIND_ROWS, 2**32 - 1, 2**32 + 1)
 

@@ -1380,6 +1380,18 @@ def _bjw_gauss_linear(make_pushforward):
     return bjw_density(initial, fmap, f_y, make_pushforward(initial, fmap))
 
 
+def test_each_draw_leaves_only_its_own_counters():
+    # the exact Gaussian update draws directly, and rejection can draw it too
+    solution = _bjw_gauss_linear(pushforward_density)
+    bjw_rejection_sample(solution, 50, 1)
+    assert solution.diagnostics["seed"] == 1 and "rows_requested" not in solution.diagnostics
+    solution.sample(60, 2)
+    assert solution.diagnostics["rows_requested"] == 60
+    assert not {"proposals", "acceptance_rate", "bound"} & solution.diagnostics.keys()
+    bjw_rejection_sample(solution, 50, 3)
+    assert solution.diagnostics["seed"] == 3 and "rows_requested" not in solution.diagnostics
+
+
 def test_intuitive_sample_draws_nothing_until_sampled(monkeypatch):
     def no_rows(*args, **kwargs):
         raise AssertionError("rows drawn")

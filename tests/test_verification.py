@@ -71,9 +71,9 @@ def _record_tables(monkeypatch):
 
 
 def _full_table(n, seed, n_permutations=200):
-    """The identity and all of a test's permutations, from the same streams."""
-    rows = [np.arange(n)] + [rng_for(seed, KIND_PERMUTATION, k).permutation(n)
-                             for k in range(n_permutations)]
+    """The identity and all of a test's permutations, from its one stream."""
+    rng = rng_for(seed, KIND_PERMUTATION, 0)
+    rows = [np.arange(n)] + [rng.permutation(n) for _ in range(n_permutations)]
     return np.vstack(rows).astype(np.int32)
 
 
@@ -130,7 +130,7 @@ class TestEnergyDistance:
         _, p_shifted = energy_distance_test(x, y + 1.0, seed=4)
         assert [t.shape for t in tables] == [(25, 600), (177, 600)]
         assert p_shifted == 1 / 201
-        # each batch seeds only its own streams: the second batch's table
+        # the second batch continues the first one's stream: its table
         # holds permutations 24..199 of the full test's
         assert np.array_equal(tables[1][1:], _full_table(600, 4)[25:])
         # later batches end at multiples of 200
@@ -139,6 +139,56 @@ class TestEnergyDistance:
         assert [t.shape for t in tables] == [(25, 600), (177, 600), (201, 600), (201, 600)]
         assert p_shifted == 1 / 601
         assert np.array_equal(tables[3][1:], _full_table(600, 4, 600)[401:])
+
+    @pytest.mark.parametrize("shift", [0.0, 1.0])
+    def test_batch_split_changes_no_p_value(self, monkeypatch, shift):
+        # a stopped test (shift 0) and a test that runs all 600 permutations
+        # score the same leading permutations of the one stream, whatever
+        # the split
+        from sip_lab import verification
+        tables = _record_tables(monkeypatch)
+        rng = np.random.default_rng(100)
+        x, y = rng.standard_normal((300, 1)), rng.standard_normal((300, 1)) + shift
+        full = _full_table(600, 4, 600)
+        results = []
+        for first, batch in [(24, 200), (7, 50), (600, 600)]:
+            monkeypatch.setattr(verification, "ENERGY_FIRST_BATCH", first)
+            monkeypatch.setattr(verification, "ENERGY_BATCH", batch)
+            tables.clear()
+            results.append(energy_distance_test(x, y, n_permutations=600, seed=4))
+            scored = np.vstack([t[1:] for t in tables])
+            assert all(np.array_equal(t[0], full[0]) for t in tables)
+            assert np.array_equal(scored, full[1:1 + len(scored)])
+        assert results[0] == results[1] == results[2]
+        assert len(scored) == 600 and (results[0][1] == 1 / 601) == bool(shift)
+
+    def test_one_generator_per_test(self, monkeypatch):
+        # a test of 600 permutations in four batches seeds one stream, and
+        # seeds it without the block seeder of the row solvers
+        from sip_lab import sampling, verification
+        rng = np.random.default_rng(100)
+        x, y = rng.standard_normal((300, 1)), rng.standard_normal((300, 1)) + 1.0
+        seeded, built = [], []
+        real_rng_for, real_generator = verification.rng_for, np.random.Generator
+
+        def recording_rng_for(*args):
+            seeded.append(args)
+            return real_rng_for(*args)
+
+        def counted_generator(*args, **kwargs):
+            built.append(args)
+            return real_generator(*args, **kwargs)
+
+        def no_streams(*args):
+            raise AssertionError("rng_streams called")
+
+        monkeypatch.setattr(verification, "rng_for", recording_rng_for)
+        monkeypatch.setattr(np.random, "Generator", counted_generator)
+        monkeypatch.setattr(sampling, "rng_streams", no_streams)
+        tables = _record_tables(monkeypatch)
+        energy_distance_test(x, y, n_permutations=600, seed=4)
+        assert len(tables) == 4
+        assert seeded == [(4, KIND_PERMUTATION, 0)] and len(built) == 1
 
     def test_verdict_at_001_is_the_full_tests(self):
         # N(0, 1) against N(delta, 1) at 300 + 300 rows, 60 instances whose
@@ -270,7 +320,7 @@ class TestPushforwardCheck:
             assert ks_test_1d(samples[:, j], lambda v, j=j: f_y.marginal_cdf(j, v))[1] >= 0.01
         report = pushforward_check(samples, fmap, f_y, seed=4)
         assert not report.passed
-        assert report.details.endswith("energy=0.001664")  # 1 / 601
+        assert report.details.endswith("energy=0.003328")  # 2 / 601, Holm 0.00998
 
     @pytest.mark.parametrize("q, lacking", [(1, "marginal_cdfs"), (2, "sample_fn")])
     def test_observable_without_cdfs_or_sampler_raises(self, q, lacking):

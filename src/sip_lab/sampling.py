@@ -3,7 +3,8 @@
 Stream ``(root seed, stream kind, index)`` has its own generator, :func:`rng_for`'s
 ``PCG64(SeedSequence([seed, kind, index]))``, so its draws depend only on those
 three numbers: a block's inverse or rejection draws, or a test's permutations.
-:func:`rng_streams` seeds them a block at a time, for the row solvers' row targets.
+:func:`rng_streams` seeds them a block at a time for the row solvers' targets, which
+a :class:`RowStreams` draws in one sampler call per block, row i from stream i.
 """
 
 from __future__ import annotations
@@ -79,6 +80,34 @@ def rng_streams(seed: int, kind: int, first: int, stop: int) -> list[np.random.G
     state = _hash(np.vstack([pool, pool]), _constants(0x8B51F9DD, 0x58F38DED, 8))
     state = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
     return [np.random.Generator(np.random.PCG64(_State(row))) for row in state]
+
+
+class RowStreams:
+    """A generator over one stream per row: row i of a ``(k, ...)`` request is
+    ``rngs[i]``'s draw for ``(1, ...)``.  It has the methods the density samplers
+    call, so a sampler draws k rows in one call with the numbers of k one-row calls."""
+
+    def __init__(self, rngs):
+        self.rngs = rngs
+
+    def _rows(self, method, size, *args):
+        size = tuple(np.atleast_1d(size))
+        if size[0] != len(self.rngs):
+            raise ValueError(f"{size[0]} rows requested from {len(self.rngs)} streams")
+        return np.concatenate([getattr(rng, method)(*args, size=(1, *size[1:]))
+                               for rng in self.rngs])
+
+    def random(self, size):
+        return self._rows("random", size)
+
+    def standard_normal(self, size):
+        return self._rows("standard_normal", size)
+
+    def beta(self, a, b, size):
+        return self._rows("beta", size, a, b)
+
+    def integers(self, low, high, size):
+        return self._rows("integers", size, low, high)
 
 
 def _constants(const: int, mult: int, count: int) -> np.ndarray:

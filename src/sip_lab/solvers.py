@@ -16,11 +16,12 @@ estimated pushforward, draws by rejection against its initial density.
 Every solution draws through ``sample(n, seed) -> (n, p)``, which records its
 counters in ``diagnostics``; results depend only on (seed, row count).  The
 row solvers advance the pending rows of a block of ``ROW_BLOCK`` rows in
-lockstep through one loop, :func:`_solve_rows`: row i draws its target from
-stream (seed, KIND_ROWS, i), and block b's Newton starts or branch picks come
-from stream (seed, KIND_INVERSE, b); a run's first ``PILOT_SIZE`` rows are its
-pilot.  Rejection (:func:`bjw_rejection_sample`) draws block b from the one
-stream (seed, KIND_ROWS, b), one call of each kind per round.
+lockstep through one loop, :func:`_solve_rows`: a block draws its targets in
+one sampler call per density, row i from stream (seed, KIND_ROWS, i), and
+block b's Newton starts or branch picks come from stream (seed, KIND_INVERSE,
+b); a run's first ``PILOT_SIZE`` rows are its pilot.  Rejection
+(:func:`bjw_rejection_sample`) draws block b from the one stream (seed,
+KIND_ROWS, b), one call of each kind per round.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from .sampling import (
     KIND_PILOT,
     KIND_PROBE,
     KIND_ROWS,
+    RowStreams,
     SampleBatch,
     rng_for,
     rng_streams,
@@ -210,9 +212,9 @@ def _solve_rows(draw, attempt, m: int, seed: int, retries: int = ROW_RETRIES,
                 label: str = "solver"):
     """Solve m rows in lockstep with retry/drop bookkeeping.
 
-    ``draw(rngs)`` draws each row's target once, a tuple of arrays whose row
-    i comes from ``rngs[i]``, ``rng_for(seed, KIND_ROWS, i)``, live one
-    ``ROW_BLOCK`` at a time.  ``attempt(*targets, rng) -> (rows (k, p), ok (k,))``
+    ``draw(rng, k)`` draws a block's k targets once, a tuple of (k, ...)
+    arrays, from a :class:`RowStreams` over the streams ``rng_for(seed,
+    KIND_ROWS, i)`` of its rows.  ``attempt(*targets, rng) -> (rows (k, p), ok (k,))``
     tries the k pending rows of block b, in row order, and may draw from
     ``rng``, the block's one stream ``rng_for(seed, KIND_INVERSE, b)``.  Only
     failed rows try again, with the same target, up to ``retries`` attempts, so
@@ -226,7 +228,7 @@ def _solve_rows(draw, attempt, m: int, seed: int, retries: int = ROW_RETRIES,
     retries_used = 0
     for b, first in enumerate(range(0, m, ROW_BLOCK)):
         stop = min(first + ROW_BLOCK, m)
-        inputs = draw(rng_streams(seed, KIND_ROWS, first, stop))
+        inputs = draw(RowStreams(rng_streams(seed, KIND_ROWS, first, stop)), stop - first)
         rng = rng_for(seed, KIND_INVERSE, b)
         pending = np.arange(stop - first)
         for _ in range(retries):
@@ -277,9 +279,9 @@ def _change_of_variables(support: Support, q: int, f_y: Density, f_c: Density | 
     ``forward((n, p) theta) -> (y, c, log|det d(y, c)/d theta|)`` gives the
     observable value, the p - q contour coordinates and the log Jacobian;
     its density is f_Y(y) f_C(c) |det|, summed in log space in that order.
-    ``f_c=None`` means there are no contour coordinates.  Row i of
-    ``sample(n, seed)`` draws y from f_Y, then c from f_C, on its own
-    stream, the engine's only loop over rows; ``inverse(y, c, rng) ->
+    ``f_c=None`` means there are no contour coordinates.  ``sample(n, seed)``
+    draws a block's y from f_Y, then its c from f_C, one call each, and row
+    i's from its own stream; ``inverse(y, c, rng) ->
     (theta (k, p), ok (k,))`` maps a block's pending rows back at once and
     may draw Newton starts or branch picks from the block's one generator.
     Rows that are not ok retry with their y and c, up to ``retries`` attempts,
@@ -304,10 +306,9 @@ def _change_of_variables(support: Support, q: int, f_y: Density, f_c: Density | 
         density = Density(p, support, log_pdf_fn=log_pdf_fn, name=name)
     solution = SipSolution(density)
 
-    def draw(rngs):
-        y = np.vstack([f_y.sample(rng, 1) for rng in rngs])
-        return y, np.empty((len(rngs), 0)) if f_c is None \
-            else np.vstack([f_c.sample(rng, 1) for rng in rngs])
+    def draw(rng, k):
+        y = f_y.sample(rng, k)
+        return y, np.empty((k, 0)) if f_c is None else f_c.sample(rng, k)
 
     def sample(n, seed):
         # looked up by module-global name, so perfbench's tracer sees each draw

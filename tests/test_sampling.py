@@ -1,10 +1,19 @@
-"""Per-row sampling machinery: stream independence and retry bookkeeping."""
+"""Per-row sampling machinery: stream independence, block draws over per-row
+streams, and retry bookkeeping."""
 
 import numpy as np
 import pytest
 
-from sip_lab import SampleBatch
-from sip_lab.sampling import KIND_PILOT, KIND_ROWS, rng_for, rng_streams
+from sip_lab import (
+    GaussianParams,
+    SampleBatch,
+    fit_kde,
+    make_beta,
+    make_gaussian,
+    make_truncated_gaussian,
+    make_uniform,
+)
+from sip_lab.sampling import KIND_PILOT, KIND_ROWS, RowStreams, rng_for, rng_streams
 from sip_lab.solvers import ROW_BLOCK
 
 
@@ -70,9 +79,61 @@ class TestRngStreams:
             rng_streams(7, KIND_ROWS, 2**32 - 1, 2**32 + 1)
 
 
-def _row_index(rngs):
+def _streams(k):
+    return [rng_for(7, KIND_ROWS, i) for i in range(k)]
+
+
+def _per_row(density, k):
+    """The reference: each row drawn alone, by a one-row call on its own stream."""
+    return np.vstack([density.sample(rng, 1) for rng in _streams(k)])
+
+
+class TestRowStreams:
+    @pytest.mark.parametrize("method,args", [("random", ()), ("standard_normal", ()),
+                                             ("beta", (2.0, 3.0)), ("integers", (0, 10))])
+    @pytest.mark.parametrize("size", [5, (5,), (5, 3)])
+    def test_row_i_is_stream_i_drawing_one_row(self, method, args, size):
+        block = getattr(RowStreams(_streams(5)), method)(*args, size=size)
+        shape = tuple(np.atleast_1d(size))
+        assert block.shape == shape
+        for row, rng in zip(block, _streams(5)):
+            one_row = getattr(rng, method)(*args, size=(1, *shape[1:]))
+            np.testing.assert_array_equal(row, one_row[0])
+
+    @pytest.mark.parametrize("density", [
+        make_uniform([-1.0, 2.0], [1.0, 5.0]),
+        make_gaussian(GaussianParams([0.5], [[2.0]])),
+        make_gaussian(GaussianParams([0.5, -1.0], np.diag([2.0, 0.5]))),
+        make_truncated_gaussian(0.5, 0.25, 0.0, 1.0),
+        make_beta(8.0, 12.0),
+        # integers for the centres, then normals for the kernels
+        fit_kde(np.random.default_rng(0).standard_normal((50, 2)), bandwidth=[0.3, 0.2]),
+    ], ids=["uniform", "gaussian_1d", "gaussian_diagonal_2d", "truncated_gaussian", "beta",
+            "kde"])
+    def test_block_draw_equals_one_row_draws(self, density):
+        k = 300
+        np.testing.assert_array_equal(density.sample(RowStreams(_streams(k)), k),
+                                      _per_row(density, k))
+
+    @pytest.mark.parametrize("size", [4, (6,), (4, 2)])
+    def test_row_count_other_than_the_streams_raises(self, size):
+        with pytest.raises(ValueError, match="rows requested from 5 streams"):
+            RowStreams(_streams(5)).random(size)
+
+    def test_correlated_gaussian_agrees_to_rounding(self):
+        # the normals are the same, but the block's (k, 3) @ (3, 3) product may
+        # sum each row's terms in another order than the one-row product does;
+        # the mean keeps every value away from 0, where one ulp is tiny
+        cov = np.array([[1.0, 0.6, 0.3], [0.6, 2.0, -0.5], [0.3, -0.5, 1.5]])
+        density = make_gaussian(GaussianParams([40.0, -50.0, 60.0], cov))
+        k = 2000
+        np.testing.assert_array_max_ulp(density.sample(RowStreams(_streams(k)), k),
+                                        _per_row(density, k), maxulp=4)
+
+
+def _row_index(rng, k):
     """A target that is each row's index in its block."""
-    return (np.arange(len(rngs)),)
+    return (np.arange(k),)
 
 
 class TestRetryPolicy:

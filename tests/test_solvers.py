@@ -54,6 +54,7 @@ from sip_lab.sampling import (
     KIND_PILOT,
     KIND_PROBE,
     KIND_ROWS,
+    RowStreams,
     rng_for,
     rng_streams,
 )
@@ -1262,6 +1263,30 @@ def test_stream_seeding_calls_do_not_grow_with_rows(monkeypatch):
     assert calls[0] == calls[1] > 0
 
 
+def test_targets_are_one_sampler_call_per_block(monkeypatch):
+    f_y = make_gaussian(GaussianParams([0.0], [[2.0]]))
+    f_aux = make_gaussian(GaussianParams([0.0], [[1.0]]))
+    calls = []
+
+    def counted(density, name):
+        real = density.sample
+
+        def sample(rng, n):
+            calls.append((name, type(rng), n))
+            return real(rng, n)
+
+        monkeypatch.setattr(density, "sample", sample)
+
+    counted(f_y, "y")
+    counted(f_aux, "c")
+    monkeypatch.setattr(solvers, "ROW_BLOCK", 64)
+    solution = intuitive_sample(linear_map([[1.0, 1.0]]), f_y, f_aux)
+    assert solution.sample(301, 1).shape == (301, 2)
+    # y then c for each block, each from one generator that spans the block's rows
+    assert calls == [(name, RowStreams, k) for k in (64, 64, 64, 64, 45)
+                     for name in ("y", "c")]
+
+
 class TestSequentialUpdate:
     def _setup(self):
         A = np.array([[1.0, 1.0]])
@@ -1367,7 +1392,7 @@ def test_rows_all_dropped_keep_the_columns(monkeypatch):
 
     monkeypatch.setattr(solvers, "PILOT_SIZE", 0)  # drop the rows, do not raise
     with pytest.warns(RuntimeWarning, match="dropped"):
-        data, diag = solvers._solve_rows(lambda rngs: (np.arange(len(rngs)),), never, 20,
+        data, diag = solvers._solve_rows(lambda rng, k: (np.arange(k),), never, 20,
                                          seed=1, retries=2)
     assert data.shape == (0, 3)
     assert diag["rows_returned"] == 0

@@ -55,7 +55,6 @@ from .gaussian_algebra import (
     regression_predictive,
     stochastic_map_mean_solution,
 )
-from .sampling import SampleBatch
 from .solvers import (
     Branch,
     SipSolution,

@@ -36,7 +36,6 @@ from .gaussian_algebra import (
     regression_predictive,
     stochastic_map_mean_solution,
 )
-from .sampling import theta_labels
 from .solvers import (
     Branch,
     bbe_linear,
@@ -101,6 +100,10 @@ class ExampleResult:
     tables: dict = field(default_factory=dict)  # name -> (labels, (n, k) array)
     params: dict = field(default_factory=dict)  # name -> nested lists / scalars
     checks: list = field(default_factory=list)
+
+
+def theta_labels(p: int) -> tuple[str, ...]:
+    return tuple(f"theta_{j + 1}" for j in range(p))
 
 
 def _density_grid_table(density, grid: GridSpec, extra=None):

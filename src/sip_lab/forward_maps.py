@@ -119,11 +119,10 @@ def null_space_rows(matrix: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def linear_map(matrix, domain: Support = None, name: str = "linear") -> ForwardMap:
-    """g(theta) = A theta with constant Jacobian A."""
+def linear_map(matrix) -> ForwardMap:
+    """g(theta) = A theta on all of R^p, with constant Jacobian A."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     q, p = matrix.shape
-    domain = domain if domain is not None else unbounded_support(p)
 
     def func(theta):
         return theta @ matrix.T
@@ -131,8 +130,8 @@ def linear_map(matrix, domain: Support = None, name: str = "linear") -> ForwardM
     def jac(theta):
         return np.broadcast_to(matrix, (theta.shape[0], q, p))
 
-    return ForwardMap(p=p, q=q, func=func, jac=jac, domain=domain, matrix=matrix,
-                      name=name)
+    return ForwardMap(p=p, q=q, func=func, jac=jac, domain=unbounded_support(p),
+                      matrix=matrix, name="linear")
 
 
 def square_map(lo: float = 0.0, hi: float = 1.0) -> ForwardMap:

@@ -1,4 +1,4 @@
-"""Seeded sample containers and generator streams.
+"""Seeded generator streams.
 
 Stream ``(root seed, stream kind, index)`` has its own generator, :func:`rng_for`'s
 ``PCG64(SeedSequence([seed, kind, index]))``, so its draws depend only on those
@@ -9,8 +9,6 @@ a :class:`RowStreams` draws in one sampler call per block, row i from stream i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Stream-kind tags keep row, pilot, permutation, probe, fit and inverse streams disjoint.
@@ -20,35 +18,6 @@ KIND_PERMUTATION = 2
 KIND_PROBE = 3
 KIND_FIT = 4
 KIND_INVERSE = 5  # a row-solver block's Newton starts and branch picks, not its targets
-
-
-@dataclass(frozen=True)
-class SampleBatch:
-    """An (M, d) matrix of draws plus the labels and root seed that made it."""
-
-    data: np.ndarray
-    labels: tuple[str, ...]
-    seed: int
-
-    def __post_init__(self):
-        data = np.atleast_2d(np.asarray(self.data, dtype=float))
-        object.__setattr__(self, "data", data)
-        if len(self.labels) != data.shape[1]:
-            raise ValueError(
-                f"{len(self.labels)} labels for {data.shape[1]} columns"
-            )
-
-    @property
-    def m(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[1]
-
-
-def theta_labels(p: int) -> tuple[str, ...]:
-    return tuple(f"theta_{j + 1}" for j in range(p))
 
 
 def rng_for(seed: int, kind: int, index: int) -> np.random.Generator:

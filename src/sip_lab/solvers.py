@@ -65,10 +65,8 @@ from .sampling import (
     KIND_PROBE,
     KIND_ROWS,
     RowStreams,
-    SampleBatch,
     rng_for,
     rng_streams,
-    theta_labels,
 )
 
 NEWTON_TOL = 1e-10
@@ -89,10 +87,10 @@ class SipSolution:
 
     ``density.name`` names the solution.  ``sample`` is set by every solver:
     a callable ``(n, seed) -> (n, p) array`` with deterministic generator
-    streams; each draw, also :func:`bjw_rejection_sample`'s, replaces
-    ``diagnostics`` with its counters.  Ratio-form solutions keep ``initial``,
-    ``fmap``, ``f_y`` and ``pushforward`` in ``parts``, so rejection can draw
-    any of them, also one that ``sample`` draws directly.
+    streams; each draw, also :func:`bjw_rejection_sample`'s, which returns the
+    (m, p) rows too, replaces ``diagnostics`` with its counters.  Ratio-form
+    solutions keep ``initial``, ``fmap``, ``f_y`` and ``pushforward`` in
+    ``parts``, so rejection can draw any of them, also one that ``sample`` draws directly.
     """
 
     density: Density
@@ -106,14 +104,13 @@ class SipSolution:
 # ---------------------------------------------------------------------------
 
 
-def newton_solve(fmap: ForwardMap, y_target, theta_tail=None, theta0=None,
-                 tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER):
+def newton_solve(fmap: ForwardMap, y_target, theta_tail=None, theta0=None):
     """Solve g(theta_head, theta_tail) = y_target for the leading q coordinates.
 
     One row of :func:`_newton_rows`, started from ``theta0`` (by default the
-    middle of the domain box clipped to [-1, 1]).  Raises
-    ``NonConvergenceError`` when that row fails, so callers can retry from a
-    new start.
+    middle of the domain box clipped to [-1, 1]), to ``NEWTON_TOL`` within
+    ``NEWTON_MAX_ITER`` iterations.  Raises ``NonConvergenceError`` when that
+    row fails, so callers can retry from a new start.
     """
     q = fmap.q
     y_target = np.atleast_1d(np.asarray(y_target, dtype=float))
@@ -128,8 +125,7 @@ def newton_solve(fmap: ForwardMap, y_target, theta_tail=None, theta0=None,
     else:
         head = np.array(np.atleast_1d(theta0)[:q], dtype=float)
 
-    heads, ok, iterations = _newton_rows(fmap, y_target[None], tail[None], head[None],
-                                         tol=tol, max_iter=max_iter)
+    heads, ok, iterations = _newton_rows(fmap, y_target[None], tail[None], head[None])
     if not ok[0]:
         raise NonConvergenceError(
             f"damped Newton found no in-domain root of g = {y_target} from "
@@ -139,12 +135,12 @@ def newton_solve(fmap: ForwardMap, y_target, theta_tail=None, theta0=None,
 
 
 def _newton_rows(fmap: ForwardMap, y: np.ndarray, tail: np.ndarray, start: np.ndarray,
-                 tol: float = NEWTON_TOL, max_iter: int = NEWTON_MAX_ITER):
+                 max_iter: int = NEWTON_MAX_ITER):
     """Damped Newton for k rows in lockstep: g(head_i, tail_i) = y_i.
 
     ``y`` is (k, q), ``tail`` (k, p - q) and ``start`` (k, q).  Each row runs
     Newton on the left q x q Jacobian block with step halving, converged
-    when its residual infinity norm is below ``tol * (1 + ||y_i||_inf)``.
+    when its residual infinity norm is below ``NEWTON_TOL * (1 + ||y_i||_inf)``.
     Every test is a mask over rows, so a row iterates exactly as it would
     alone: it fails when its iteration budget runs out, its residual is not
     finite, its Jacobian block is singular, ``NEWTON_HALVINGS`` halvings do
@@ -153,7 +149,7 @@ def _newton_rows(fmap: ForwardMap, y: np.ndarray, tail: np.ndarray, start: np.nd
     """
     q = fmap.q
     theta = np.hstack([start, tail])
-    threshold = tol * (1.0 + np.max(np.abs(y), axis=1))
+    threshold = NEWTON_TOL * (1.0 + np.max(np.abs(y), axis=1))
     resid = y - eval_batch(fmap, theta)
     norm = np.max(np.abs(resid), axis=1)
     ok = np.ones(theta.shape[0], dtype=bool)
@@ -657,7 +653,7 @@ def bjw_density(initial: Density, fmap: ForwardMap, f_y: Density,
     if linear is None:
         solution = SipSolution(Density(initial.dim, initial.support, log_pdf_fn=log_pdf_fn,
                                        name=name))
-        solution.sample = lambda n, seed: bjw_rejection_sample(solution, n, seed).data
+        solution.sample = lambda n, seed: bjw_rejection_sample(solution, n, seed)
     else:
         T, f_c = linear
         gaussian = None
@@ -707,27 +703,27 @@ def _gaussian_update_map(initial: Density, fmap: ForwardMap, pushforward: Densit
     return np.vstack([A, M]), f_c
 
 
-def bjw_rejection_sample(solution: SipSolution, m: int, seed: int) -> SampleBatch:
+def bjw_rejection_sample(solution: SipSolution, m: int, seed: int) -> np.ndarray:
     """Draw from a ratio-form solution by rejection against its initial density.
 
-    The proposal is ``solution.parts["initial"]``, set by :func:`bjw_density`.
-    It cancels from the ratio, so a proposal theta scores
-    exp(log f_Y(g(theta)) - log pushforward(g(theta))).  Every call first
-    probes ``PILOT_SIZE`` observable draws on stream (seed, KIND_PROBE, 0) and raises
+    Returns the (m, p) rows, as ``solution.sample(m, seed)`` does.  The proposal is
+    ``solution.parts["initial"]``, set by :func:`bjw_density`.  It cancels from the
+    ratio, so a proposal theta scores
+    exp(log f_Y(g(theta)) - log pushforward(g(theta))).  Every call first probes
+    ``PILOT_SIZE`` observable draws on stream (seed, KIND_PROBE, 0) and raises
     ``PredictabilityError`` if any falls outside the pushforward's support; an
-    observable without a sampler raises ValueError there, before any row is
-    drawn.  The bound is 1.2 times the largest of ``PILOT_SIZE`` pilot ratios
-    on stream (seed, KIND_PILOT, 0), whatever m is.  Block b of ``ROW_BLOCK``
-    rows draws from stream (seed, KIND_ROWS, b): each round draws one proposal
-    per pending row, at least ``PILOT_SIZE``, in one call, with one ratio
-    evaluation and one uniform call; its first acceptances fill the pending
-    rows, and ``proposals`` counts up to the one that fills the block.  A block
-    that has drawn ``REJECTION_MAX_PROPOSALS`` proposals per row with rows
-    still pending raises ``NonConvergenceError``.  A pass stops at its first
-    ratio over the bound, which is doubled as often as that ratio needs before
-    the run is redone (with a warning); a ratio that needs more than
-    ``REJECTION_MAX_DOUBLINGS`` doublings in all, or that overflows, raises
-    ``PredictabilityError`` naming theta.
+    observable without a sampler raises ValueError there, before any row is drawn.
+    The bound is 1.2 times the largest of ``PILOT_SIZE`` pilot ratios on stream
+    (seed, KIND_PILOT, 0), whatever m is.  Block b of ``ROW_BLOCK`` rows draws from
+    stream (seed, KIND_ROWS, b): each round draws one proposal per pending row, at
+    least ``PILOT_SIZE``, in one call, with one ratio evaluation and one uniform
+    call; its first acceptances fill the pending rows, and ``proposals`` counts up
+    to the one that fills the block.  A block that has drawn
+    ``REJECTION_MAX_PROPOSALS`` proposals per row with rows still pending raises
+    ``NonConvergenceError``.  A pass stops at its first ratio over the bound, which
+    is doubled as often as that ratio needs before the run is redone (with a
+    warning); a ratio that needs more than ``REJECTION_MAX_DOUBLINGS`` doublings in
+    all, or that overflows, raises ``PredictabilityError`` naming theta.
     """
     parts = solution.parts
     if not {"initial", "fmap", "f_y", "pushforward"} <= parts.keys():
@@ -831,7 +827,8 @@ def bjw_rejection_sample(solution: SipSolution, m: int, seed: int) -> SampleBatc
         "bound": bound,
         "seed": seed,
     }
-    return SampleBatch(data=rows, labels=theta_labels(proposal.dim), seed=seed)
+    # perfbench reads m as ``.data.shape[0]``: an array's memoryview has its shape, strided too
+    return rows
 
 
 def bjw_sequential_update(initial: Density, fmap: ForwardMap, f_y1: Density,

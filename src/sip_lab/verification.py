@@ -87,6 +87,8 @@ class GridSpec:
             raise ValueError("need at least 2 grid points per dimension")
         if not all(np.isfinite(lower)) or not all(np.isfinite(upper)):
             raise ValueError("grid box must be finite")
+        if not all(lo < hi for lo, hi in zip(lower, upper)):
+            raise ValueError(f"empty or reversed grid box: lower={lower}, upper={upper}")
 
     @property
     def dim(self) -> int:
@@ -107,15 +109,14 @@ class GridSpec:
         return float(block)
 
 
-def grid_for_support(density: Density, num: int = None) -> GridSpec:
+def grid_for_support(density: Density) -> GridSpec:
     if not density.support.bounded:
         raise ValueError(
             f"density {density.name!r} has unbounded support; supply an "
             "effective grid box explicitly"
         )
-    if num is None:
-        num = 512 if density.dim <= 2 else 96
-    return GridSpec(tuple(density.support.lower), tuple(density.support.upper), num)
+    return GridSpec(tuple(density.support.lower), tuple(density.support.upper),
+                    512 if density.dim <= 2 else 96)
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +168,9 @@ def energy_distance_test(x: np.ndarray, y: np.ndarray, n_permutations: int = ENE
     (n_permutations + 1).  A stop means g >= 2, so at levels up to
     2 / n_permutations (0.01 at 200) the verdict is the full test's.
 
-    Raises ValueError for input of more than two dimensions, an empty group,
-    a non-finite row among those tested, or fewer than one permutation.
+    Raises ValueError for input of more than two dimensions, groups of unequal
+    width, an empty group, a non-finite row among those tested, or fewer than
+    one permutation.
     """
     if n_permutations < 1:
         raise ValueError(f"need at least one permutation, got {n_permutations}")
@@ -187,6 +189,8 @@ def energy_distance_test(x: np.ndarray, y: np.ndarray, n_permutations: int = ENE
             raise ValueError(f"{name} has {bad} non-finite row(s) among the "
                              f"{sample.shape[0]} tested")
         groups.append(sample)
+    if groups[0].shape[1] != groups[1].shape[1]:
+        raise ValueError(f"x has {groups[0].shape[1]} columns but y has {groups[1].shape[1]}")
     n1 = groups[0].shape[0]
     pooled = np.vstack(groups)
     total = pooled.shape[0]
@@ -216,8 +220,8 @@ def pushforward_check(samples, fmap, f_y: Density, alpha: float = 0.01,
     energy-distance permutation test against m observable draws is added,
     capped at k ``ENERGY_PERMUTATIONS`` so that it can fail at alpha / k.
     Passes when Holm's adjusted smallest of the k p-values, min(1, k p_min),
-    is at least alpha.  An observable law must have marginal CDFs, and a
-    sampler when q >= 2: ``Density`` raises ValueError naming it otherwise.
+    is at least alpha.  An observable law must have dimension q, marginal CDFs,
+    and a sampler when q >= 2; each lack raises a ValueError naming it.
     """
     theta = np.asarray(samples, dtype=float)
     if theta.ndim != 2 or theta.shape[1] != fmap.p:
@@ -225,6 +229,8 @@ def pushforward_check(samples, fmap, f_y: Density, alpha: float = 0.01,
             f"samples must be an (m, {fmap.p}) array for this map, "
             f"got shape {theta.shape}"
         )
+    if f_y.dim != fmap.q:
+        raise ValueError(f"observable density has dimension {f_y.dim}, expected q = {fmap.q}")
     images = eval_batch(fmap, theta)
     q = images.shape[1]
 

@@ -6,7 +6,6 @@ import pytest
 
 from sip_lab import (
     GaussianParams,
-    SampleBatch,
     fit_kde,
     make_beta,
     make_gaussian,
@@ -168,15 +167,3 @@ class TestRetryPolicy:
         # failing 10 draws in a row at p=0.5 is a 1-in-1024 event per row
         assert diag["failures"] <= 2
         assert diag["retries"] > 0
-
-
-class TestSampleBatch:
-    def test_label_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            SampleBatch(data=np.zeros((3, 2)), labels=("a",), seed=0)
-
-    def test_shape_properties(self):
-        batch = SampleBatch(data=np.zeros((3, 2)), labels=("a", "b"), seed=9)
-        assert batch.m == 3
-        assert batch.dim == 2
-        assert batch.seed == 9

@@ -2,6 +2,7 @@
 solutions, slab/arc constructions, and ratio-form updates."""
 
 import collections
+import functools
 import math
 import re
 import warnings
@@ -28,6 +29,7 @@ from sip_lab import (
     cov_exact,
     cov_linear_gaussian,
     cov_mixture_family,
+    draw,
     energy_distance_test,
     fit_kde,
     grid_compare,
@@ -586,7 +588,7 @@ class TestBjwRejection:
         batch = bjw_rejection_sample(solution, 4000, seed=67)
         rate = solution.diagnostics["acceptance_rate"]
         expected = 1.0 / 1.2
-        se = math.sqrt(expected * (1 - expected) / batch.m)
+        se = math.sqrt(expected * (1 - expected) / len(batch))
         assert abs(rate - expected) < 4 * se
 
     def test_gaussian_linear_mean(self):
@@ -597,8 +599,8 @@ class TestBjwRejection:
         solution = bjw_density(initial, fmap, f_y, pushforward_density(initial, fmap))
         closed = bjw_gaussian_linear(A, [0.25], [[0.25]], [0.0, 0.0], np.eye(2))
         batch = bjw_rejection_sample(solution, 6000, seed=71)
-        se = np.sqrt(np.diag(closed.cov) / batch.m)
-        assert np.all(np.abs(batch.data.mean(axis=0) - closed.mean) < 3 * se)
+        se = np.sqrt(np.diag(closed.cov) / len(batch))
+        assert np.all(np.abs(batch.mean(axis=0) - closed.mean) < 3 * se)
 
     def test_pushforward_of_accepted_draws(self):
         A = np.array([[1.0, 1.0]])
@@ -607,7 +609,7 @@ class TestBjwRejection:
         f_y = make_gaussian(GaussianParams([0.25], [[0.25]]))
         solution = bjw_density(initial, fmap, f_y, pushforward_density(initial, fmap))
         batch = bjw_rejection_sample(solution, 4000, seed=73)
-        _, p_value = ks_test_1d(batch.data @ A.ravel(),
+        _, p_value = ks_test_1d(batch @ A.ravel(),
                                 lambda v: f_y.marginal_cdf(0, v))
         assert p_value >= 0.01
 
@@ -687,7 +689,7 @@ class TestRatioFormIsChangeOfVariables:
         _, solution = update
         direct = solution.sample(2000, seed=67)
         assert "proposals" not in solution.diagnostics
-        rejected = bjw_rejection_sample(solution, 2000, seed=71).data
+        rejected = bjw_rejection_sample(solution, 2000, seed=71)
         _, p_value = energy_distance_test(direct, rejected, seed=73)
         assert p_value >= 0.01
 
@@ -871,7 +873,7 @@ class TestRejectionMatchesPerRowReference:
             batch = bjw_rejection_sample(solution, m, seed=3)
             rows, _, bound = _per_row_rejection(solution, m, seed=3)
             assert solution.diagnostics["bound"] == bound == self._pilot_bound(solution, 3)
-            _, p_value = energy_distance_test(batch.data, rows, seed=3)
+            _, p_value = energy_distance_test(batch, rows, seed=3)
             assert p_value >= 0.01
 
     def test_kde_instance(self, monkeypatch):
@@ -900,7 +902,7 @@ class TestRejectionMatchesPerRowReference:
         assert sum(_doublings(record)) == doublings
         assert len(record) < doublings
         rows, _, _ = _per_row_rejection(solution, 300, seed=11)
-        _, p_value = energy_distance_test(batch.data, rows, seed=11)
+        _, p_value = energy_distance_test(batch, rows, seed=11)
         assert p_value >= 0.01
 
     def test_bound_doublings_capped(self, monkeypatch):
@@ -1338,7 +1340,7 @@ class TestSequentialUpdate:
         intermediate = bjw_density(initial, fmap, f_y1,
                                    pushforward_density(initial, fmap))
         batch = bjw_rejection_sample(intermediate, 4000, seed=83)
-        _, p_value = ks_test_1d(batch.data @ np.array([1.0, 1.0]),
+        _, p_value = ks_test_1d(batch @ np.array([1.0, 1.0]),
                                 lambda v: f_y1.marginal_cdf(0, v))
         assert p_value >= 0.01
 
@@ -1384,6 +1386,37 @@ def test_sample_accepts_seed_by_keyword(build):
 def test_sample_of_no_rows_keeps_the_columns(build):
     solution = build()
     assert solution.sample(0, 1).shape == (0, solution.density.dim)
+
+
+def _solution_route(build):
+    solution = build()
+    return solution.sample, solution.density.dim, solution.sample
+
+
+def _rejection_route():
+    solution = _RATIO_SOLVERS[1]()
+    return functools.partial(bjw_rejection_sample, solution), 2, solution.sample
+
+
+def _draw_route():
+    sample = functools.partial(draw, make_gaussian(GaussianParams([0.5, -1.0],
+                                                                  [[1.0, 0.4], [0.4, 2.0]])))
+    return sample, 2, sample
+
+
+@pytest.mark.parametrize("n", [0, 5])
+@pytest.mark.parametrize("route", [
+    *(functools.partial(_solution_route, build) for build in _ROW_SOLVERS + _RATIO_SOLVERS[:2]),
+    _rejection_route, _draw_route,
+], ids=_ROW_SOLVER_IDS + _RATIO_SOLVER_IDS[:2] + ["bjw_rejection_sample", "draw"])
+def test_every_sampler_returns_its_rows_as_one_array(route, n):
+    # every route's (n, seed) -> (n, p) C-contiguous float64 array; rejection
+    # returns exactly what its solution's ``sample`` returns
+    sample, p, twin = route()
+    rows = sample(n, 3)
+    assert type(rows) is np.ndarray and rows.dtype == np.float64
+    assert rows.shape == (n, p) and rows.flags.c_contiguous
+    np.testing.assert_array_equal(rows, twin(n, 3))
 
 
 def test_rows_all_dropped_keep_the_columns(monkeypatch):
@@ -1546,7 +1579,7 @@ def test_ratio_is_finite_in_the_initials_far_tail():
     assert np.all(far.log_pdf(theta) < -745.0) and np.all(far.pdf(theta) == 0.0)
     ratio = _ratio_of(solution)(theta)
     assert np.all(np.isfinite(ratio)) and ratio.max() > 0
-    data = bjw_rejection_sample(solution, 300, seed=2).data
+    data = bjw_rejection_sample(solution, 300, seed=2)
     assert np.isfinite(solution.diagnostics["bound"])
     _, p_value = ks_test_1d(eval_batch(fmap, data)[:, 0], lambda v: f_y.marginal_cdf(0, v))
     assert p_value >= 0.01
@@ -1560,7 +1593,7 @@ def test_rejection_evaluates_the_initial_only_to_draw(monkeypatch):
 
     monkeypatch.setattr(solution.parts["initial"], "log_pdf", no_evaluation)
     batch = bjw_rejection_sample(solution, 300, seed=5)
-    assert batch.data.shape == (300, 2)
+    assert batch.shape == (300, 2)
     assert solution.diagnostics["proposals"] >= 300
 
 
@@ -1585,7 +1618,7 @@ def test_proposal_calls_do_not_grow_with_rows(monkeypatch):
     monkeypatch.setattr(initial, "sample", counted)
     for m in (2000, 4000):
         calls.append(0)
-        assert bjw_rejection_sample(solution, m, seed=1).m == m
+        assert bjw_rejection_sample(solution, m, seed=1).shape[0] == m
     assert max(calls) < 40 and abs(calls[1] - calls[0]) < 10
 
 

@@ -78,6 +78,10 @@ def _full_table(n, seed, n_permutations=200):
 
 
 class TestEnergyDistance:
+    def test_unequal_widths_rejected(self):
+        with pytest.raises(ValueError, match="x has 2 columns but y has 3"):
+            energy_distance_test(np.zeros((10, 2)), np.zeros((10, 3)), seed=0)
+
     def test_same_distribution_passes(self):
         rng = np.random.default_rng(93)
         x = rng.standard_normal((600, 2))
@@ -333,6 +337,14 @@ class TestPushforwardCheck:
         with pytest.raises(ValueError, match="density 'partial' has no"):
             pushforward_check(samples, linear_map(np.eye(q)), f_y, seed=5)
 
+    @pytest.mark.parametrize("f_y", [make_gaussian(GaussianParams([0.0], [[1.0]])),
+                                     make_uniform([0.0], [1.0]),
+                                     make_gaussian(GaussianParams(np.zeros(3), np.eye(3)))],
+                             ids=["gaussian_1d", "uniform_1d", "gaussian_3d"])
+    def test_observable_of_another_dimension_rejected(self, f_y):
+        with pytest.raises(ValueError, match=f"dimension {f_y.dim}, expected q = 2"):
+            pushforward_check(np.zeros((10, 2)), linear_map(np.eye(2)), f_y, seed=0)
+
     def test_wrong_width_samples_rejected(self):
         f_y = make_gaussian(GaussianParams([0.0], [[1.0]]))
         with pytest.raises(ValueError, match=r"\(m, 1\)"):
@@ -373,6 +385,13 @@ class TestGridChecks:
             grid_compare(values[:-1], values, grid, tol=0.1)
         with pytest.raises(ValueError, match="64 grid points"):
             grid_compare(values, np.append(values, 1.0), grid, tol=0.1)
+
+    @pytest.mark.parametrize("lower, upper", [((1.0,), (0.0,)), ((0.0, 1.0), (1.0, 1.0))],
+                             ids=["reversed", "empty"])
+    def test_reversed_or_empty_box_rejected(self, lower, upper):
+        # a reversed box integrated ones to -1, an empty one to 0
+        with pytest.raises(ValueError, match="empty or reversed grid box"):
+            GridSpec(lower, upper, 5)
 
     def test_uniform_mass_exact(self):
         report = normalization_check(make_uniform([0.0], [1.0]))

@@ -217,8 +217,9 @@ def pushforward_check(samples, fmap, f_y: Density, alpha: float = 0.01,
 
     Maps the (m, p) ``samples`` and runs a KS test of each image coordinate
     against the observable's marginal CDF; for multivariate observables an
-    energy-distance permutation test against m observable draws is added,
-    capped at k ``ENERGY_PERMUTATIONS`` so that it can fail at alpha / k.
+    energy-distance permutation test against min(m, ``ENERGY_MAX_GROUP``)
+    observable draws (the rows it tests) is added, capped at k
+    ``ENERGY_PERMUTATIONS`` so that it can fail at alpha / k.
     Passes when Holm's adjusted smallest of the k p-values, min(1, k p_min),
     is at least alpha.  An observable law must have dimension q, marginal CDFs,
     and a sampler when q >= 2; each lack raises a ValueError naming it.
@@ -242,7 +243,7 @@ def pushforward_check(samples, fmap, f_y: Density, alpha: float = 0.01,
         notes.append(f"ks[{j}]={p_j:.4g}")
 
     if q >= 2:
-        reference = f_y.sample(rng_for(seed, KIND_PROBE, 2), theta.shape[0])
+        reference = f_y.sample(rng_for(seed, KIND_PROBE, 2), min(len(theta), ENERGY_MAX_GROUP))
         _, p_energy = energy_distance_test(images, reference, (q + 1) * ENERGY_PERMUTATIONS,
                                            seed)
         p_values.append(p_energy)

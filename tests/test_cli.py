@@ -211,6 +211,41 @@ def test_failed_check_exits_1(tmp_path, monkeypatch):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["cov-linear-mvn", "--sigma", "1e-12"],  # the augmented pullback is not positive definite
+    ["cov-linear-mvn", "--sigma", "1e-17"],  # the grid box rounds to empty
+    ["regression-compare", "--sigma", "1e-17"],
+    ["regression-compare", "--sigma", "1e155"],  # sigma**2 overflows
+    ["regression-compare", "--xstar", "1e160"],  # the predictive variance is inf
+])
+def test_flag_value_an_example_cannot_run_with_exits_2(tmp_path, argv):
+    # the console script and python -m print one line and exit 2, no traceback
+    import subprocess
+    import sys
+
+    import sip_lab
+
+    package_parent = str(Path(sip_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_parent, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-m", "sip_lab.cli", *argv, "--samples", "200", "--grid", "8",
+         "--out", str(tmp_path / "out")], capture_output=True, env=env, text=True)
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert [line for line in result.stderr.splitlines()
+            if line.startswith("sip-lab: error: ")] == [result.stderr.splitlines()[-1]]
+
+
+def test_main_raises_where_the_console_script_exits_2(tmp_path):
+    # in-process callers (the benchmark's worker) still see the error itself
+    from sip_lab.errors import NotPositiveDefiniteError
+
+    with pytest.raises(NotPositiveDefiniteError):
+        main(["cov-linear-mvn", "--sigma", "1e-12", "--samples", "200", "--grid", "8",
+              "--out", str(tmp_path)])
+
+
 def test_csv_writer_matches_per_value_formatting(tmp_path):
     from sip_lab.cli import _write_csv
 
@@ -330,3 +365,33 @@ def test_bjw_kde_evaluates_the_grid_once(tmp_path, monkeypatch):
     assert [n for n, _ in kernel_points].count(table["nodes"]) == 1
     pairs = sum(n * centres for n, centres in kernel_points)
     assert 10 * pairs <= grid**2 * m
+
+
+def _cov_grid_check(sigma):
+    from sip_lab import cli
+
+    cfg = RunConfig(example="cov-linear-mvn", samples=200, seed=11, grid=24, sigma=sigma)
+    [check] = [c for c in cli._run_cov_linear_mvn(cfg).checks if c.name == "grid_compare"]
+    return check
+
+
+@pytest.mark.parametrize("sigma", [1e-4, 0.01, 1e4, 1e8])
+def test_cov_linear_mvn_grid_check_is_relative_to_the_density(sigma):
+    # the density scales as 1 / sigma^2: the check's tolerance scales with it
+    assert _cov_grid_check(sigma).passed
+
+
+def test_cov_linear_mvn_grid_check_fails_a_perturbed_column_at_large_sigma(monkeypatch):
+    # at sigma = 1e8 the density's peak is about 3e-17, below an absolute 1e-12
+    from sip_lab import cli
+
+    real_table = cli._density_grid_table
+
+    def perturbed(*args, **kwargs):
+        labels, table = real_table(*args, **kwargs)
+        table[:, -1] *= 1.0 + 1e-9
+        return labels, table
+
+    assert _cov_grid_check(1e8).passed
+    monkeypatch.setattr(cli, "_density_grid_table", perturbed)
+    assert not _cov_grid_check(1e8).passed

@@ -29,3 +29,11 @@ def test_artifact_digests_hash_every_example_the_same_twice():
                  for line in lines if line.startswith("  ")]
     for example in cli.EXAMPLES:
         assert {f"{example}_report.json", f"{example}_samples.csv"} <= set(artifacts)
+
+
+def test_calibration_sweep_counts_every_example_at_every_seed():
+    tool = TOOL.parent / "calibration_sweep.py"
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    result = subprocess.run([sys.executable, str(tool), "0", "1", "200"], capture_output=True,
+                            text=True, check=True, timeout=120, env=env)
+    assert result.stdout.splitlines()[-1].endswith("failing runs of 10")

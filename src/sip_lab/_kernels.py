@@ -10,7 +10,9 @@ whole.
 
 A one-dimensional KDE can instead be read from a ``KdeTable``: the exact
 log density and its analytic slope at nodes ``h / 32`` apart over the
-centres +- 8 bandwidths, interpolated by cubic Hermite.  Its error is
+centres +- 8 bandwidths, interpolated by cubic Hermite.  Each node sums
+only the sorted centres close enough to move its value by more than
+rounding, found by ``searchsorted``.  Its error is
 estimated from the table alone (every odd node interpolated from its even
 neighbours at twice the spacing, the residual scaled by 2**-4).  Points off
 the table, tables that would need more than ``KDE_TABLE_MAX_NODES`` nodes
@@ -180,8 +182,16 @@ def kde_table(data: np.ndarray, bandwidth: np.ndarray) -> KdeTable | None:
 
     The nodes are ``KDE_TABLE_STEP`` bandwidths apart and reach
     ``KDE_TABLE_REACH`` bandwidths beyond the outermost centres, padded to an
-    odd count; values and slopes come from one ``kde_log_pdf`` call over
-    them.  The error estimate interpolates every odd node from its even
+    odd count.  Each node reads only the sorted centres within
+    ``R = sqrt(delta**2 + 2 h**2 (ln m + 53 ln 2))`` of it, with ``delta``
+    its distance to the nearest centre (Greengard & Strain's truncated Gauss
+    sum): a centre beyond ``R`` weighs less than ``2**-53 / m`` of the
+    nearest, so the skipped centres together change the kernel sum by less
+    than ``2**-53`` of itself.  Values and slopes come from ``kde_log_pdf``
+    over blocks of consecutive nodes and the union of their windows, each
+    block at most ``KDE_BLOCK_FLOATS`` node-centre pairs (one row at least),
+    its log density shifted from its window's normalisation to m centres'.
+    The error estimate interpolates every odd node from its even
     neighbours, at twice the spacing, and divides the largest residual by
     16, since the Hermite error scales as the fourth power of the spacing.
     Returns None, having evaluated nothing, when the span needs more than
@@ -195,8 +205,29 @@ def kde_table(data: np.ndarray, bandwidth: np.ndarray) -> KdeTable | None:
     if nodes > KDE_TABLE_MAX_NODES:
         return None
     x = lo + step * np.arange(nodes, dtype=float)
+    sorted_centres = np.sort(data[:, 0])
+    m = sorted_centres.shape[0]
+    right = np.minimum(np.searchsorted(sorted_centres, x), m - 1)
+    near = np.minimum(np.abs(x - sorted_centres[np.maximum(right - 1, 0)]),
+                      np.abs(x - sorted_centres[right]))
+    reach = np.sqrt(near * near + 2.0 * h * h * (math.log(m) + 53.0 * math.log(2.0)))
+    # x - reach and x + reach rise with x (|d reach / dx| = near / reach < 1),
+    # so the window of nodes i..j-1 is first[i]:stop[j - 1]
+    first = np.searchsorted(sorted_centres, x - reach).tolist()
+    stop = np.searchsorted(sorted_centres, x + reach, side="right").tolist()
+    centres = sorted_centres[:, None]
+    value = np.empty(nodes)
     grad = np.empty((nodes, 1))
-    value = kde_log_pdf(x[:, None], data, bandwidth, slope=grad)
+    i = 0
+    while i < nodes:
+        rows = min(nodes - i, max(1, KDE_BLOCK_FLOATS // (stop[i] - first[i])))
+        while rows > 1 and rows * (stop[i + rows - 1] - first[i]) > KDE_BLOCK_FLOATS:
+            rows //= 2
+        j = i + rows
+        a, b = first[i], stop[j - 1]
+        value[i:j] = kde_log_pdf(x[i:j, None], centres[a:b], bandwidth, slope=grad[i:j])
+        value[i:j] += math.log((b - a) / m)  # the block's normalisation is 1 / (b - a)
+        i = j
     # slopes in units of one interval, as the local coordinate u needs them
     slope = grad[:, 0] * step
     rise = np.diff(value)

@@ -291,20 +291,34 @@ def _run_cov_linear_mvn(cfg: RunConfig) -> ExampleResult:
     return result
 
 
-def _run_regression_compare(cfg: RunConfig) -> ExampleResult:
-    sigma2 = cfg.sigma**2
+def _regression_closed_forms(sigma: float, xstar: float):
+    """regression-compare's pullback, flat-prior posterior and predictive, and
+    its two checks of them.  Covariances scale as sigma^2, so each difference
+    is taken relative to the scale of what it compares: a mean to
+    max(1, |mean|), a covariance to its largest entry, the predictive
+    variance to its closed form."""
+    sigma2 = sigma**2
     X = np.array([[1.0, -1.0], [1.0, 1.0]])
     y_obs = np.array([-1.0, 1.0])
-    y_params = GaussianParams(y_obs, sigma2 * np.eye(2))
-    cov_solution = cov_linear_gaussian(X, y_params)
+    cov_solution = cov_linear_gaussian(X, GaussianParams(y_obs, sigma2 * np.eye(2)))
     posterior = flat_prior_regression_posterior(X, y_obs, sigma2)
-    predictive = regression_predictive(posterior, cfg.xstar)
-    expected_var = 0.5 * sigma2 * (1.0 + cfg.xstar**2)
-    agreement = max(float(np.max(np.abs(cov_solution.mean - posterior.mean))),
-                    float(np.max(np.abs(cov_solution.cov - posterior.cov))))
-    pred_err = max(abs(float(predictive.mean[0]) - cfg.xstar),
-                   abs(float(predictive.cov[0, 0]) - expected_var))
+    predictive = regression_predictive(posterior, xstar)
+    expected_var = 0.5 * sigma2 * (1.0 + xstar**2)
+    mean_scale = max(1.0, float(np.max(np.abs(posterior.mean))))
+    agreement = max(float(np.max(np.abs(cov_solution.mean - posterior.mean))) / mean_scale,
+                    float(np.max(np.abs(cov_solution.cov - posterior.cov)
+                                 / np.max(np.abs(posterior.cov)))))
+    pred_err = max(abs(float(predictive.mean[0]) - xstar) / max(1.0, abs(xstar)),
+                   abs(float(predictive.cov[0, 0]) - expected_var) / expected_var)
+    checks = [CheckReport(name="cov_equals_flat_posterior", statistic=agreement,
+                          threshold=1e-12, comparison="le"),
+              CheckReport(name="predictive_formula", statistic=pred_err,
+                          threshold=1e-12, comparison="le")]
+    return cov_solution, posterior, predictive, checks
 
+
+def _run_regression_compare(cfg: RunConfig) -> ExampleResult:
+    cov_solution, posterior, predictive, checks = _regression_closed_forms(cfg.sigma, cfg.xstar)
     density = make_gaussian(cov_solution)
     samples = draw(density, cfg.samples, cfg.seed)
     result, _ = _tabulated(samples, density, _box(cov_solution, cfg.grid))
@@ -315,11 +329,7 @@ def _run_regression_compare(cfg: RunConfig) -> ExampleResult:
         "mean": float(predictive.mean[0]),
         "variance": float(predictive.cov[0, 0]),
     }
-    result.checks.append(CheckReport(name="cov_equals_flat_posterior",
-                                     statistic=agreement, threshold=1e-12,
-                                     comparison="le"))
-    result.checks.append(CheckReport(name="predictive_formula", statistic=pred_err,
-                                     threshold=1e-12, comparison="le"))
+    result.checks.extend(checks)
     return result
 
 

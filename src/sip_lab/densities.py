@@ -404,7 +404,8 @@ def fit_kde(samples, bandwidth=None) -> KdeDensity:
     blocked numpy kernel ``_kernels.kde_log_pdf``.  In one dimension the
     first evaluation builds a ``_kernels.KdeTable`` of the log density and
     its slope (at most ``KDE_TABLE_MAX_NODES`` nodes, ``h / 32`` apart, over
-    the centres +- 8 bandwidths), and later ones interpolate it by cubic
+    the centres +- 8 bandwidths, each node summing only the centres that
+    move it by more than rounding), and later ones interpolate it by cubic
     Hermite, to an error the table estimates from itself.  Points off the
     table, and every point when the span needs more nodes or the estimate
     exceeds ``KDE_TABLE_TOL``, get the exact kernel.

@@ -260,5 +260,8 @@ def regression_predictive(posterior: GaussianParams, x_star: float) -> GaussianP
     if posterior.dim != 2:
         raise ValueError(f"posterior must be 2-dimensional, got dim {posterior.dim}")
     v = np.array([1.0, float(x_star)])
-    return GaussianParams(mean=np.array([v @ posterior.mean]),
-                          cov=np.array([[v @ posterior.cov @ v]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, var = v @ posterior.mean, v @ posterior.cov @ v
+    if not np.isfinite(var):
+        raise ValueError(f"predictive variance at x_star = {x_star} is not finite ({var})")
+    return GaussianParams(mean=np.array([mean]), cov=np.array([[var]]))

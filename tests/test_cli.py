@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sip_lab import GaussianParams
 from sip_lab.cli import EXAMPLES, RunConfig, build_parser, main
 
 
@@ -232,7 +233,7 @@ def test_flag_value_an_example_cannot_run_with_exits_2(tmp_path, argv):
         [sys.executable, "-m", "sip_lab.cli", *argv, "--samples", "200", "--grid", "8",
          "--out", str(tmp_path / "out")], capture_output=True, env=env, text=True)
     assert result.returncode == 2, result.stderr
-    assert "Traceback" not in result.stderr
+    assert "Traceback" not in result.stderr and "RuntimeWarning" not in result.stderr
     assert [line for line in result.stderr.splitlines()
             if line.startswith("sip-lab: error: ")] == [result.stderr.splitlines()[-1]]
 
@@ -323,21 +324,28 @@ def test_example_tables_match_per_value_formatting(tmp_path, example):
 
 
 def test_bjw_kde_evaluates_the_grid_once(tmp_path, monkeypatch):
-    # The pushforward KDE is 1-D, so its exact kernels run once, over the
-    # nodes of its log-density table, and the grid reads the table: the
-    # KDE's log density sees each grid point once while the grid table is
-    # made, in blocks of at most POINT_BLOCK + 1 points.
+    # The pushforward KDE is 1-D, so its exact kernels run once over the
+    # nodes of its log-density table, a block of nodes per call, and the
+    # grid reads the table: the KDE's log density sees each grid point once
+    # while the grid table is made, in blocks of at most POINT_BLOCK + 1 points.
     from sip_lab import _kernels, cli
     from sip_lab.densities import KdeDensity
 
     grid, m = 128, 300
     real_kernel, real_log_pdf = _kernels.kde_log_pdf, KdeDensity._log_pdf
-    real_table = cli._density_grid_table
-    kernel_points, kde_grid_calls, in_table = [], [], []
+    real_table, real_build = cli._density_grid_table, _kernels.kde_table
+    kernel_points, kde_grid_calls, in_table, in_build = [], [], [], []
 
     def counting_kernel(points, data, bandwidth, slope=None):
-        kernel_points.append((len(points), len(data)))
+        kernel_points.append((len(points), len(data), bool(in_build)))
         return real_kernel(points, data, bandwidth, slope=slope)
+
+    def watched_build(*args):
+        in_build.append(True)
+        try:
+            return real_build(*args)
+        finally:
+            in_build.clear()
 
     def counting_log_pdf(self, pts):
         if in_table:
@@ -352,6 +360,7 @@ def test_bjw_kde_evaluates_the_grid_once(tmp_path, monkeypatch):
             in_table.clear()
 
     monkeypatch.setattr(_kernels, "kde_log_pdf", counting_kernel)
+    monkeypatch.setattr(_kernels, "kde_table", watched_build)
     monkeypatch.setattr(KdeDensity, "_log_pdf", counting_log_pdf)
     monkeypatch.setattr(cli, "_density_grid_table", watched_table)
     code = main(["bjw-kde", "--samples", str(m), "--seed", "11", "--grid", str(grid),
@@ -362,9 +371,35 @@ def test_bjw_kde_evaluates_the_grid_once(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "kde" / "bjw-kde_report.json").read_text())
     table = report["params"]["pushforward_kde_table"]
     assert table["tabulated"] and table["log_error_estimate"] <= _kernels.KDE_TABLE_TOL
-    assert [n for n, _ in kernel_points].count(table["nodes"]) == 1
-    pairs = sum(n * centres for n, centres in kernel_points)
+    assert sum(n for n, _, build in kernel_points if build) == table["nodes"]
+    pairs = sum(n * centres for n, centres, _ in kernel_points)
     assert 10 * pairs <= grid**2 * m
+
+
+@pytest.mark.parametrize("sigma", [1e-100, 1e-7, 1.0, 1e100])
+def test_regression_checks_are_relative_to_sigma(sigma):
+    # the covariances scale as sigma^2: both checks pass at every scale
+    from sip_lab import cli
+
+    *_, checks = cli._regression_closed_forms(sigma, 2.0)
+    assert [c.name for c in checks] == ["cov_equals_flat_posterior", "predictive_formula"]
+    assert all(c.passed for c in checks)
+
+
+@pytest.mark.parametrize("sigma", [1e-7, 1e100])
+def test_regression_check_fails_a_perturbed_covariance(monkeypatch, sigma):
+    # at sigma = 1e-7 the covariance is about 5e-15, below an absolute 1e-12
+    from sip_lab import cli
+
+    real = cli.cov_linear_gaussian
+
+    def perturbed(*args):
+        solution = real(*args)
+        return GaussianParams(solution.mean, solution.cov * (1.0 + 1e-9))
+
+    monkeypatch.setattr(cli, "cov_linear_gaussian", perturbed)
+    agreement, _ = cli._regression_closed_forms(sigma, 2.0)[-1]
+    assert not agreement.passed
 
 
 def _cov_grid_check(sigma):

@@ -1,6 +1,8 @@
 """Closed-form Gaussian algebra: pushforward identities, two-route checks,
 replicate-mean constants, and the regression comparison."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -259,6 +261,14 @@ class TestRegressionPredictive:
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
             regression_predictive(GaussianParams([0.0], [[1.0]]), 1.0)
+
+    def test_overflowing_variance_raises_without_a_warning(self):
+        # x_star**2 overflows: a typed error that names x_star, no RuntimeWarning
+        posterior = GaussianParams([0.0, 1.0], 0.5 * np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="x_star = 1e\\+160"):
+                regression_predictive(posterior, 1e160)
 
 
 def test_degenerate_initial_covariance_flags_error():

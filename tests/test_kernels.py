@@ -158,6 +158,55 @@ def test_kde_table_matches_exact_kernel(m):
     assert 0.5 * error.max() <= table.error <= 2.0 * error.max()
 
 
+def _windowed_case(name):
+    rng = np.random.default_rng(7)
+    if name.startswith("gaussian"):
+        data, bw, _ = _table_case(int(name.split("-")[1]))
+        return data, bw
+    if name == "ties":
+        # about 60 distinct values, each shared by about 30 centres
+        data = np.round(rng.standard_normal((2000, 1)), 1)
+        return data, fit_kde(data).bandwidth
+    return {
+        # the clusters' edges are about 34 bandwidths apart, beyond a node's reach
+        "bimodal": np.concatenate([0.1 * rng.standard_normal((500, 1)),
+                                   4.0 + 0.1 * rng.standard_normal((500, 1))]),
+        # about 40 bandwidths beyond the bulk
+        "outlier": np.append(0.3 * rng.standard_normal(999), 5.0)[:, None],
+        "one_centre": np.array([[0.3]]),
+    }[name], np.array([0.1])
+
+
+@pytest.mark.parametrize("name", ["gaussian-300", "gaussian-2000", "gaussian-10000",
+                                  "bimodal", "outlier", "one_centre", "ties"])
+def test_kde_table_nodes_match_every_centre(name):
+    # each node reads only the centres within its reach; the rest would add
+    # less than 2**-53 of the kernel sum, so the nodes agree with the kernel
+    # over every centre to rounding
+    data, bw = _windowed_case(name)
+    table = _kernels.kde_table(data, bw)
+    x = table.lo + table.step * np.arange(table.nodes - 1)
+    slope = np.empty((x.shape[0], 1))
+    value = _kernels.kde_log_pdf(x[:, None], data, bw, slope=slope)
+    np.testing.assert_allclose(table.coef[0], value, rtol=0, atol=1e-13)
+    slope = slope[:, 0]
+    assert np.all(np.abs(table.coef[1] / table.step - slope)
+                  <= 1e-12 * np.maximum(1.0, np.abs(slope)))
+
+
+def test_kde_table_reads_at_most_half_the_pairs(monkeypatch):
+    pairs = []
+    real = _kernels.kde_log_pdf
+
+    def counting(points, data, bandwidth, slope=None):
+        pairs.append(len(points) * len(data))
+        return real(points, data, bandwidth, slope=slope)
+
+    monkeypatch.setattr(_kernels, "kde_log_pdf", counting)
+    data, bw, table = _table_case(10_000)
+    assert 2 * sum(pairs) <= table.nodes * len(data)
+
+
 def test_kde_table_off_table_points_are_exact():
     data, bw, table = _table_case(500)
     top = table.lo + (table.nodes - 1) * table.step

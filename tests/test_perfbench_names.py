@@ -97,18 +97,26 @@ def test_seed_sweep_imports_resolve():
 
 def test_kde_table_build_is_traced(monkeypatch):
     """perfbench's ``_after_kde`` counts a ``kde_log_pdf`` call's pairs as
-    ``result.shape[0] * len(args[1])``, so the 1-D KDE's table build must
-    call the module attribute with the centres as second positional argument
-    and get back one value per node."""
+    ``result.shape[0] * len(args[1])``, so each block of the 1-D KDE's table
+    build must call the module attribute with the centres it reads, a slice
+    of the sorted centres, as second positional argument and get back one
+    value per node of the block; the blocks cover the nodes once, in order."""
     from sip_lab import fit_kde
 
     calls = _record(monkeypatch, _kernels, "kde_log_pdf")
     dens = fit_kde(np.random.default_rng(3).standard_normal((400, 1)))
     dens.log_pdf(np.linspace(-2.0, 2.0, 9))
     assert dens.tabulated
-    (args, result), = calls
-    assert args[1] is dens.data
-    assert result.shape == (len(args[0]),) == (dens.table.nodes,)
+    table = dens.table
+    centres = np.sort(dens.data[:, 0])
+    for args, result in calls:
+        k = len(args[1])
+        assert args[1].shape == (k, 1)
+        start = np.searchsorted(centres, args[1][0, 0])
+        assert np.array_equal(args[1][:, 0], centres[start : start + k])
+        assert result.shape == (len(args[0]),)
+    nodes = np.concatenate([args[0][:, 0] for args, _ in calls])
+    assert np.array_equal(nodes, table.lo + table.step * np.arange(table.nodes))
 
 
 def _tracer_method(name):

@@ -5,10 +5,11 @@ the Gaussian factor exp(-x^2/2) split so that its large part is exact;
 ``ndtri`` is Wichura's AS 241 (Appl. Statist. 37, 1988) as the standard
 library implements it; ``kolmogorov`` is the limiting Kolmogorov tail
 (Marsaglia, Tsang & Wang, J. Stat. Softw. 8, 2003); ``betainc`` is the
-regularized incomplete beta by Lentz's continued fraction.  Log-gamma is
-``math.lgamma``.  ``tests/test_special.py`` holds each to 1e-14 relative
-against reference implementations, or names the range where that cannot
-hold.
+regularized incomplete beta by Lentz's continued fraction, its front factor
+in log space where its parts leave the normal range, so that large shapes
+give no NaN.  Log-gamma is ``math.lgamma``.  ``tests/test_special.py``
+holds each to 1e-14 relative against reference implementations, or names
+the range where that cannot hold.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from statistics import NormalDist
 import numpy as np
 
 from ._kernels import POINT_BLOCK
+from .errors import NonConvergenceError
 
 _STANDARD_NORMAL = NormalDist()
 _SQRT1_2 = math.sqrt(0.5)
@@ -113,26 +115,37 @@ def _nonzero(v):
 
 
 def betainc(a: float, b: float, x):
-    """Regularized incomplete beta I_x(a, b) for x in [0, 1], elementwise."""
+    """Regularized incomplete beta I_x(a, b) for x in [0, 1], elementwise;
+    raises ``NonConvergenceError`` where the fraction is unsettled at 300 terms."""
     x = np.asarray(x, dtype=float)
     # the continued fraction converges fast only below (a + 1) / (a + b + 2);
     # above it, I_x(a, b) = 1 - I_{1-x}(b, a)
     swap = x > (a + 1.0) / (a + b + 2.0)
     s, t, z = np.where(swap, b, a), np.where(swap, a, b), np.where(swap, 1.0 - x, x)
-    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    front = z**s * np.exp(t * np.log1p(-z) - log_beta) / s
-    # modified Lentz evaluation of 1 / (1 + d_1 / (1 + d_2 / (1 + ...)))
+    log_rest = t * np.log1p(-z) - (math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        head = z**s
+        front = head * np.exp(log_rest)
+        # where z^s is subnormal or the exp overflows (a = b = 700 near x = 0.3),
+        # take the product from one exponent, which elsewhere rounds worse
+        front = np.where((head >= np.finfo(float).tiny) & (front < math.inf), front,
+                         np.exp(s * np.log(z) + log_rest)) / s
+    # modified Lentz evaluation of 1 / (1 + d_1 / (1 + d_2 / (1 + ...))), each
+    # point until its own last factor is within 4e-16 of 1 (one test over all
+    # points stalls: at a = b = 1e4 some factor sits 2 ulps off 1 at every term)
     c = np.ones_like(z)
     d = 1.0 / _nonzero(1.0 - (s + t) * z / (s + 1.0))
-    frac = d
+    frac, done = d, np.zeros(z.shape, dtype=bool)
     for m in range(1, 300):
         for num in (m * (t - m) * z / ((s + 2 * m - 1) * (s + 2 * m)),
                     -(s + m) * (s + t + m) * z / ((s + 2 * m) * (s + 2 * m + 1))):
             d = 1.0 / _nonzero(1.0 + num * d)
             c = _nonzero(1.0 + num / c)
-            frac = frac * c * d
-        if not np.any(np.abs(c * d - 1.0) > 4e-16):
+            frac = np.where(done, frac, frac * c * d)
+        done |= np.abs(c * d - 1.0) <= 4e-16
+        if done.all():
             break
+    else:
+        raise NonConvergenceError(f"betainc({a}, {b}, x): unsettled after 300 terms")
     out = front * frac
     return np.where(swap, 1.0 - out, out)[()]
-

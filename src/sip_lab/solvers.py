@@ -27,7 +27,6 @@ KIND_ROWS, b), one call of each kind per round.
 from __future__ import annotations
 
 import contextlib
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -519,8 +518,10 @@ def polar_arc(r):
     """Admissible polar-angle interval (phi1, phi2) at radius r on the unit square.
 
     The full quarter arc (0, pi/2) for r <= 1; the corner-clipped arc for
-    1 < r <= sqrt(2), collapsing to a point at r = sqrt(2).  ``arctan2`` runs
-    where r is not <= 1 (NaN too), and ``bbe_polar`` needs one arc per point.
+    1 < r <= sqrt(2), collapsing to a point at r = sqrt(2).  The width
+    phi2 - phi1 is also the density of r^2 / 2 under the uniform law on the
+    square.  ``arctan2`` runs where r is not <= 1 (NaN too), and
+    ``bbe_polar`` needs one arc per point.
     """
     r = np.asarray(r, dtype=float)
     radii = np.atleast_1d(r)
@@ -532,41 +533,24 @@ def polar_arc(r):
     return phi1.reshape(r.shape), phi2.reshape(r.shape)
 
 
-def angular_conditional(phi, r):
-    """Uniform-on-arc conditional density of the polar angle given the radius.
-
-    Evaluates to the closed-boundary limit on the arc endpoints (the square's
-    edges), which keeps quadrature over the closed square accurate.
-    """
-    r = np.asarray(r, dtype=float)
-    return _arc_density(np.asarray(phi, dtype=float), r, *polar_arc(r))
-
-
-def _arc_density(phi, r, phi1, phi2):
-    width = phi2 - phi1
-    inside = (phi >= phi1) & (phi <= phi2) & (r > 0) & (r <= math.sqrt(2.0)) & (width > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(inside, 1.0 / np.where(width > 0, width, 1.0), 0.0)
-
-
 def bbe_polar(f_y: Density) -> SipSolution:
     """Solution for g(theta) = (theta1^2 + theta2^2)/2 on the unit square.
 
     T = (r^2 / 2, (phi - phi1(r)) / (phi2(r) - phi1(r))): radius plays the
     observable-indexing coordinate, polar angle the contour coordinate with
     a uniform distribution on the admissible arc, so the log Jacobian is
-    that of the angular conditional.  ``forward`` computes each point's arc
-    once and scores the angle on it.  The inverse draws nothing.
+    -log(phi2 - phi1).  A point of the closed square with 0 < r < sqrt(2) is
+    on its arc, so ``forward`` only clips c, which rounding can put an ulp
+    past either end, into [0, 1]; the density is 0 at the corner, where the
+    arc has no width.  The inverse draws nothing.
     """
 
     def forward(pts):
         r = np.hypot(pts[:, 0], pts[:, 1])
         phi = np.arctan2(pts[:, 1], pts[:, 0])
         phi1, phi2 = polar_arc(r)
-        # 0/0 at the origin and at the corner, where the arc has no width
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (0.5 * r * r, (phi - phi1) / (phi2 - phi1),
-                    np.log(_arc_density(phi, r, phi1, phi2)))
+        width = np.where(phi2 > phi1, phi2 - phi1, np.inf)  # none at the corner
+        return 0.5 * r * r, np.clip((phi - phi1) / width, 0.0, 1.0), -np.log(width)
 
     def inverse(y, c, rng):
         r = np.sqrt(2.0 * y[:, 0])

@@ -116,7 +116,7 @@ def grid_for_support(density: Density) -> GridSpec:
             "effective grid box explicitly"
         )
     return GridSpec(tuple(density.support.lower), tuple(density.support.upper),
-                    512 if density.dim <= 2 else 96)
+                    {1: 512, 2: 128}.get(density.dim, 96))
 
 
 # ---------------------------------------------------------------------------

@@ -168,7 +168,7 @@ def test_criterion_05_figure_reproduction_properties():
     pol_solution = bbe_polar(f_pol)
     pol_report = pushforward_check(pol_solution.sample(10_000, seed=613),
                                    polar_quadratic_map(), f_pol, alpha=0.01, seed=613)
-    pol_norm = normalization_check(pol_solution.density, tol=1e-3)
+    pol_norm = normalization_check(pol_solution.density, tol=1e-4)
     pol_elapsed = time.perf_counter() - start
 
     ok = lin_report.passed and pol_report.passed and pol_norm.passed \

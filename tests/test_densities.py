@@ -492,15 +492,15 @@ def test_blocked_log_pdf_is_one_call(monkeypatch):
 
 
 def test_grid_evaluation_temporaries_stay_block_sized():
-    """bbe-polar's density on its 512 x 512 support grid: the points take
+    """bbe-polar's density on a 512 x 512 grid of its square: the points take
     2.1 MB and the output 2.1 MB; the whole-array pipeline peaked at 23.6 MB."""
     import tracemalloc
 
     from sip_lab import bbe_polar
-    from sip_lab.verification import grid_for_support
+    from sip_lab.verification import GridSpec
 
     dens = bbe_polar(make_beta(8.0, 12.0)).density
-    pts = grid_for_support(dens).points()
+    pts = GridSpec((0.0, 0.0), (1.0, 1.0), 512).points()
     tracemalloc.start()
     try:
         dens.log_pdf(pts)

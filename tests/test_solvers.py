@@ -20,6 +20,7 @@ from sip_lab import (
     NonConvergenceError,
     NoSolutionError,
     PredictabilityError,
+    Support,
     bbe_linear,
     bbe_polar,
     bjw_density,
@@ -60,7 +61,7 @@ from sip_lab.sampling import (
     rng_for,
     rng_streams,
 )
-from sip_lab.solvers import PILOT_SIZE, angular_conditional, polar_arc
+from sip_lab.solvers import PILOT_SIZE, polar_arc
 
 
 def two_branch_partition():
@@ -407,10 +408,18 @@ class TestBbeLinear:
                        bounds=([-1.0], [1.0]))
 
 
+def _polar_points(r, phi):
+    return np.column_stack([r * np.cos(phi), r * np.sin(phi)])
+
+
 class TestBbePolar:
+    F_Y = make_beta(8.0, 12.0)
+
     def test_conditional_value_inside_disc(self):
-        val = angular_conditional(np.array([0.7]), np.array([0.5]))
-        assert val[0] == pytest.approx(2.0 / math.pi, rel=1e-14)
+        # inside the unit disc the arc is the quarter circle, of width pi/2
+        r = 0.5
+        value = bbe_polar(self.F_Y).density.pdf(_polar_points(r, np.array([0.7])))[0]
+        assert value == pytest.approx(self.F_Y.pdf(0.5 * r * r) * 2.0 / math.pi, rel=1e-13)
 
     def test_arc_collapses_at_corner_radius(self):
         phi1, phi2 = polar_arc(math.sqrt(2.0))
@@ -439,10 +448,62 @@ class TestBbePolar:
 
     @pytest.mark.parametrize("r", [0.05, 0.4, 0.999, 1.0, 1.001, 1.2, 1.4135])
     def test_conditional_integrates_to_one(self, r):
+        # f(theta) = f_Y(r^2 / 2) / (phi2 - phi1) on the arc, so the angle's
+        # conditional law is uniform: its midpoint sum over the arc is exactly 1
+        density, f_y = bbe_polar(self.F_Y).density, self.F_Y.pdf(0.5 * r * r)
         phi1, phi2 = polar_arc(r)
-        mid = 0.5 * (phi1 + phi2)
-        value = angular_conditional(np.array([mid]), np.array([r]))[0]
-        assert value * (phi2 - phi1) == pytest.approx(1.0, abs=1e-12)
+        width = phi2 - phi1
+        mid = density.pdf(_polar_points(r, np.array([0.5 * (phi1 + phi2)])))[0]
+        assert mid == pytest.approx(f_y / width, rel=1e-13)
+        phi = phi1 + (np.arange(64) + 0.5) / 64 * width
+        assert density.pdf(_polar_points(r, phi)).sum() * width / 64 / f_y \
+            == pytest.approx(1.0, rel=1e-12)
+
+    def test_density_positive_on_the_outer_edges(self):
+        # (phi - phi1) / (phi2 - phi1) rounds an ulp past [0, 1] at 56 of these
+        # points; the clipped contour coordinate keeps them in f_C's support
+        density = bbe_polar(self.F_Y).density
+        t = np.linspace(0.0, 1.0, 129)[1:-1]
+        one = np.ones_like(t)
+        for pts in (np.column_stack([one, t]), np.column_stack([t, one])):
+            assert np.all(density.pdf(pts) > 0.0)
+
+    def test_corner_and_origin_are_zero_without_warnings(self):
+        density = bbe_polar(self.F_Y).density
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            values = density.log_pdf(np.array([[1.0, 1.0], [0.0, 0.0]]))
+        np.testing.assert_array_equal(values, [-np.inf, -np.inf])
+
+    @staticmethod
+    def _arc_width_update():
+        """The ratio-form update of a uniform initial on the square: its
+        pushforward under r^2 / 2 has density phi2 - phi1 at r = sqrt(2 y)."""
+
+        def log_arc_width(pts):
+            phi1, phi2 = polar_arc(np.sqrt(2.0 * pts[:, 0]))
+            with np.errstate(divide="ignore"):  # the arc rounds to no width at y = 1
+                return np.log(np.maximum(phi2 - phi1, 0.0))
+
+        pushforward = Density(1, Support([0.0], [1.0]), log_pdf_fn=log_arc_width)
+        return bjw_density(make_uniform([0.0, 0.0], [1.0, 1.0]), polar_quadratic_map(),
+                           TestBbePolar.F_Y, pushforward)
+
+    @pytest.mark.parametrize("num", [24, 128])
+    def test_bjw_update_is_the_bbe_solution(self, num):
+        # a uniform initial has the uniform law on each arc, so the ratio-form
+        # update and the uniform-on-contour solution are one density
+        pts = GridSpec((0.0, 0.0), (1.0, 1.0), num).points()
+        bjw = self._arc_width_update().density.log_pdf(pts)
+        bbe = bbe_polar(self.F_Y).density.log_pdf(pts)
+        finite = np.isfinite(bbe)
+        np.testing.assert_array_equal(np.isfinite(bjw), finite)
+        assert np.abs(np.exp(bjw) - np.exp(bbe)).max() <= 1e-12 * np.exp(bbe).max()
+
+    def test_bjw_update_rejection_draws_push_forward(self):
+        samples = self._arc_width_update().sample(4000, seed=47)
+        report = pushforward_check(samples, polar_quadratic_map(), self.F_Y, seed=47)
+        assert report.passed, report.details
 
     def test_pushforward_beta_target(self):
         f_y = make_beta(8.0, 12.0)

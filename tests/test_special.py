@@ -129,6 +129,23 @@ class TestBetainc:
         np.testing.assert_array_equal(betainc(8.0, 12.0, np.array([0.0, 1.0])), [0.0, 1.0])
         assert np.ndim(betainc(8.0, 12.0, 0.4)) == 0
 
+    @pytest.mark.parametrize("a", [700.0, 1e3, 1e4])
+    def test_large_equal_shapes_match_scipy(self, a):
+        # x^a underflows where exp(-log B(a, a)) overflows: 2,504 of these
+        # points were NaN at a = 700 when the two were formed apart.  log B =
+        # 2 lgamma(a) - lgamma(2a) cancels (lgamma(2a) is 1.3e4 at a = 1e3), so
+        # compare absolutely: the error is 8.3e-13 at a = 1e3, 5.1e-13 at 1e4.
+        x = np.linspace(0.0, 1.0, 4_001)
+        got = betainc(a, a, x)
+        assert np.max(np.abs(got - sc.betainc(a, a, x))) <= 2e-12
+
+    def test_unconverged_fraction_raises(self):
+        # at a = b = 1e6 the fraction needs about 530 terms near x = 1/2
+        from sip_lab import NonConvergenceError
+
+        with pytest.raises(NonConvergenceError, match="300 terms"):
+            betainc(1e6, 1e6, np.array([0.1, 0.5]))
+
 
 def test_lgamma_matches_scipy_gammaln():
     # the densities use math.lgamma directly; near its zeros at 1 and 2 a

@@ -428,14 +428,14 @@ class TestGridChecks:
         assert np.array_equal(grid.points(), np.stack([m.ravel() for m in mesh], axis=-1))
 
     def test_normalization_check_memory_stays_block_sized(self):
-        """bbe-polar's density on its 512 x 512 support grid: the points take
-        4.2 MB; whole-array evaluation and per-axis meshes peaked at 27.8 MB."""
+        """bbe-polar's density on a 512 x 512 grid of its square: the points
+        take 4.2 MB; whole-array evaluation and per-axis meshes peaked at 27.8 MB."""
         from sip_lab import bbe_polar, make_beta
 
         density = bbe_polar(make_beta(8.0, 12.0)).density
         tracemalloc.start()
         try:
-            report = normalization_check(density)
+            report = normalization_check(density, GridSpec((0.0, 0.0), (1.0, 1.0), 512))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

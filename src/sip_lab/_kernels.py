@@ -49,8 +49,8 @@ POINT_BLOCK = 8192
 
 # Edge of the square distance blocks of the energy statistics: 256 rows, a
 # 512 KiB block (one KDE buffer).  On a Xeon core with a 4 MiB L2, 2048 rows
-# took 20 ms for 25 groupings and 41-45 ms for 177, against 28-29 and 53-57 ms
-# at 512 rows, whose three buffers (4.8 MB) overflow it, and 5-10% more at 128.
+# took 10.5-11.3 ms for 25 groupings (d = 2 and 10) and 25 ms for 177, against
+# 11.5-11.8 and 28.4 ms at 512 rows and 12.3-12.8 and 29.2 ms at 128.
 ENERGY_BLOCK = math.isqrt(KDE_BLOCK_FLOATS)
 
 # The 1-D KDE table: node spacing and reach beyond the outermost centres, in
@@ -245,21 +245,24 @@ def kde_table(data: np.ndarray, bandwidth: np.ndarray) -> KdeTable | None:
 # ---------------------------------------------------------------------------
 
 
-def pairwise_dists(x: np.ndarray, y: np.ndarray = None, out: np.ndarray = None,
-                   scratch: np.ndarray = None) -> np.ndarray:
+def pairwise_dists(x: np.ndarray, y: np.ndarray = None, out: np.ndarray = None) -> np.ndarray:
     """Euclidean distances between the rows of ``x`` and the rows of ``y``.
 
-    With ``y=None`` this is ``x`` against itself: a symmetric matrix with an
-    exactly zero diagonal.  The (n, m) distances go to ``out`` and the cross
-    products ``x @ y.T`` to ``scratch``, each allocated when not given.
+    The squared distances are one product, ``[x, |x|^2, 1] @ [-2 y, 1,
+    |y|^2]^T``, clipped at 0.  ``y=None`` is ``x`` against itself, each
+    mirrored pair at its smaller value: symmetric, with a zero diagonal.
+    The (n, m) distances go to ``out``, allocated when not given.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     other = x if y is None else np.atleast_2d(np.asarray(y, dtype=float))
-    d2 = np.add(np.sum(x * x, axis=1)[:, None], np.sum(other * other, axis=1)[None, :], out=out)
-    d2 -= np.multiply(np.matmul(x, other.T, out=scratch), 2.0, out=scratch)
-    np.maximum(d2, 0.0, out=d2)
+    left = np.column_stack([x, np.einsum("ij,ij->i", x, x), np.ones(x.shape[0])])
+    right = np.column_stack([-2.0 * other, np.ones(other.shape[0]),
+                             np.einsum("ij,ij->i", other, other)])
+    d2 = np.matmul(left, right.T, out=out)
     if y is None:
+        np.minimum(d2, d2.T, out=d2)
         np.fill_diagonal(d2, 0.0)
+    np.maximum(d2, 0.0, out=d2)
     return np.sqrt(d2, out=d2)
 
 
@@ -273,12 +276,15 @@ def energy_stats(points: np.ndarray, groupings: np.ndarray, n1: int) -> np.ndarr
     within-sample sums are ``z' D z`` and the row sums of the distance
     matrix ``D`` give the rest.  ``D`` is never held whole: it is made one
     square block of ``ENERGY_BLOCK`` rows at a time over its upper block
-    triangle, and each block off the diagonal counts for its mirror image.
+    triangle; each block off the diagonal counts for its mirror image, and
+    each block on it has its own diagonal set to 0.  The points are centred
+    first, since ``pairwise_dists``' norm expansion loses digits far from 0.
     ``z`` indexes the smaller sample (the statistic is symmetric): ``s_yy``
     is a difference of sums over all n rows, which cancels when it is small.
-    Each block and its two products are made in three buffers per call.
+    Each block and its product with ``z`` are made in two buffers per call.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = points - points.mean(axis=0)
     groupings = np.asarray(groupings)  # any integer dtype indexes as it is
     n1 = int(n1)
     n = points.shape[0]
@@ -290,15 +296,16 @@ def energy_stats(points: np.ndarray, groupings: np.ndarray, n1: int) -> np.ndarr
     z[groupings[:, :n1].T, np.arange(b)[None, :]] = 1.0
     zdz = np.zeros(b)
     rowsum = np.zeros(n)
-    dist, cross, dz = (np.empty(ENERGY_BLOCK * k) for k in (ENERGY_BLOCK, ENERGY_BLOCK, b))
+    dist, dz = np.empty(ENERGY_BLOCK * ENERGY_BLOCK), np.empty(ENERGY_BLOCK * b)
     for i in range(0, n, ENERGY_BLOCK):
         ie = min(i + ENERGY_BLOCK, n)
         for j in range(i, n, ENERGY_BLOCK):
             je = min(j + ENERGY_BLOCK, n)
             rows, cols = ie - i, je - j
-            block = pairwise_dists(points[i:ie], None if j == i else points[j:je],
-                                   out=dist[: rows * cols].reshape(rows, cols),
-                                   scratch=cross[: rows * cols].reshape(rows, cols))
+            block = pairwise_dists(points[i:ie], points[j:je],
+                                   out=dist[: rows * cols].reshape(rows, cols))
+            if j == i:
+                np.fill_diagonal(block, 0.0)
             weight = 1.0 if j == i else 2.0
             block_z = np.matmul(block, z[j:je], out=dz[: rows * b].reshape(rows, b))
             zdz += weight * np.einsum("ib,ib->b", z[i:ie], block_z)

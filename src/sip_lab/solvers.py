@@ -520,8 +520,10 @@ def polar_arc(r):
     The full quarter arc (0, pi/2) for r <= 1; the corner-clipped arc for
     1 < r <= sqrt(2), collapsing to a point at r = sqrt(2).  The width
     phi2 - phi1 is also the density of r^2 / 2 under the uniform law on the
-    square.  ``arctan2`` runs where r is not <= 1 (NaN too), and
-    ``bbe_polar`` needs one arc per point.
+    square.  phi2 is held at phi1 or above, so the width is 0, not
+    negative, past sqrt(2) and at sqrt(2) itself, whose square rounds past 2
+    (-2.2e-16 unclamped).  ``arctan2`` runs where r is not <= 1 (NaN too),
+    and ``bbe_polar`` needs one arc per point.
     """
     r = np.asarray(r, dtype=float)
     radii = np.atleast_1d(r)
@@ -529,7 +531,7 @@ def polar_arc(r):
     excess = np.sqrt(np.square(radii[outer]) - 1.0)
     phi1, phi2 = np.zeros(radii.shape), np.full(radii.shape, 0.5 * np.pi)
     phi1[outer] = np.arctan2(excess, 1.0)
-    phi2[outer] = np.arctan2(1.0, excess)
+    phi2[outer] = np.maximum(np.arctan2(1.0, excess), phi1[outer])
     return phi1.reshape(r.shape), phi2.reshape(r.shape)
 
 

@@ -330,8 +330,10 @@ def test_energy_stats_unequal_groups_keep_full_precision(n1, n2):
 
 def _allocating_energy_stats(points, groupings, n1):
     """Reference: the energy statistics with fresh arrays for every block,
-    the distance block made as one expression, whose values the kernel's
-    reused buffers must reproduce bit for bit."""
+    the centred points' squared distances made as one product of augmented
+    rows, whose values the kernel's reused buffers must reproduce bit for
+    bit."""
+    points = points - points.mean(axis=0)
     n = points.shape[0]
     if n - n1 < n1:
         groupings, n1 = groupings[:, ::-1], n - n1
@@ -347,12 +349,11 @@ def _allocating_energy_stats(points, groupings, n1):
         for j in range(i, n, edge):
             je = min(j + edge, n)
             x, y = points[i:ie], points[j:je]
-            block = (np.sum(x * x, axis=1)[:, None] + np.sum(y * y, axis=1)[None, :]
-                     - 2.0 * (x @ (x if j == i else y).T))
-            np.maximum(block, 0.0, out=block)
+            left = np.column_stack([x, np.einsum("ij,ij->i", x, x), np.ones(len(x))])
+            right = np.column_stack([-2.0 * y, np.ones(len(y)), np.einsum("ij,ij->i", y, y)])
+            block = np.sqrt(np.maximum(left @ right.T, 0.0))
             if j == i:
                 np.fill_diagonal(block, 0.0)
-            np.sqrt(block, out=block)
             weight = 1.0 if j == i else 2.0
             zdz += weight * np.einsum("ib,ib->b", z[i:ie], block @ z[j:je])
             rowsum[i:ie] += block.sum(axis=1)

@@ -434,8 +434,10 @@ class TestBbePolar:
     def test_arc_matches_the_two_branch_reference(self):
         def reference(r):
             excess = np.sqrt(np.maximum(r * r - 1.0, 0.0))
-            return (np.where(r <= 1.0, 0.0, np.arctan2(excess, 1.0)),
-                    np.where(r <= 1.0, 0.5 * np.pi, np.arctan2(1.0, excess)))
+            phi1 = np.arctan2(excess, 1.0)
+            return (np.where(r <= 1.0, 0.0, phi1),
+                    np.where(r <= 1.0, 0.5 * np.pi,
+                             np.maximum(np.arctan2(1.0, excess), phi1)))
 
         special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, np.nextafter(1.0, 2.0),
                    math.sqrt(2.0), 2.0]
@@ -445,6 +447,9 @@ class TestBbePolar:
             for a, b in zip(got, expected):
                 assert a.shape == b.shape
                 assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        # sqrt(2)**2 rounds to 2 + 4.4e-16, whose unclamped arc has width -2.2e-16
+        phi1, phi2 = polar_arc(math.sqrt(2.0))
+        assert phi2 - phi1 >= 0.0
 
     @pytest.mark.parametrize("r", [0.05, 0.4, 0.999, 1.0, 1.001, 1.2, 1.4135])
     def test_conditional_integrates_to_one(self, r):
@@ -483,7 +488,7 @@ class TestBbePolar:
         def log_arc_width(pts):
             phi1, phi2 = polar_arc(np.sqrt(2.0 * pts[:, 0]))
             with np.errstate(divide="ignore"):  # the arc rounds to no width at y = 1
-                return np.log(np.maximum(phi2 - phi1, 0.0))
+                return np.log(phi2 - phi1)
 
         pushforward = Density(1, Support([0.0], [1.0]), log_pdf_fn=log_arc_width)
         return bjw_density(make_uniform([0.0, 0.0], [1.0, 1.0]), polar_quadratic_map(),

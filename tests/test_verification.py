@@ -105,6 +105,23 @@ class TestEnergyDistance:
         second = energy_distance_test(x, y, seed=9)
         assert first == second
 
+    def test_translation_moves_no_statistic_or_p_value(self):
+        # the statistic does not change under translation, but the norm
+        # expansion of the distances loses digits away from the origin
+        # unless the points are centred: uncentred, this p-value read 0.125
+        # instead of 0.00995 at an offset of 1e8
+        from sip_lab import _kernels
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((300, 2))
+        y = rng.standard_normal((300, 2)) + [0.2, 0.0]
+        pooled, table = np.vstack([x, y]), _full_table(600, 1)
+        stats = _kernels.energy_stats(pooled, table, 300)
+        for offset in (1e4, 1e6):
+            np.testing.assert_allclose(_kernels.energy_stats(pooled + offset, table, 300),
+                                       stats, rtol=1e-9, atol=0)
+        assert energy_distance_test(x + 1e8, y + 1e8, seed=1)[1] \
+            == energy_distance_test(x, y, seed=1)[1]
+
     def test_one_dimensional_input_is_scalar_observations(self):
         rng = np.random.default_rng(97)
         x = rng.standard_normal(300)

@@ -245,23 +245,18 @@ def kde_table(data: np.ndarray, bandwidth: np.ndarray) -> KdeTable | None:
 # ---------------------------------------------------------------------------
 
 
-def pairwise_dists(x: np.ndarray, y: np.ndarray = None, out: np.ndarray = None) -> np.ndarray:
+def pairwise_dists(x: np.ndarray, y: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     """Euclidean distances between the rows of ``x`` and the rows of ``y``.
 
     The squared distances are one product, ``[x, |x|^2, 1] @ [-2 y, 1,
-    |y|^2]^T``, clipped at 0.  ``y=None`` is ``x`` against itself, each
-    mirrored pair at its smaller value: symmetric, with a zero diagonal.
-    The (n, m) distances go to ``out``, allocated when not given.
+    |y|^2]^T``, clipped at 0, into ``out`` when given.  Against itself ``x``
+    is neither exactly symmetric nor 0 on its diagonal.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    other = x if y is None else np.atleast_2d(np.asarray(y, dtype=float))
+    y = np.atleast_2d(np.asarray(y, dtype=float))
     left = np.column_stack([x, np.einsum("ij,ij->i", x, x), np.ones(x.shape[0])])
-    right = np.column_stack([-2.0 * other, np.ones(other.shape[0]),
-                             np.einsum("ij,ij->i", other, other)])
+    right = np.column_stack([-2.0 * y, np.ones(y.shape[0]), np.einsum("ij,ij->i", y, y)])
     d2 = np.matmul(left, right.T, out=out)
-    if y is None:
-        np.minimum(d2, d2.T, out=d2)
-        np.fill_diagonal(d2, 0.0)
     np.maximum(d2, 0.0, out=d2)
     return np.sqrt(d2, out=d2)
 

@@ -1,28 +1,26 @@
-"""The special functions sip_lab evaluates, in numpy and the standard library.
+"""The special functions sip_lab evaluates, in numpy and the standard library's math.
 
 ``ndtr`` is Cody's rational Chebyshev erf/erfc (Math. Comp. 23, 1969) with
 the Gaussian factor exp(-x^2/2) split so that its large part is exact;
-``ndtri`` is Wichura's AS 241 (Appl. Statist. 37, 1988) as the standard
-library implements it; ``kolmogorov`` is the limiting Kolmogorov tail
-(Marsaglia, Tsang & Wang, J. Stat. Softw. 8, 2003); ``betainc`` is the
-regularized incomplete beta by Lentz's continued fraction, its front factor
-in log space where its parts leave the normal range, so that large shapes
-give no NaN.  Log-gamma is ``math.lgamma``.  ``tests/test_special.py``
-holds each to 1e-14 relative against reference implementations, or names
-the range where that cannot hold.
+``ndtri`` is Wichura's AS 241 (Appl. Statist. 37, 1988), a numpy port of
+``statistics.NormalDist.inv_cdf`` that equals it bit for bit; ``kolmogorov``
+is the limiting Kolmogorov tail (Marsaglia, Tsang & Wang, J. Stat. Softw. 8,
+2003); ``betainc`` is the regularized incomplete beta by Lentz's continued
+fraction, its front factor in log space where its parts leave the normal
+range, so that large shapes give no NaN.  Log-gamma is ``math.lgamma``.
+``tests/test_special.py`` holds each to 1e-14 relative against reference
+implementations (``ndtri`` to the bit), or names the range where that cannot hold.
 """
 
 from __future__ import annotations
 
 import math
-from statistics import NormalDist
 
 import numpy as np
 
 from ._kernels import POINT_BLOCK
 from .errors import NonConvergenceError
 
-_STANDARD_NORMAL = NormalDist()
 _SQRT1_2 = math.sqrt(0.5)
 _RSQRT_PI = 1.0 / math.sqrt(math.pi)
 # Cody's coefficients: erf on |y| <= 0.46875, erfc on (0.46875, 4] and beyond 4
@@ -42,19 +40,19 @@ _ERFC_Q = (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-
            6.05183413124413191e-2, 2.33520497626869185e-3)
 
 
+def _horner(coef, t):
+    """((coef[0] t + coef[1]) t + ...) t + coef[-1], in that order of operations."""
+    out = coef[0] * t + coef[1]
+    for c in coef[2:]:
+        out *= t
+        out += c
+    return out
+
+
 def _cody(num, den, t):
     """Cody's Horner form: (num[-1] t^k + num[0] t^(k-1) + ... + num[-2]) over
     (t^k + den[0] t^(k-1) + ... + den[-1])."""
-    top, bottom = num[-1] * t, t.copy()
-    for a, b in zip(num[:-2], den[:-1]):
-        top += a
-        top *= t
-        bottom += b
-        bottom *= t
-    top += num[-2]
-    bottom += den[-1]
-    top /= bottom
-    return top
+    return _horner((num[-1], *num[:-1]), t) / _horner((1.0, *den), t)
 
 
 def ndtr(x):
@@ -89,13 +87,38 @@ def ndtr(x):
     return out.reshape(x.shape)[()]
 
 
+# AS 241's numerators and denominators, highest power first: |p - 1/2| <= 0.425, r <= 5, r > 5
+_AS241 = (
+    (2509.0809287301227, 33430.57558358813, 67265.7709270087, 45921.95393154987,
+     13731.69376550946, 1971.5909503065513, 133.14166789178438, 3.3871328727963665),
+    (5226.495278852854, 28729.085735721943, 39307.89580009271, 21213.794301586597,
+     5394.196021424751, 687.1870074920579, 42.31333070160091, 1.0),
+    (7.745450142783414e-4, 0.022723844989269184, 0.2417807251774506, 1.2704582524523684,
+     3.6478483247632045, 5.769497221460691, 4.630337846156546, 1.4234371107496835),
+    (1.0507500716444169e-9, 5.475938084995345e-4, 0.015198666563616457, 0.14810397642748008,
+     0.6897673349851, 1.6763848301838038, 2.053191626637759, 1.0),
+    (2.0103343992922881e-7, 2.7115555687434876e-5, 0.0012426609473880784, 0.026532189526576124,
+     0.29656057182850487, 1.7848265399172913, 5.463784911164114, 6.657904643501103),
+    (2.0442631033899397e-15, 1.421511758316446e-7, 1.8463183175100548e-5, 7.868691311456133e-4,
+     0.014875361290850615, 0.1369298809227358, 0.599832206555888, 1.0))
+
+
 def ndtri(p):
-    """Inverse standard normal CDF, elementwise: -inf at 0, +inf at 1, NaN outside."""
-    p = np.asarray(p, dtype=float)
-    out = [_STANDARD_NORMAL.inv_cdf(v) if 0.0 < v < 1.0
-           else -math.inf if v == 0.0 else math.inf if v == 1.0 else math.nan
-           for v in p.ravel().tolist()]
-    return np.array(out).reshape(p.shape)[()]
+    """Inverse standard normal CDF, elementwise: -inf at 0, +inf at 1, NaN outside.
+    AS 241 as ``statistics.NormalDist().inv_cdf`` computes it, equal to the bit."""
+    flat = np.asarray(p, dtype=float).ravel()
+    q = np.where((flat >= 0.0) & (flat <= 1.0), flat, math.nan) - 0.5  # NaN outside [0, 1]
+    r = 0.180625 - q * q
+    out = _horner(_AS241[0], r) * q / _horner(_AS241[1], r)
+    tail = np.flatnonzero((np.abs(q) > 0.425) & (flat > 0.0) & (flat < 1.0))
+    small = np.where(q[tail] <= 0.0, flat[tail], 1.0 - flat[tail])
+    # math.log, the standard library's: np.log is an ulp off it on a few tail values
+    r = np.sqrt(-np.array([math.log(v) for v in small.tolist()]))
+    x = np.where(r <= 5.0, _horner(_AS241[2], r - 1.6) / _horner(_AS241[3], r - 1.6),
+                 _horner(_AS241[4], r - 5.0) / _horner(_AS241[5], r - 5.0))
+    out[tail] = np.where(q[tail] < 0.0, -x, x)
+    out[flat == 0.0], out[flat == 1.0] = -math.inf, math.inf
+    return out.reshape(np.shape(p))[()]
 
 
 def kolmogorov(x: float) -> float:

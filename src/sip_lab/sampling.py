@@ -54,7 +54,8 @@ def rng_streams(seed: int, kind: int, first: int, stop: int) -> list[np.random.G
 class RowStreams:
     """A generator over one stream per row: row i of a ``(k, ...)`` request is
     ``rngs[i]``'s draw for ``(1, ...)``.  It has the methods the density samplers
-    call, so a sampler draws k rows in one call with the numbers of k one-row calls."""
+    call, so a sampler draws k rows in one call with the numbers of k one-row calls,
+    each stream in one call shaped like its row (a scalar call for a one-value row)."""
 
     def __init__(self, rngs):
         self.rngs = rngs
@@ -63,8 +64,12 @@ class RowStreams:
         size = tuple(np.atleast_1d(size))
         if size[0] != len(self.rngs):
             raise ValueError(f"{size[0]} rows requested from {len(self.rngs)} streams")
-        return np.concatenate([getattr(rng, method)(*args, size=(1, *size[1:]))
-                               for rng in self.rngs])
+        dtype = np.int64 if method == "integers" else float  # the four methods' defaults
+        if np.prod(size[1:], dtype=int) != 1:  # else a scalar call, random() or beta(a, b)
+            args, dtype = (*args, size[1:]), (dtype, size[1:])  # size follows the others
+        # a generator holds one row's draw at a time; a list of k draws raises peak RSS
+        draws = (getattr(rng, method)(*args) for rng in self.rngs)
+        return np.fromiter(draws, dtype, len(self.rngs)).reshape(size)
 
     def random(self, size):
         return self._rows("random", size)

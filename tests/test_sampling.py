@@ -90,14 +90,29 @@ def _per_row(density, k):
 class TestRowStreams:
     @pytest.mark.parametrize("method,args", [("random", ()), ("standard_normal", ()),
                                              ("beta", (2.0, 3.0)), ("integers", (0, 10))])
-    @pytest.mark.parametrize("size", [5, (5,), (5, 3)])
+    @pytest.mark.parametrize("size", [5, (5,), (5, 3), (5, 1)])
     def test_row_i_is_stream_i_drawing_one_row(self, method, args, size):
-        block = getattr(RowStreams(_streams(5)), method)(*args, size=size)
+        streams = _streams(5)
+        block = getattr(RowStreams(streams), method)(*args, size=size)
         shape = tuple(np.atleast_1d(size))
         assert block.shape == shape
-        for row, rng in zip(block, _streams(5)):
-            one_row = getattr(rng, method)(*args, size=(1, *shape[1:]))
+        for row, rng, ref in zip(block, streams, _streams(5)):
+            one_row = getattr(ref, method)(*args, size=(1, *shape[1:]))
             np.testing.assert_array_equal(row, one_row[0])
+            assert block.dtype == one_row.dtype
+            # the next draw agrees too: the block left each stream where one row does
+            assert getattr(rng, method)(*args) == getattr(ref, method)(*args)
+
+    @pytest.mark.parametrize("size", [(5,), (5, 1), (5, 3)])
+    def test_integers_then_normals_match_one_row_draws(self, size):
+        # the KDE sampler's order: a centre index, then the kernel's normals
+        streams = RowStreams(_streams(5))
+        idx, z = streams.integers(0, 50, size=5), streams.standard_normal(size)
+        for i, (rng, ref) in enumerate(zip(streams.rngs, _streams(5))):
+            assert idx[i] == ref.integers(0, 50, size=1)[0]
+            np.testing.assert_array_equal(z[i], ref.standard_normal((1, *size[1:]))[0])
+            assert rng.integers(0, 50) == ref.integers(0, 50)
+            assert rng.standard_normal() == ref.standard_normal()
 
     @pytest.mark.parametrize("density", [
         make_uniform([-1.0, 2.0], [1.0, 5.0]),

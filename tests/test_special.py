@@ -6,6 +6,7 @@ mpmath at 40 digits instead.
 """
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -70,9 +71,23 @@ class TestNdtri:
         assert _rel_err(got[centre], want[centre]) <= REL
         assert np.all(got[~centre] == 0.0)
 
+    def test_bit_equal_to_the_standard_library(self):
+        # AS 241's branches meet at p = 0.075, 0.925 and where -log(min(p, 1 - p)) = 25
+        rng = np.random.default_rng(5)
+        ends = [0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0), 5e-324, 1.0 - 2**-53]
+        # dense in the tails, where math.log and np.log differ by an ulp on a few values
+        p = np.concatenate([rng.random(60_000), 0.075 * rng.random(100_000),
+                            1.0 - 0.075 * rng.random(100_000), 1e-10 * rng.random(20_000),
+                            1.0 - 1e-10 * rng.random(20_000), np.exp(-700.0 * rng.random(50_000)),
+                            [np.nextafter(v, t) for v in ends for t in (0.0, 1.0)], ends])
+        p = p[(p > 0.0) & (p < 1.0)]
+        want = np.array([NormalDist().inv_cdf(v) for v in p.tolist()])
+        np.testing.assert_array_equal(ndtri(p).view(np.int64), want.view(np.int64))
+        assert ndtri(p[7]) == want[7] and isinstance(ndtri(p[7]), float)
+
     def test_edges_and_shapes(self):
-        out = ndtri(np.array([0.0, 1.0, -0.5, 1.5, np.nan]))
-        np.testing.assert_array_equal(out, [-np.inf, np.inf, np.nan, np.nan, np.nan])
+        out = ndtri(np.array([0.0, -0.0, 1.0, -0.5, 1.5, np.nan, -np.inf, np.inf, 1e300]))
+        np.testing.assert_array_equal(out, [-np.inf, -np.inf, np.inf] + [np.nan] * 6)
         assert ndtri(0.5) == 0.0 and np.ndim(ndtri(0.25)) == 0
         assert ndtri(np.full((2, 3), 0.3)).shape == (2, 3)
 

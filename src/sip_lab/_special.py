@@ -81,10 +81,21 @@ def ndtr(x):
     half = 0.5 * np.exp(-0.5 * s * s) * np.exp(-0.5 * (ax - s) * (ax + s)) * ratio
     out = np.where(flat < 0.0, half, 1.0 - half)
     # near 0, Phi = 1/2 + erf(y) / 2
-    core = np.flatnonzero(ay <= 0.46875)
-    yc = flat[core] * _SQRT1_2
-    out[core] = 0.5 + 0.5 * yc * _cody(_ERF_A, _ERF_B, yc * yc)
+    core = np.flatnonzero(in_ndtr_core(flat))
+    out[core] = 0.5 + ndtr_core(flat[core])
     return out.reshape(x.shape)[()]
+
+
+def in_ndtr_core(x):
+    """Where ndtr takes Cody's erf branch, |x| / sqrt(2) <= 0.46875."""
+    return np.abs(x) * _SQRT1_2 <= 0.46875
+
+
+def ndtr_core(x):
+    """Phi(x) - 1/2 = erf(x / sqrt(2)) / 2, elementwise, by ndtr's erf branch:
+    to a few ulps, relative, where ``in_ndtr_core(x)``."""
+    y = np.asarray(x, dtype=float) * _SQRT1_2
+    return 0.5 * y * _cody(_ERF_A, _ERF_B, y * y)
 
 
 # AS 241's numerators and denominators, highest power first: |p - 1/2| <= 0.425, r <= 5, r > 5

@@ -372,24 +372,171 @@ EXAMPLES = tuple(_RUNNERS)  # argparse registers them, and --help lists them, in
 
 
 CSV_BLOCK_ROWS = 1024  # rows joined into one string at a time
+FORMAT_BLOCK = 4096  # values _format17 formats at a time
+
+# _format17 scales |x| in (1e-200, 1e200) by 10^(16 - k), k = floor(log10 |x|)
+# in [-200, 200], where no partial product leaves the normal range.  Column
+# k - _K_MIN of _POW10 holds (hi, hi's Dekker halves, lo), 10^(16 - k) as a
+# double-double made exactly from Python ints the first time k is seen.
+_K_MIN, _K_MAX = -200, 200
+_POW10 = np.full((4, _K_MAX - _K_MIN + 1), np.nan)
+_SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter
+# a cell's bytes come from a 36-byte row: "000" and the 17 digits, then these
+_PALETTE = np.frombuffer(b"-.e+0123456789\0\0", dtype=np.uint32)
+_MINUS, _POINT, _E, _PLUS, _ZERO = 20, 21, 22, 23, 24
+
+
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """'0000'..'9999' as uint32 words of four ASCII digits, and the number of
+    trailing zeros of each (4 for '0000')."""
+    i = np.arange(10_000)
+    text = np.column_stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10]) + ord("0")
+    zeros = sum((i % 10**j == 0).astype(np.int8) for j in range(1, 5))
+    return text.astype(np.uint8).view(np.uint32).ravel(), zeros
+
+
+def _make_pow10(columns: np.ndarray) -> None:
+    for column in columns.tolist():
+        n = 16 - (column + _K_MIN)
+        num, den = (10**n, 1) if n >= 0 else (1, 10**-n)
+        hi = num / den  # int true division rounds correctly
+        hi_num, hi_den = hi.as_integer_ratio()
+        c = _SPLIT * hi
+        hi_hi = c - (c - hi)
+        _POW10[:, column] = hi, hi_hi, hi - hi_hi, (num * hi_den - hi_num * den) / (den * hi_den)
+
+
+@functools.cache
+def _layout(key: int) -> np.ndarray:
+    """The row bytes, in order, of the cells of one (sign, exponent, count of
+    significant digits) key, as %.17g lays them out."""
+    key, negative = divmod(key, 2)
+    exp, count = divmod(key, 17)
+    exp, count = exp + _K_MIN, count + 1
+    digits = list(range(3, 3 + count))
+    if -4 <= exp < 17:  # fixed notation
+        if exp < 0:
+            cells = [_ZERO, _POINT] + [_ZERO] * (-exp - 1) + digits
+        else:
+            whole = list(range(3, 4 + exp))
+            cells = whole + ([_POINT] + digits[exp + 1:] if count > exp + 1 else [])
+    else:
+        cells = digits[:1] + ([_POINT] + digits[1:] if count > 1 else [])
+        cells += [_E, _MINUS if exp < 0 else _PLUS] + [_ZERO + int(c) for c in f"{abs(exp):02d}"]
+    return np.array([_MINUS] * negative + cells, dtype=np.intp)
+
+
+def _format17(values) -> np.ndarray:
+    """``f"{v:.17g}".encode()`` of each float64, as an S24 array.
+
+    |x| is scaled by 10^(16 - k), k = floor(log10 |x|), with Dekker's exact
+    two-product (Numer. Math. 18, 1971; numpy has no fma): the product is a
+    double p plus a residual r within 1e-14 of exact, and its 17 significant
+    digits are N = p + floor(r) + (frac(r) > 1/2).  N never rounds up to 1e17:
+    doubles below 10^(k + 1) lie at least 1e-16 of it away, and the 17th digit
+    rounds at 5e-18.  A value keeps N only when the product lies in [1e16,
+    1e17) and frac(r) is more than 1e-9 from 1/2; every other value (0, -0,
+    NaN, inf, |x| outside (1e-200, 1e200), a near-tie) is formatted by Python
+    on its own.  Cells are laid out once per (sign, exponent, count of
+    significant digits), an int16 key that numpy sorts by radix.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    out = np.empty(values.size, dtype="S24")
+    for start in range(0, values.size, FORMAT_BLOCK):
+        out[start:start + FORMAT_BLOCK] = _format17_block(values[start:start + FORMAT_BLOCK])
+    return out
+
+
+def _round17(x: np.ndarray):
+    """(N, k, fast): |x| rounded to 17 significant digits is N 10^(k - 16),
+    1e16 <= N < 1e17, where ``fast``; N is 1e16 elsewhere."""
+    a = np.abs(x)
+    fast = (a > 1e-200) & (a < 1e200)
+    a[~fast] = 1.0
+    k = np.floor(np.log10(a)).astype(np.intp)
+    column = k - _K_MIN
+    unmade = np.bincount(column, minlength=_POW10.shape[1]).astype(bool) & np.isnan(_POW10[0])
+    if unmade.any():
+        _make_pow10(np.flatnonzero(unmade))
+    hi, hi_hi, hi_lo, lo = _POW10.take(column, axis=1)
+    p = a * hi
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    r = (((a_hi * hi_hi - p) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo) + a * lo
+    whole = np.floor(r)
+    frac = r - whole
+    fast &= (p >= 1e16) & (p < 1e17) & ((p > 1e16) | (r >= 0.0)) & (np.abs(frac - 0.5) > 1e-9)
+    n = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    n[~fast] = 10**16
+    return n, k, fast
+
+
+def _format17_block(x: np.ndarray) -> np.ndarray:
+    n, k, fast = _round17(x)
+    # N as five groups of four digits, the first "000d"
+    upper, lower = np.divmod(n, 10**8)
+    top, mid = np.divmod(upper, 10**8)
+    quads = [top, *np.divmod(mid, 10**4), *np.divmod(lower, 10**4)]
+    text, zeros = _digit_tables()
+    trailing = zeros.take(quads[4])
+    rest = np.flatnonzero(quads[4] == 0)
+    for quad in quads[3:0:-1]:  # while the groups after it are all zeros
+        trailing[rest] += zeros.take(quad[rest])
+        rest = rest[quad[rest] == 0]
+    key = (((k - _K_MIN) * 17 + 16 - trailing) * 2 + np.signbit(x)).astype(np.int16)
+    key[~fast] = -1
+
+    # lay out each key's cells at once, in key order
+    order = np.argsort(key, kind="stable")
+    sorted_key = key.take(order)
+    starts = np.flatnonzero(np.diff(sorted_key, prepend=-2))
+    source = np.empty((x.size, 9), dtype=np.uint32)
+    for j, quad in enumerate(quads):
+        source[:, j] = text.take(quad.take(order))
+    source[:, 5:] = _PALETTE
+    source = source.view(np.uint8)
+    cells = np.zeros((x.size, 24), dtype=np.uint8)
+    bounds = starts.tolist() + [x.size]
+    for begin, stop, group in zip(bounds[:-1], bounds[1:], sorted_key[starts].tolist()):
+        if group >= 0:
+            cols = _layout(group)
+            cells[begin:stop, :cols.size] = source[begin:stop].take(cols, axis=1)
+    result = np.empty(x.size, dtype="S24")
+    result[order] = cells.view("S24").ravel()
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        result[slow] = [f"{v:.17g}".encode() for v in x[slow].tolist()]
+    return result
 
 
 def _write_csv(path: Path, labels, rows: np.ndarray) -> None:
-    # %.17g runs once per distinct value of a column: grid coordinates repeat
-    # --grid times and densities underflow to 0.  Values are keyed by bit
-    # pattern, so -0.0 and 0.0, and NaN payloads, stay apart.
+    # Each distinct value of a column is formatted once (grid coordinates
+    # repeat --grid times and densities underflow to 0): the table's distinct
+    # values go through _format17 together, exact %.17g made in numpy with a
+    # per-value fallback.  Values are keyed by bit pattern, so -0.0 and 0.0,
+    # and NaN payloads, stay apart.  A cell is its NUL-padded text and the
+    # separator after it, "," or, in the last column, a newline; a block of
+    # rows is written as its cells' bytes with the NULs dropped.
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    columns = []
-    for col in rows.T:
-        keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
-        strings = [f"{v:.17g}" for v in keys.view(np.float64).tolist()]
-        columns.append((np.array(strings, dtype=object), inverse))
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(labels) + "\n")
+    index = np.empty(rows.shape, dtype=np.int32)  # row, column -> distinct value
+    distinct = []
+    for j, col in enumerate(rows.T):
+        keys, index[:, j] = np.unique(col.view(np.int64), return_inverse=True)
+        index[:, j] += sum(map(len, distinct))
+        distinct.append(keys)
+    keys = np.concatenate(distinct)
+    cells = np.zeros((keys.size, 25), dtype=np.uint8)
+    cells[:, :24] = _format17(keys.view(np.float64)).view(np.uint8).reshape(-1, 24)
+    cells[:, 24] = ord(",")
+    cells[keys.size - distinct[-1].size:, 24] = ord("\n")
+    cells = cells.view("V25").ravel()
+    with open(path, "wb") as handle:
+        handle.write(",".join(labels).encode() + b"\n")
         for start in range(0, rows.shape[0], CSV_BLOCK_ROWS):
-            cells = [strings[inverse[start:start + CSV_BLOCK_ROWS]].tolist()
-                     for strings, inverse in columns]
-            handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            handle.write(cells.take(index[start:start + CSV_BLOCK_ROWS]).tobytes()
+                         .translate(None, b"\0"))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -437,8 +584,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="example", required=True, metavar="EXAMPLE")
     default = {f.name: f.default for f in fields(RunConfig)}
-    for name in EXAMPLES:
-        sp = sub.add_parser(name, help=f"run the {name} example")
+    for name in (*EXAMPLES, "all"):  # all: every example, each at its own other defaults
+        what = "every example" if name == "all" else f"the {name} example"
+        sp = sub.add_parser(name, help=f"run {what}")
         sp.add_argument("--samples", type=int, default=default["samples"])
         sp.add_argument("--seed", type=int, default=default["seed"])
         sp.add_argument("--out", type=Path, default=default["out"])
@@ -459,11 +607,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    args = vars(parser.parse_args(argv))
+    names = EXAMPLES if args["example"] == "all" else (args["example"],)
     try:
-        cfg = RunConfig(**vars(parser.parse_args(argv)))
+        cfgs = [RunConfig(**{**args, "example": name}) for name in names]
     except ValueError as err:  # a flag value out of range: usage error, exit 2
         parser.error(str(err))
-    return run_example(cfg)
+    return max([run_example(cfg) for cfg in cfgs])  # the worst exit code
 
 
 def entry_point() -> None:

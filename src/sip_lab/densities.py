@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import POINT_BLOCK
-from ._special import betainc, ndtr, ndtri
+from ._special import betainc, in_ndtr_core, ndtr, ndtr_core, ndtri
 from .errors import DomainError, NotPositiveDefiniteError
 from .sampling import KIND_ROWS, rng_for
 
@@ -266,8 +266,15 @@ def make_truncated_gaussian(mu: float, sigma: float, lo: float, hi: float) -> De
     flip = -1.0 if alpha > 0 else 1.0
     if flip < 0:
         alpha, beta = -beta, -alpha
-    cdf_lo = float(ndtr(alpha))
-    mass = float(ndtr(beta)) - cdf_lo
+    # Phi - shift: on an interval inside ndtr's erf branch, Phi - 1/2, so that
+    # the mass is not the difference of two CDFs near 1/2
+    if in_ndtr_core(alpha) and in_ndtr_core(beta):
+        shift, phi = 0.5, lambda z: ndtr_core(np.clip(z, alpha, beta))
+    else:
+        shift, phi = 0.0, ndtr
+    phi_lo = float(phi(alpha))
+    mass = float(phi(beta)) - phi_lo
+    cdf_lo = shift + phi_lo  # ndtr(alpha), to the bit
     if mass <= 0:
         raise DomainError(f"truncation interval ({lo}, {hi}) carries no Gaussian mass")
     log_mass = math.log(mass)
@@ -281,7 +288,7 @@ def make_truncated_gaussian(mu: float, sigma: float, lo: float, hi: float) -> De
         return (mu + flip * sigma * ndtri(cdf_lo + u * mass)).reshape(n, 1)
 
     def marginal_cdfs(j, x):
-        cdf = np.clip((ndtr(flip * (x - mu) / sigma) - cdf_lo) / mass, 0.0, 1.0)
+        cdf = np.clip((phi(flip * (x - mu) / sigma) - phi_lo) / mass, 0.0, 1.0)
         return cdf if flip > 0 else 1.0 - cdf
 
     return Density(1, Support([lo], [hi]), log_pdf_fn=log_pdf_fn, sample_fn=sample_fn,

@@ -430,3 +430,103 @@ def test_cov_linear_mvn_grid_check_fails_a_perturbed_column_at_large_sigma(monke
     assert _cov_grid_check(1e8).passed
     monkeypatch.setattr(cli, "_density_grid_table", perturbed)
     assert not _cov_grid_check(1e8).passed
+
+
+def _assert_formats_per_value(values):
+    from sip_lab.cli import _format17
+
+    values = np.asarray(values, dtype=np.float64).ravel()
+    got = _format17(values)
+    assert got.dtype == np.dtype("S24") and got.shape == values.shape
+    want = np.array([f"{v:.17g}".encode() for v in values.tolist()], dtype="S24")
+    bad = np.flatnonzero(got != want)
+    assert bad.size == 0, [(values[i], got[i], want[i]) for i in bad[:5]]
+
+
+def test_format17_matches_per_value_formatting_on_random_bit_patterns():
+    # uniform bit patterns: every exponent, NaN payloads, +-inf, +-0, subnormals
+    rng = np.random.default_rng(36)
+    bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, 120_000,
+                        dtype=np.int64, endpoint=True)
+    specials = np.array([0x7FF8000000000001, -0x0008000000000000, 0x7FF0000000000000,
+                         -0x0010000000000000, 0, -0x8000000000000000, 1, 0x000FFFFFFFFFFFFF],
+                        dtype=np.int64)
+    values = np.concatenate([specials, bits]).view(np.float64)
+    assert np.isnan(values).any() and np.isinf(values).any()
+    assert ((values != 0) & (np.abs(values) < 2.2250738585072014e-308)).any()
+    _assert_formats_per_value(values)
+
+
+def test_format17_matches_per_value_formatting_at_powers_of_ten():
+    powers = np.array([float(f"1e{e}") for e in range(-330, 331)])
+    neighbours = [np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]
+    _assert_formats_per_value(np.concatenate([powers, *neighbours, -powers]))
+
+
+def test_format17_matches_per_value_formatting_where_g_switches_notation():
+    # %.17g is fixed for decimal exponents -4..16 and scientific outside
+    edges = np.array([1e-5, 1e-4, 1e16, 1e17])
+    near = (edges[:, None] * (1.0 + np.arange(-50, 51) * 2.0**-52)).ravel()
+    rounded = np.array([9.9999e-5, 0.0001, 0.00010000000000000001, 9999999999999998.0,
+                        1.0000000000000002e16, 99999999999999984.0, 1.2e17, 123456.0,
+                        1.5, 100.0, 0.5, 3e-4])
+    _assert_formats_per_value(np.concatenate([near, rounded, -rounded]))
+
+
+def test_format17_matches_per_value_formatting_at_the_top_of_each_decade():
+    # 18 nines would round up into the next decade at 17 digits, but no
+    # double lies that close below a power of ten: 9.99999999999999999e22 is
+    # the double 99999999999999991611392, whose 17 digits do not carry
+    assert f"{9.99999999999999999e22:.17g}" == "9.9999999999999992e+22"
+    nines = np.array([float("9" * 18 + f"e{e}") for e in range(-320, 300)])
+    below = np.nextafter(np.array([float(f"1e{e}") for e in range(-320, 300)]), 0.0)
+    _assert_formats_per_value(np.concatenate([nines, below, np.nextafter(nines, 0.0), -nines]))
+
+
+def test_format17_matches_per_value_formatting_on_exact_ties():
+    # M / 2^e with M odd, not a multiple of 5, and M 5^e of 18 digits has 18
+    # significant digits, the last a 5: its 17-digit rounding is an exact tie
+    # that round-half-even decides, e.g. 12345678901 / 2^10 = 12056327.0517578125
+    assert 12345678901 / 2**10 == 12056327.0517578125
+    rng = np.random.default_rng(7)
+    ties = []
+    for e in range(2, 25):  # e = 1 needs M above 2^53
+        low, high = -(-10**17 // 5**e), (10**18 - 1) // 5**e
+        for m in rng.integers(low, min(high, 2**53) + 1, 200).tolist():
+            m |= 1
+            if m % 5 and len(str(m * 5**e)) == 18:
+                ties.append(m / 2**e)
+    assert len(ties) > 3000
+    _assert_formats_per_value(ties + [-v for v in ties] + [12056327.0517578125])
+
+
+def test_format17_matches_per_value_formatting_on_rounded_decimals_and_empty():
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(20_000) * 10.0 ** rng.integers(-12, 12, 20_000)
+    _assert_formats_per_value(np.concatenate([np.round(values, 3), values]))
+    _assert_formats_per_value(np.empty(0))
+
+
+def test_all_writes_the_files_of_ten_single_runs(tmp_path, capsys):
+    flags = ["--seed", "7", "--samples", "200", "--grid", "8"]
+    assert main(["all", *flags, "--out", str(tmp_path / "all")]) == 0
+    for example in EXAMPLES:
+        assert main([example, *flags, "--out", str(tmp_path / "one")]) == 0
+    written = sorted(p.name for p in (tmp_path / "all").iterdir())
+    assert written == sorted(p.name for p in (tmp_path / "one").iterdir())
+    assert len(written) == 3 * len(EXAMPLES)
+    for name in written:
+        assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+    assert "all" not in EXAMPLES
+
+
+def test_all_exits_with_the_worst_code(monkeypatch):
+    codes = dict.fromkeys(EXAMPLES, 0) | {"bbe-polar": 1}
+    seen = []
+    monkeypatch.setattr("sip_lab.cli.run_example",
+                        lambda cfg: seen.append(cfg) or codes[cfg.example])
+    assert main(["all", "--seed", "3"]) == 1
+    assert seen == [RunConfig(example=name, seed=3) for name in EXAMPLES]
+    with pytest.raises(SystemExit) as err:  # bjw-kde needs two samples: nothing runs
+        main(["all", "--samples", "1"])
+    assert err.value.code == 2 and len(seen) == len(EXAMPLES)

@@ -127,6 +127,27 @@ class TestTruncatedGaussian:
         expected = (1.0 / math.sqrt(2 * math.pi)) / (0.25 * math.erf(math.sqrt(2.0)))
         assert dens.pdf(0.5) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("mu, sigma, lo, hi", [(0.0, 1.0, -1e-9, 1e-9),
+                                                   (2.0, 3.0, 2.0 - 1e-8, 2.0 + 3e-8),
+                                                   (0.0, 1.0, 1e-10, 3e-10),
+                                                   (0.0, 1.0, -0.6, 0.3)])
+    def test_narrow_interval_around_the_mean_against_mpmath(self, mu, sigma, lo, hi):
+        # Phi(beta) - Phi(alpha) from two CDFs near 1/2 loses 7e-8 of the mass
+        # on (-1e-9, 1e-9); scipy's truncnorm loses as much there (1.5e-9 in
+        # log density, 1.4e-7 in CDF), so the oracle is mpmath at 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        dens = make_truncated_gaussian(mu, sigma, lo, hi)
+        x = np.linspace(lo, hi, 9)[1:-1]
+        z = [(mpmath.mpf(float(v)) - mu) / sigma for v in x]
+        a, b = (mpmath.mpf(lo) - mu) / sigma, (mpmath.mpf(hi) - mu) / sigma
+        mass = mpmath.ncdf(b) - mpmath.ncdf(a)
+        log_pdf = np.array([float(-v * v / 2 - mpmath.log(2 * mpmath.pi) / 2
+                                  - mpmath.log(sigma) - mpmath.log(mass)) for v in z])
+        cdf = np.array([float((mpmath.ncdf(v) - mpmath.ncdf(a)) / mass) for v in z])
+        np.testing.assert_allclose(dens.log_pdf(x[:, None]), log_pdf, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(dens.marginal_cdf(0, x), cdf, rtol=1e-12, atol=0)
+
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError):
             make_truncated_gaussian(0.0, 1.0, 1.0, 1.0)

@@ -12,9 +12,9 @@ from sip_lab import cli
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "artifact_digests.py"
 
 
-def _digests():
+def _digests(*flags):
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
-    return subprocess.run([sys.executable, str(TOOL), "--samples", "200", "--grid", "8"],
+    return subprocess.run([sys.executable, str(TOOL), *flags, "--samples", "200", "--grid", "8"],
                           capture_output=True, text=True, check=True, timeout=120,
                           env=env).stdout
 
@@ -29,6 +29,16 @@ def test_artifact_digests_hash_every_example_the_same_twice():
                  for line in lines if line.startswith("  ")]
     for example in cli.EXAMPLES:
         assert {f"{example}_report.json", f"{example}_samples.csv"} <= set(artifacts)
+
+
+def test_artifact_digests_seed_range_prints_a_section_per_seed():
+    # one process for the whole range, each section as a single-seed run prints it
+    swept = _digests("--seeds", "0-1")
+    sections = swept.split("seed ")[1:]
+    assert [section.split("\n", 1)[0] for section in sections] == ["0", "1"]
+    for seed, section in enumerate(sections):
+        assert section.split("\n", 1)[1] == _digests("--seed", str(seed))
+    assert sections[0].split("\n", 1)[1] != sections[1].split("\n", 1)[1]
 
 
 def test_calibration_sweep_counts_every_example_at_every_seed():

@@ -27,7 +27,7 @@ from .densities import (
     make_uniform,
 )
 from .errors import SipLabError
-from .forward_maps import linear_map, null_space_rows, polar_quadratic_map, square_map
+from .forward_maps import linear_map, null_space_rows, square_map
 from .gaussian_algebra import (
     StochasticMapSpec,
     bjw_gaussian_linear,
@@ -142,36 +142,33 @@ def two_to_one_partition() -> tuple:
 
 
 def _run_two_to_one(cfg: RunConfig) -> ExampleResult:
-    fmap = square_map(-1.0, 1.0)
-    f_y = make_uniform([0.0], [1.0])
     weights = np.array([cfg.w, 1.0 - cfg.w])
-    solution = cov_mixture_family(fmap, f_y, two_to_one_partition(), weights)
+    solution = cov_mixture_family(square_map(-1.0, 1.0), make_uniform([0.0], [1.0]),
+                                  two_to_one_partition(), weights)
     samples = solution.sample(cfg.samples, cfg.seed)
     result, _ = _tabulated(samples, solution.density, GridSpec((-1.0,), (1.0,), cfg.grid))
-    result.checks.append(pushforward_check(samples, fmap, f_y, seed=cfg.seed))
+    result.checks.append(pushforward_check(samples, solution.fmap, solution.f_y, seed=cfg.seed))
     result.checks.append(normalization_check(solution.density))
     return result
 
 
 def _run_bbe_linear(cfg: RunConfig) -> ExampleResult:
-    A = np.array([[-1.0 / 3.0, 4.0 / 3.0]])
-    f_y = make_truncated_gaussian(0.5, 0.25, 0.0, 1.0)
-    solution = bbe_linear(A, f_y, bounds=(np.array([-1.0]), np.array([1.0])))
+    solution = bbe_linear(np.array([[-1.0 / 3.0, 4.0 / 3.0]]),
+                          make_truncated_gaussian(0.5, 0.25, 0.0, 1.0),
+                          bounds=(np.array([-1.0]), np.array([1.0])))
     samples = solution.sample(cfg.samples, cfg.seed)
     result, _ = _tabulated(samples, solution.density,
                            GridSpec((-1.6, -0.4), (1.2, 1.6), cfg.grid))
-    result.checks.append(pushforward_check(samples, linear_map(A), f_y, seed=cfg.seed))
+    result.checks.append(pushforward_check(samples, solution.fmap, solution.f_y, seed=cfg.seed))
     return result
 
 
 def _run_bbe_polar(cfg: RunConfig) -> ExampleResult:
-    f_y = make_beta(8.0, 12.0)
-    solution = bbe_polar(f_y)
+    solution = bbe_polar(make_beta(8.0, 12.0))
     samples = solution.sample(cfg.samples, cfg.seed)
     result, _ = _tabulated(samples, solution.density,
                            GridSpec((0.0, 0.0), (1.0, 1.0), cfg.grid))
-    result.checks.append(pushforward_check(samples, polar_quadratic_map(), f_y,
-                                           seed=cfg.seed))
+    result.checks.append(pushforward_check(samples, solution.fmap, solution.f_y, seed=cfg.seed))
     result.checks.append(normalization_check(solution.density, tol=1e-4))
     return result
 
@@ -193,7 +190,7 @@ def _run_bjw_gauss_linear(cfg: RunConfig) -> ExampleResult:
                                extra={"closed_form": make_gaussian(closed)})
     result.params["updated"] = asdict(closed)
     result.checks.append(grid_compare(table[:, -2], table[:, -1], grid, tol=1e-8))
-    result.checks.append(pushforward_check(samples, fmap, f_y, seed=cfg.seed))
+    result.checks.append(pushforward_check(samples, solution.fmap, solution.f_y, seed=cfg.seed))
     return result
 
 
@@ -220,15 +217,15 @@ def _run_bjw_kde(cfg: RunConfig) -> ExampleResult:
 
 def _run_bjw_sequential(cfg: RunConfig) -> ExampleResult:
     fmap, initial, _ = _bjw_gauss_instance()
-    f_y1 = make_gaussian(GaussianParams([0.3], [[0.16]]))
-    f_y2 = make_gaussian(GaussianParams([-0.2], [[0.36]]))
-    single, double = bjw_sequential_update(initial, fmap, f_y1, f_y2)
+    single, double = bjw_sequential_update(initial, fmap,
+                                           make_gaussian(GaussianParams([0.3], [[0.16]])),
+                                           make_gaussian(GaussianParams([-0.2], [[0.36]])))
     samples = double.sample(cfg.samples, cfg.seed)
     grid = GridSpec((-2.5, -2.5), (2.5, 2.5), cfg.grid)
     result, table = _tabulated(samples, single.density, grid,
                                extra={"double_update": double.density})
     result.checks.append(grid_compare(table[:, -2], table[:, -1], grid, tol=1e-8))
-    result.checks.append(pushforward_check(samples, fmap, f_y2, seed=cfg.seed))
+    result.checks.append(pushforward_check(samples, double.fmap, double.f_y, seed=cfg.seed))
     return result
 
 
@@ -266,9 +263,7 @@ def _run_cov_linear_mvn(cfg: RunConfig) -> ExampleResult:
     sigma2 = cfg.sigma**2
     X = np.array([[1.0, -1.0], [1.0, 1.0]])
     y_params = GaussianParams([-1.0, 1.0], sigma2 * np.eye(2))
-    f_y = make_gaussian(y_params)
-    fmap = linear_map(X)
-    solution = cov_exact(fmap, f_y)
+    solution = cov_exact(linear_map(X), make_gaussian(y_params))
     pulled = cov_linear_gaussian(X, y_params)
     samples = solution.sample(cfg.samples, cfg.seed)
     grid = _box(pulled, cfg.grid)
@@ -283,7 +278,7 @@ def _run_cov_linear_mvn(cfg: RunConfig) -> ExampleResult:
     result.params["augmented_pullback"] = asdict(
         cov_linear_gaussian(aug, GaussianParams(mu_plus, sigma_plus))
     )
-    result.checks.append(pushforward_check(samples, fmap, f_y, seed=cfg.seed))
+    result.checks.append(pushforward_check(samples, solution.fmap, solution.f_y, seed=cfg.seed))
     # the density scales as 1 / sigma^2, so the tolerance is relative to its peak
     closed_values = make_gaussian(pulled).pdf(grid.points())
     result.checks.append(grid_compare(table[:, -1], closed_values, grid,
@@ -334,14 +329,13 @@ def _run_regression_compare(cfg: RunConfig) -> ExampleResult:
 
 
 def _run_intuitive_demo(cfg: RunConfig) -> ExampleResult:
-    fmap = linear_map(np.array([[1.0, 1.0]]))
-    f_y = make_gaussian(GaussianParams([0.0], [[2.0]]))
-    f_aux = make_gaussian(GaussianParams([0.0], [[1.0]]))
-    solution = intuitive_sample(fmap, f_y, f_aux)
+    solution = intuitive_sample(linear_map(np.array([[1.0, 1.0]])),
+                                make_gaussian(GaussianParams([0.0], [[2.0]])),
+                                make_gaussian(GaussianParams([0.0], [[1.0]])))
     data = solution.sample(cfg.samples, cfg.seed)
     result, _ = _tabulated(data, solution.density,
                            GridSpec((-6.0, -4.0), (6.0, 4.0), cfg.grid))
-    result.checks.append(pushforward_check(data, fmap, f_y, seed=cfg.seed))
+    result.checks.append(pushforward_check(data, solution.fmap, solution.f_y, seed=cfg.seed))
     images = data.sum(axis=1)
     corr = float(np.corrcoef(images, data[:, 1])[0, 1])
     result.checks.append(CheckReport(name="aux_independence", statistic=abs(corr),

@@ -18,6 +18,7 @@ from .sampling import KIND_PROBE, rng_for
 
 RANK_REL_TOL = 1e-8
 FD_STEP = 1e-6
+PROBE_COUNT = 32  # points that domain_probe_points returns, at most
 
 
 @dataclass(frozen=True)
@@ -77,22 +78,22 @@ def jacobian_batch(fmap: ForwardMap, pts: np.ndarray) -> np.ndarray:
     return np.asarray(fmap.jac(pts), dtype=float).reshape(pts.shape[0], fmap.q, fmap.p)
 
 
-def domain_probe_points(fmap: ForwardMap, count: int = 8) -> np.ndarray:
+def domain_probe_points(fmap: ForwardMap) -> np.ndarray:
     """Deterministic in-domain points for probing a map (rank, branch membership).
 
     Draws from the domain box clipped to [-1, 1] per coordinate (so
-    unbounded domains still yield finite probes) and keeps points inside
-    the domain.
+    unbounded domains still yield finite probes) and keeps the first
+    ``PROBE_COUNT`` points inside the domain.
     """
     lo = np.maximum(fmap.domain.lower, -1.0)
     hi = np.minimum(fmap.domain.upper, 1.0)
     width = hi - lo
     rng = rng_for(0, KIND_PROBE, fmap.p * 1000 + fmap.q)
-    raw = lo + rng.random((4 * count, fmap.p)) * width
+    raw = lo + rng.random((4 * PROBE_COUNT, fmap.p)) * width
     mid = 0.5 * (lo + hi)
     raw = np.vstack([mid, raw])
     keep = fmap.domain.contains(raw)
-    pts = raw[keep][:count]
+    pts = raw[keep][:PROBE_COUNT]
     if pts.shape[0] == 0:
         raise DomainError(f"could not find probe points inside domain of {fmap.name!r}")
     return pts

@@ -13,15 +13,18 @@ maps a block of drawn (y, c) rows back to theta at once (one damped Newton
 where a root is needed).  Every other ratio-form update, such as one with an
 estimated pushforward, draws by rejection against its initial density.
 
-Every solution draws through ``sample(n, seed) -> (n, p)``, which records its
-counters in ``diagnostics``; results depend only on (seed, row count).  The
-row solvers advance the pending rows of a block of ``ROW_BLOCK`` rows in
-lockstep through one loop, :func:`_solve_rows`: a block draws its targets in
-one sampler call per density, row i from stream (seed, KIND_ROWS, i), and
-block b's Newton starts or branch picks come from stream (seed, KIND_INVERSE,
-b); a run's first ``PILOT_SIZE`` rows are its pilot.  Rejection
-(:func:`bjw_rejection_sample`) draws block b from the one stream (seed,
-KIND_ROWS, b), one call of each kind per round.
+Every solution keeps the problem it solves, ``fmap`` and ``f_y``; ratio-form
+ones (:func:`bjw_density`) also keep the ``initial`` density that rejection
+proposes from and the ``pushforward`` it divides by.  Each draws through
+``sample(n, seed) -> (n, p)``, which records its counters in ``diagnostics``;
+results depend only on (seed, row count).  The row solvers advance the
+pending rows of a block of ``ROW_BLOCK`` rows in lockstep through one loop,
+:func:`_solve_rows`: a block draws its targets in one sampler call per
+density, row i from stream (seed, KIND_ROWS, i), and block b's Newton starts
+or branch picks come from stream (seed, KIND_INVERSE, b); a run's first
+``PILOT_SIZE`` rows are its pilot.  Rejection (:func:`bjw_rejection_sample`)
+draws block b from the one stream (seed, KIND_ROWS, b), one call of each kind
+per round.
 """
 
 from __future__ import annotations
@@ -36,11 +39,9 @@ from .densities import (
     Density,
     GaussianParams,
     MixtureWeights,
-    Support,
     fit_kde,
     make_gaussian,
     make_uniform,
-    unbounded_support,
 )
 from .errors import (
     DomainError,
@@ -54,7 +55,9 @@ from .forward_maps import (
     domain_probe_points,
     eval_batch,
     jacobian_batch,
+    linear_map,
     null_space_rows,
+    polar_quadratic_map,
 )
 from .gaussian_algebra import bjw_gaussian_linear, pushforward_gaussian_linear, update_gain
 from .sampling import (
@@ -82,20 +85,26 @@ IMAGE_RTOL = 1e-12  # a Gaussian pushforward this close to the initial's image i
 
 @dataclass
 class SipSolution:
-    """A solved inverse problem: a density, its sampler, and diagnostics.
+    """A solved inverse problem: a density, the problem it solves, its sampler.
 
-    ``density.name`` names the solution.  ``sample`` is set by every solver:
-    a callable ``(n, seed) -> (n, p) array`` with deterministic generator
-    streams; each draw, also :func:`bjw_rejection_sample`'s, which returns the
-    (m, p) rows too, replaces ``diagnostics`` with its counters.  Ratio-form
-    solutions keep ``initial``, ``fmap``, ``f_y`` and ``pushforward`` in
-    ``parts``, so rejection can draw any of them, also one that ``sample`` draws directly.
+    ``density.name`` names the solution.  Every solver sets ``fmap`` and
+    ``f_y``, the forward map and the observable density that ``density``
+    pushes forward to (up to the estimate, for an estimated pushforward), and
+    ``sample``, a callable ``(n, seed) -> (n, p) array`` with deterministic
+    generator streams; each draw, also :func:`bjw_rejection_sample`'s,
+    replaces ``diagnostics`` with its counters.  Ratio-form solutions
+    (:func:`bjw_density`) also keep the ``initial`` density that rejection
+    proposes from, also when ``sample`` draws directly, and the
+    ``pushforward`` it divides by; the other routes leave both None.
     """
 
     density: Density
+    fmap: ForwardMap
+    f_y: Density
     sample: object = None
     diagnostics: dict = field(default_factory=dict)
-    parts: dict = field(default_factory=dict)
+    initial: Density | None = None
+    pushforward: Density | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +142,7 @@ def newton_solve(fmap: ForwardMap, y_target, theta_tail=None, theta0=None):
     return heads[0]
 
 
-def _newton_rows(fmap: ForwardMap, y: np.ndarray, tail: np.ndarray, start: np.ndarray,
-                 max_iter: int = NEWTON_MAX_ITER):
+def _newton_rows(fmap: ForwardMap, y: np.ndarray, tail: np.ndarray, start: np.ndarray):
     """Damped Newton for k rows in lockstep: g(head_i, tail_i) = y_i.
 
     ``y`` is (k, q), ``tail`` (k, p - q) and ``start`` (k, q).  Each row runs
@@ -155,7 +163,7 @@ def _newton_rows(fmap: ForwardMap, y: np.ndarray, tail: np.ndarray, start: np.nd
     iterations = np.zeros(theta.shape[0], dtype=int)
     live = np.flatnonzero(~(norm <= threshold))
     while live.size:
-        stuck = (iterations[live] >= max_iter) | ~np.isfinite(norm[live])
+        stuck = (iterations[live] >= NEWTON_MAX_ITER) | ~np.isfinite(norm[live])
         ok[live[stuck]] = False
         live = live[~stuck]
         if not live.size:
@@ -266,10 +274,11 @@ def _solve_rows(draw, attempt, m: int, seed: int, retries: int = ROW_RETRIES,
     return data, diag
 
 
-def _change_of_variables(support: Support, q: int, f_y: Density, f_c: Density | None,
+def _change_of_variables(fmap: ForwardMap, f_y: Density, f_c: Density | None,
                          forward, inverse, name: str, density: Density = None,
                          retries: int = 1) -> SipSolution:
-    """The solution that a reparameterization theta <-> (y, c) makes of f_Y f_C.
+    """The solution that a reparameterization theta <-> (y, c) makes of f_Y f_C,
+    with y = g(theta) for the map ``fmap``.
 
     ``forward((n, p) theta) -> (y, c, log|det d(y, c)/d theta|)`` gives the
     observable value, the p - q contour coordinates and the log Jacobian;
@@ -280,10 +289,10 @@ def _change_of_variables(support: Support, q: int, f_y: Density, f_c: Density | 
     (theta (k, p), ok (k,))`` maps a block's pending rows back at once and
     may draw Newton starts or branch picks from the block's one generator.
     Rows that are not ok retry with their y and c, up to ``retries`` attempts,
-    which only a fresh Newton start can use.  A caller with a form of the
-    density of its own passes it as ``density``.
+    which only a fresh Newton start can use.  The density lives on the map's
+    domain; a caller with a form of it of its own passes it as ``density``.
     """
-    p = support.dim
+    p, q = fmap.p, fmap.q
     n_c = 0 if f_c is None else f_c.dim
     if f_y.dim != q:
         raise ValueError(f"{name}: observable density has dimension {f_y.dim}, expected q = {q}")
@@ -298,8 +307,8 @@ def _change_of_variables(support: Support, q: int, f_y: Density, f_c: Density | 
         return out + log_det
 
     if density is None:
-        density = Density(p, support, log_pdf_fn=log_pdf_fn, name=name)
-    solution = SipSolution(density)
+        density = Density(p, fmap.domain, log_pdf_fn=log_pdf_fn, name=name)
+    solution = SipSolution(density, fmap, f_y)
 
     def draw(rng, k):
         y = f_y.sample(rng, k)
@@ -342,8 +351,7 @@ def _newton_solution(fmap: ForwardMap, f_y: Density, f_aux: Density | None,
         heads, ok, _ = _newton_rows(fmap, y, tail, start)
         return np.hstack([heads, tail]), ok
 
-    return _change_of_variables(fmap.domain, q, f_y, f_aux, forward, inverse, name,
-                                retries=ROW_RETRIES)
+    return _change_of_variables(fmap, f_y, f_aux, forward, inverse, name, retries=ROW_RETRIES)
 
 
 def intuitive_sample(fmap: ForwardMap, f_y: Density,
@@ -423,7 +431,7 @@ def cov_mixture_family(fmap: ForwardMap, f_y: Density, branches,
     weighted = iter(w.weights.tolist())
     branch_weight = np.array([next(weighted) if b.weighted else 1.0 for b in branches])
 
-    probes = domain_probe_points(fmap, count=32)
+    probes = domain_probe_points(fmap)
     membership = np.stack([np.asarray(b.member(probes), dtype=bool) for b in branches])
     if np.any(membership.sum(axis=0) > 1):
         raise ValueError("branch membership predicates overlap on probe points")
@@ -453,8 +461,7 @@ def cov_mixture_family(fmap: ForwardMap, f_y: Density, branches,
         rows[ok] = pieces[pick, np.flatnonzero(ok)]
         return rows, ok
 
-    return _change_of_variables(fmap.domain, fmap.q, f_y, None, forward, inverse,
-                                f"cov_mixture[{fmap.name}]")
+    return _change_of_variables(fmap, f_y, None, forward, inverse, f"cov_mixture[{fmap.name}]")
 
 
 # ---------------------------------------------------------------------------
@@ -470,31 +477,30 @@ def bbe_linear(A, f_y: Density, bounds=None) -> SipSolution:
     [l, u].  With constant bounds the density is fully normalized:
     f(theta) = f_Y(A theta) * prod(u - l)^-1 * |det [A; A_perp]| on the slab.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    q, p = A.shape
-    perp = null_space_rows(A)
-    if bounds is None and p > q:
+    fmap = linear_map(A)
+    perp = null_space_rows(fmap.matrix)
+    if bounds is None and fmap.p > fmap.q:
         raise ValueError("bounds (l, u) required when p > q")
     f_c = make_uniform(*(([], []) if bounds is None else bounds))
-    return _linear_solution(np.vstack([A, perp]), q, f_y, f_c, unbounded_support(p),
-                            "bbe_linear")
+    return _linear_solution(fmap, np.vstack([fmap.matrix, perp]), f_y, f_c, "bbe_linear")
 
 
-def _linear_solution(T: np.ndarray, q: int, f_y: Density, f_c: Density | None,
-                     support: Support, name: str, log_pdf_fn=None,
+def _linear_solution(fmap: ForwardMap, T: np.ndarray, f_y: Density, f_c: Density | None,
+                     name: str, log_pdf_fn=None,
                      gaussian: GaussianParams | None = None) -> SipSolution:
     """The change of variables by an invertible matrix: (y, c) = T theta.
 
-    The first q rows of T give y and the rest give c; the log Jacobian is
-    log|det T|, and every row inverts.  A caller with a form of the density
-    of its own passes its ``log_pdf_fn`` (and ``gaussian``); that density
-    draws as the rows do, y then c from one generator.
+    The first q rows of T, the linear map ``fmap``'s matrix, give y and the
+    rest give c; the log Jacobian is log|det T|, and every row inverts.  A
+    caller with a form of the density of its own passes its ``log_pdf_fn``
+    (and ``gaussian``); that density draws as the rows do, y then c from one
+    generator.
     """
     log_det = float(np.log(np.abs(np.linalg.det(T))))
     # precomputed inverse: both callers' T are well conditioned by
     # construction, so one matvec per row is as accurate as a solve
     T_inv = np.linalg.inv(T)
-    head, rest = T[:q], T[q:]
+    head, rest = T[:fmap.q], T[fmap.q:]
 
     def forward(pts):
         return pts @ head.T, pts @ rest.T, log_det
@@ -509,9 +515,9 @@ def _linear_solution(T: np.ndarray, q: int, f_y: Density, f_c: Density | None,
         return inverse(y, np.empty((n, 0)) if f_c is None else f_c.sample(rng, n))[0]
 
     density = None if log_pdf_fn is None else Density(
-        support.dim, support, log_pdf_fn=log_pdf_fn, sample_fn=draw, name=name,
+        fmap.p, fmap.domain, log_pdf_fn=log_pdf_fn, sample_fn=draw, name=name,
         gaussian=gaussian)
-    return _change_of_variables(support, q, f_y, f_c, forward, inverse, name, density=density)
+    return _change_of_variables(fmap, f_y, f_c, forward, inverse, name, density=density)
 
 
 def polar_arc(r):
@@ -560,8 +566,8 @@ def bbe_polar(f_y: Density) -> SipSolution:
         phi = phi1 + c[:, 0] * (phi2 - phi1)
         return np.column_stack([r * np.cos(phi), r * np.sin(phi)]), np.ones(len(r), dtype=bool)
 
-    solution = _change_of_variables(Support([0.0, 0.0], [1.0, 1.0]), 1, f_y,
-                                    make_uniform(0.0, 1.0), forward, inverse, "bbe_polar")
+    solution = _change_of_variables(polar_quadratic_map(), f_y, make_uniform(0.0, 1.0),
+                                    forward, inverse, "bbe_polar")
     if f_y.support.lower[0] < 0.0 or f_y.support.upper[0] > 1.0:
         raise DomainError(
             "observable support must lie within (0, 1): the map's range on "
@@ -638,7 +644,7 @@ def bjw_density(initial: Density, fmap: ForwardMap, f_y: Density,
     linear = _gaussian_update_map(initial, fmap, pushforward)
     if linear is None:
         solution = SipSolution(Density(initial.dim, initial.support, log_pdf_fn=log_pdf_fn,
-                                       name=name))
+                                       name=name), fmap, f_y)
         solution.sample = lambda n, seed: bjw_rejection_sample(solution, n, seed)
     else:
         T, f_c = linear
@@ -649,9 +655,8 @@ def bjw_density(initial: Density, fmap: ForwardMap, f_y: Density,
                 gaussian = bjw_gaussian_linear(fmap.matrix, f_y.gaussian.mean, f_y.gaussian.cov,
                                                initial.gaussian.mean, initial.gaussian.cov)
         # the ratio form on this route too, not f_Y f_C |det T|
-        solution = _linear_solution(T, fmap.q, f_y, f_c, initial.support, name,
-                                    log_pdf_fn, gaussian)
-    solution.parts = {"initial": initial, "fmap": fmap, "f_y": f_y, "pushforward": pushforward}
+        solution = _linear_solution(fmap, T, f_y, f_c, name, log_pdf_fn, gaussian)
+    solution.initial, solution.pushforward = initial, pushforward
     return solution
 
 
@@ -693,7 +698,7 @@ def bjw_rejection_sample(solution: SipSolution, m: int, seed: int) -> np.ndarray
     """Draw from a ratio-form solution by rejection against its initial density.
 
     Returns the (m, p) rows, as ``solution.sample(m, seed)`` does.  The proposal is
-    ``solution.parts["initial"]``, set by :func:`bjw_density`.  It cancels from the
+    ``solution.initial``, set by :func:`bjw_density`.  It cancels from the
     ratio, so a proposal theta scores
     exp(log f_Y(g(theta)) - log pushforward(g(theta))).  Every call first probes
     ``PILOT_SIZE`` observable draws on stream (seed, KIND_PROBE, 0) and raises
@@ -711,11 +716,10 @@ def bjw_rejection_sample(solution: SipSolution, m: int, seed: int) -> np.ndarray
     warning); a ratio that needs more than ``REJECTION_MAX_DOUBLINGS`` doublings in
     all, or that overflows, raises ``PredictabilityError`` naming theta.
     """
-    parts = solution.parts
-    if not {"initial", "fmap", "f_y", "pushforward"} <= parts.keys():
+    if solution.initial is None:
         raise ValueError("solution was not built by bjw_density")
-    proposal = parts["initial"]  # Density.sample raises if it has no sampler
-    fmap, f_y, pushforward = parts["fmap"], parts["f_y"], parts["pushforward"]
+    proposal = solution.initial  # Density.sample raises if it has no sampler
+    fmap, f_y, pushforward = solution.fmap, solution.f_y, solution.pushforward
 
     def ratio(theta_rows):
         images = eval_batch(fmap, theta_rows)

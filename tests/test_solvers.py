@@ -157,11 +157,11 @@ class TestNewtonRows:
         for i in (0, 1, 3, 4, 5):
             assert np.array_equal(delta[i], np.linalg.solve(jac[i], resid[i]))
 
-    def test_iteration_budget_fails_only_its_row(self):
+    def test_iteration_budget_fails_only_its_row(self, monkeypatch):
+        monkeypatch.setattr(solvers, "NEWTON_MAX_ITER", 3)  # read at call time
         fmap = square_map(-1.0, 1.0)
         heads, ok, iterations = solvers._newton_rows(
-            fmap, np.full((2, 1), 0.25), np.empty((2, 0)), np.array([[0.5], [1e-3]]),
-            max_iter=3)
+            fmap, np.full((2, 1), 0.25), np.empty((2, 0)), np.array([[0.5], [1e-3]]))
         np.testing.assert_array_equal(ok, [True, False])
         np.testing.assert_array_equal(iterations, [0, 3])
         assert heads[0, 0] == 0.5
@@ -358,6 +358,7 @@ class TestBbeLinear:
         A = np.array([[-1.0 / 3.0, 4.0 / 3.0]])
         f_y = make_truncated_gaussian(0.5, 0.25, 0.0, 1.0)
         solution = bbe_linear(A, f_y, bounds=([-1.0], [1.0]))
+        np.testing.assert_array_equal(solution.fmap.matrix, A)
         report = pushforward_check(solution.sample(4000, seed=41), linear_map(A), f_y,
                                    seed=41)
         assert report.passed, report.details
@@ -740,7 +741,7 @@ class TestRatioFormIsChangeOfVariables:
     def test_log_densities_agree(self, update):
         # initial f_Y / pushforward = f_Y(A theta) f_C(M theta) |det T|, pointwise
         fmap, solution = update
-        initial, f_y, push = (solution.parts[k] for k in ("initial", "f_y", "pushforward"))
+        initial, f_y, push = solution.initial, solution.f_y, solution.pushforward
         T, f_c = solvers._gaussian_update_map(initial, fmap, push)
         q = fmap.q
         pts = np.random.default_rng(61).normal(size=(500, fmap.p)) * 2.0
@@ -864,14 +865,12 @@ class TestRatioFormRoute:
 def _ratio_of(solution):
     """The ratio to the initial density, as the sampler takes it:
     exp(log f_Y(g(theta)) - log pushforward(g(theta)))."""
-    parts = solution.parts
-
     def ratio(theta_rows):
-        images = eval_batch(parts["fmap"], theta_rows)
-        log_f_y = parts["f_y"].log_pdf(images)
+        images = eval_batch(solution.fmap, theta_rows)
+        log_f_y = solution.f_y.log_pdf(images)
         out = np.zeros(theta_rows.shape[0])
         ok = log_f_y > -np.inf
-        out[ok] = np.exp(log_f_y[ok] - parts["pushforward"].log_pdf(images)[ok])
+        out[ok] = np.exp(log_f_y[ok] - solution.pushforward.log_pdf(images)[ok])
         return out
 
     return ratio
@@ -886,7 +885,7 @@ def _per_row_rejection(solution, m, seed):
     ``solvers.PILOT_SIZE`` proposals on stream (seed, KIND_PILOT, 0).
     Returns (rows, proposals of the last pass, bound).
     """
-    initial = solution.parts["initial"]
+    initial = solution.initial
     ratio = _ratio_of(solution)
     pilot_draws = initial.sample(rng_for(seed, KIND_PILOT, 0), solvers.PILOT_SIZE)
     bound = 1.2 * float(ratio(pilot_draws).max())
@@ -927,8 +926,7 @@ class TestRejectionMatchesPerRowReference:
         return bjw_density(initial, fmap, f_y, pushforward_density(initial, fmap))
 
     def _pilot_bound(self, solution, seed):
-        pilot = solution.parts["initial"].sample(rng_for(seed, KIND_PILOT, 0),
-                                                 solvers.PILOT_SIZE)
+        pilot = solution.initial.sample(rng_for(seed, KIND_PILOT, 0), solvers.PILOT_SIZE)
         return 1.2 * float(_ratio_of(solution)(pilot).max())
 
     def test_gauss_linear_instance(self, monkeypatch):
@@ -1454,6 +1452,27 @@ def test_sample_of_no_rows_keeps_the_columns(build):
     assert solution.sample(0, 1).shape == (0, solution.density.dim)
 
 
+@pytest.mark.parametrize("build", _ROW_SOLVERS + [_RATIO_SOLVERS[0], _RATIO_SOLVERS[2]],
+                         ids=_ROW_SOLVER_IDS + ["bjw_density_analytic", "bjw_double_update"])
+def test_solution_carries_the_problem_it_solves(build):
+    # not the KDE route: it pushes forward to f_Y pi / pi_hat / Z, not to f_Y
+    solution = build()
+    assert solution.fmap.p == solution.density.dim
+    assert solution.fmap.q == solution.f_y.dim
+    if build in _ROW_SOLVERS:
+        assert solution.initial is None and solution.pushforward is None
+    else:
+        assert solution.initial is not None and solution.pushforward is not None
+    report = pushforward_check(solution.sample(2000, 5), solution.fmap, solution.f_y, seed=5)
+    assert report.passed, report.details
+
+
+@pytest.mark.parametrize("build", _ROW_SOLVERS, ids=_ROW_SOLVER_IDS)
+def test_rejection_refuses_a_change_of_variables_solution(build):
+    with pytest.raises(ValueError, match="not built by bjw_density"):
+        bjw_rejection_sample(build(), 10, seed=1)
+
+
 def _solution_route(build):
     solution = build()
     return solution.sample, solution.density.dim, solution.sample
@@ -1616,8 +1635,7 @@ def test_unreachable_support_attempts_no_row_past_the_first_block(monkeypatch):
 def test_log_space_ratio_equals_pdf_space_ratio_on_bjw_kde():
     # the bjw-kde instance at --samples 2000, seed 1
     solution = _bjw_gauss_linear(lambda initial, fmap: kde_pushforward(initial, fmap, 2000, 1))
-    parts = solution.parts
-    initial = parts["initial"]
+    initial = solution.initial
     bjw_rejection_sample(solution, 0, seed=1)
     pilot = initial.sample(rng_for(1, KIND_PILOT, 0), PILOT_SIZE)
     assert solution.diagnostics["bound"] == 1.2 * _ratio_of(solution)(pilot).max()
@@ -1625,9 +1643,9 @@ def test_log_space_ratio_equals_pdf_space_ratio_on_bjw_kde():
     pdf_space = solution.density.pdf(theta) / initial.pdf(theta)
     # each form rounds its sum of log densities, and exp turns an absolute
     # error there into a relative one: they agree to a few ulps of that sum
-    images = eval_batch(parts["fmap"], theta)
-    logs = (np.abs(initial.log_pdf(theta)) + np.abs(parts["f_y"].log_pdf(images))
-            + np.abs(parts["pushforward"].log_pdf(images)))
+    images = eval_batch(solution.fmap, theta)
+    logs = (np.abs(initial.log_pdf(theta)) + np.abs(solution.f_y.log_pdf(images))
+            + np.abs(solution.pushforward.log_pdf(images)))
     log_space = _ratio_of(solution)(theta)
     assert np.all(np.abs(log_space - pdf_space) <= 4.0 * np.spacing(logs) * pdf_space)
 
@@ -1657,7 +1675,7 @@ def test_rejection_evaluates_the_initial_only_to_draw(monkeypatch):
     def no_evaluation(x):
         raise AssertionError("initial density evaluated")
 
-    monkeypatch.setattr(solution.parts["initial"], "log_pdf", no_evaluation)
+    monkeypatch.setattr(solution.initial, "log_pdf", no_evaluation)
     batch = bjw_rejection_sample(solution, 300, seed=5)
     assert batch.shape == (300, 2)
     assert solution.diagnostics["proposals"] >= 300
@@ -1673,7 +1691,7 @@ def test_proposal_calls_do_not_grow_with_rows(monkeypatch):
     # are one block each, whose rounds are its slowest row's proposals:
     # about log(m) / -log(1 - acceptance), a few dozen here, not one per row
     solution = _bjw_gauss_linear(lambda initial, fmap: kde_pushforward(initial, fmap, 500, 2))
-    initial = solution.parts["initial"]
+    initial = solution.initial
     calls = []
     real = initial.sample
 

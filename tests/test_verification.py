@@ -347,9 +347,9 @@ class TestPushforwardCheck:
     def test_observable_without_cdfs_or_sampler_raises(self, q, lacking):
         # a q >= 2 check draws from the observable for its energy test
         gauss = make_gaussian(GaussianParams(np.zeros(q), np.eye(q)))
-        parts = {"sample_fn": gauss.sample, "marginal_cdfs": gauss.marginal_cdf}
-        del parts[lacking]
-        f_y = Density(q, gauss.support, gauss.log_pdf, name="partial", **parts)
+        kept = {"sample_fn": gauss.sample, "marginal_cdfs": gauss.marginal_cdf}
+        del kept[lacking]
+        f_y = Density(q, gauss.support, gauss.log_pdf, name="partial", **kept)
         samples = gauss.sample(rng_for(5, 0, 0), 200)
         with pytest.raises(ValueError, match="density 'partial' has no"):
             pushforward_check(samples, linear_map(np.eye(q)), f_y, seed=5)

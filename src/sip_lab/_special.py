@@ -7,7 +7,8 @@ the Gaussian factor exp(-x^2/2) split so that its large part is exact;
 is the limiting Kolmogorov tail (Marsaglia, Tsang & Wang, J. Stat. Softw. 8,
 2003); ``betainc`` is the regularized incomplete beta by Lentz's continued
 fraction, its front factor in log space where its parts leave the normal
-range, so that large shapes give no NaN.  Log-gamma is ``math.lgamma``.
+range, so that large shapes give no NaN, and log B(a, b) a Stirling
+difference where both shapes are large.  Log-gamma is ``math.lgamma``.
 ``tests/test_special.py`` holds each to 1e-14 relative against reference
 implementations (``ndtri`` to the bit), or names the range where that cannot hold.
 """
@@ -148,6 +149,35 @@ def _nonzero(v):
     return np.where(np.abs(v) < 1e-300, 1e-300, v)
 
 
+STIRLING_MIN = 12.0  # log_beta's switch, min(a, b), where its Stirling form wins
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _stirling_rest(x: float) -> float:
+    """lgamma(x) - ((x - 1/2) log x - x + log sqrt(2 pi)), Stirling's series
+    to x^-9: within 3e-15 of it for x >= 12."""
+    r = 1.0 / (x * x)
+    return (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / x
+
+
+def log_beta(a: float, b: float) -> float:
+    """log B(a, b).  lgamma(a) + lgamma(b) - lgamma(a + b) cancels, so its
+    rounding, about ulp(lgamma(a + b)), grows with the shapes (6e-10 at
+    a = b = 1e5).  Where both shapes are at least STIRLING_MIN the Stirling
+    difference, with p <= q and f = p / (p + q),
+    log sqrt(2 pi) - log(q) / 2 + (p - 1/2) log f + q log1p(-f) + rests,
+    stays within 2 ulps of log B (3e-11 at a = b = 1e5).  Below the switch
+    the series is truncated too early (2e-13 off at (8, 12), 8e-9 at
+    (100, 3)), so the lgamma form is kept."""
+    p, q = min(a, b), max(a, b)
+    if p < STIRLING_MIN:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    f = p / (p + q)
+    rests = _stirling_rest(p) + _stirling_rest(q) - _stirling_rest(p + q)
+    return (_LOG_SQRT_2PI - 0.5 * math.log(q) + (p - 0.5) * math.log(f)
+            + q * math.log1p(-f) + rests)
+
+
 def betainc(a: float, b: float, x):
     """Regularized incomplete beta I_x(a, b) for x in [0, 1], elementwise;
     raises ``NonConvergenceError`` where the fraction is unsettled at 300 terms."""
@@ -156,7 +186,7 @@ def betainc(a: float, b: float, x):
     # above it, I_x(a, b) = 1 - I_{1-x}(b, a)
     swap = x > (a + 1.0) / (a + b + 2.0)
     s, t, z = np.where(swap, b, a), np.where(swap, a, b), np.where(swap, 1.0 - x, x)
-    log_rest = t * np.log1p(-z) - (math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    log_rest = t * np.log1p(-z) - log_beta(a, b)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         head = z**s
         front = head * np.exp(log_rest)

@@ -570,41 +570,37 @@ def run_example(cfg: RunConfig) -> int:
     return 0 if all_passed else 1
 
 
+# the flags only some examples take; every example takes every other flag
+OWN_FLAGS = {"two-to-one": ("w",), "stochastic-map-mean": ("n",),
+             "cov-linear-mvn": ("sigma",), "regression-compare": ("sigma", "xstar")}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # a flag per RunConfig field, typed by its default; RunConfig holds the defaults
     parser = argparse.ArgumentParser(
-        prog="sip-lab",
-        description="Re-run the worked inverse-problem examples and verify them.",
-    )
-    sub = parser.add_subparsers(dest="example", required=True, metavar="EXAMPLE")
-    default = {f.name: f.default for f in fields(RunConfig)}
-    for name in (*EXAMPLES, "all"):  # all: every example, each at its own other defaults
-        what = "every example" if name == "all" else f"the {name} example"
-        sp = sub.add_parser(name, help=f"run {what}")
-        sp.add_argument("--samples", type=int, default=default["samples"])
-        sp.add_argument("--seed", type=int, default=default["seed"])
-        sp.add_argument("--out", type=Path, default=default["out"])
-        sp.add_argument("--format", choices=("csv", "json"), default=default["format"])
-        sp.add_argument("--grid", type=int, default=default["grid"])
-        if name == "two-to-one":
-            sp.add_argument("--w", type=float, default=default["w"],
-                            help="mixture weight on the negative branch")
-        if name in ("cov-linear-mvn", "regression-compare"):
-            sp.add_argument("--sigma", type=float, default=default["sigma"])
-        if name == "regression-compare":
-            sp.add_argument("--xstar", type=float, default=default["xstar"])
-        if name == "stochastic-map-mean":
-            sp.add_argument("--n", type=int, default=default["n"],
-                            help="number of replicate observables")
+        prog="sip-lab", argument_default=argparse.SUPPRESS,
+        description="Re-run the worked inverse-problem examples and verify them.")
+    parser.add_argument("example", choices=(*EXAMPLES, "all"), metavar="EXAMPLE",
+                        help="%(choices)s; all runs every example in one process")
+    for f in fields(RunConfig)[1:]:
+        takers = [name for name, own in OWN_FLAGS.items() if f.name in own] or ["every example"]
+        parser.add_argument(f"--{f.name}", type=type(f.default),
+                            choices=("csv", "json") if f.name == "format" else None,
+                            help=f"default {f.default}; taken by {' and '.join(takers)}")
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = vars(parser.parse_args(argv))
-    names = EXAMPLES if args["example"] == "all" else (args["example"],)
+    given = vars(parser.parse_args(argv))
+    example = given.pop("example")
+    others = {flag for own in OWN_FLAGS.values() for flag in own} - {*OWN_FLAGS.get(example, ())}
+    if stray := [f"--{flag}" for flag in given if flag in others]:
+        parser.error(f"unrecognized arguments for {example}: {' '.join(stray)}")
+    names = EXAMPLES if example == "all" else (example,)
     try:
-        cfgs = [RunConfig(**{**args, "example": name}) for name in names]
+        cfgs = [RunConfig(name, **given) for name in names]
     except ValueError as err:  # a flag value out of range: usage error, exit 2
         parser.error(str(err))
     return max([run_example(cfg) for cfg in cfgs])  # the worst exit code

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import POINT_BLOCK
-from ._special import betainc, in_ndtr_core, ndtr, ndtr_core, ndtri
+from ._special import betainc, in_ndtr_core, log_beta, ndtr, ndtr_core, ndtri
 from .errors import DomainError, NotPositiveDefiniteError
 from .sampling import KIND_ROWS, rng_for
 
@@ -299,7 +299,7 @@ def make_beta(a: float, b: float) -> Density:
     """Beta(a, b) on (0, 1); sampling delegates to the generator's gamma-ratio method."""
     if not (0 < a < math.inf and 0 < b < math.inf):
         raise DomainError(f"beta shapes must be finite and positive, got a={a}, b={b}")
-    log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    log_norm = -log_beta(a, b)
 
     def log_pdf_fn(pts):
         x = pts[:, 0]

@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -64,10 +65,23 @@ def test_invalid_flag_exits_2(capsys):
 
 
 def test_parser_registers_all_examples():
+    # one help page names every example and every flag
     parser = build_parser()
     text = parser.format_help()
     for name in EXAMPLES:
         assert name in text
+    for f in fields(RunConfig)[1:]:
+        assert f"--{f.name}" in text
+
+
+@pytest.mark.parametrize("argv", [["bbe-linear", "--w", "0.3"], ["two-to-one", "--sigma", "2"],
+                                  ["regression-compare", "--n", "3"], ["all", "--xstar", "1"]])
+def test_flag_an_example_does_not_take_exits_2(capsys, monkeypatch, argv):
+    monkeypatch.setattr("sip_lab.cli.run_example", lambda cfg: pytest.fail("ran"))
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert argv[1] in capsys.readouterr().err
 
 
 def test_parser_is_built_once_and_parses_each_call_afresh(monkeypatch):
@@ -441,6 +455,16 @@ def _assert_formats_per_value(values):
     want = np.array([f"{v:.17g}".encode() for v in values.tolist()], dtype="S24")
     bad = np.flatnonzero(got != want)
     assert bad.size == 0, [(values[i], got[i], want[i]) for i in bad[:5]]
+
+
+def test_digit_tables_hold_each_four_digit_group_and_its_trailing_zeros():
+    from sip_lab.cli import _digit_tables
+
+    text, zeros = _digit_tables()
+    groups = [f"{i:04d}".encode() for i in range(10_000)]
+    np.testing.assert_array_equal(text, np.frombuffer(b"".join(groups), dtype=np.uint32))
+    assert zeros.dtype == np.int8
+    np.testing.assert_array_equal(zeros, [len(g) - len(g.rstrip(b"0")) for g in groups])
 
 
 def test_format17_matches_per_value_formatting_on_random_bit_patterns():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.special as sc
 
-from sip_lab._special import betainc, kolmogorov, ndtr, ndtri
+from sip_lab._special import betainc, kolmogorov, log_beta, ndtr, ndtri
 
 REL = 1e-14
 
@@ -123,8 +123,8 @@ class TestBetainc:
     @pytest.mark.parametrize("a,b", [(8.0, 12.0), (12.0, 8.0), (2.0, 5.0), (0.3, 4.0),
                                      (1.0, 1.0), (3.0, 1.0)])
     def test_matches_scipy(self, a, b):
-        # Shapes much larger than these lose accuracy: lgamma(a) + lgamma(b)
-        # - lgamma(a + b) cancels, and its rounding, about ulp(lgamma(a + b)),
+        # Below log_beta's switch, min(a, b) < 12, lgamma(a) + lgamma(b) -
+        # lgamma(a + b) cancels, and its rounding, about ulp(lgamma(a + b)),
         # becomes relative error (2e-14 at (100, 3)).  sip_lab uses (8, 12).
         # Below 1e-300 the factor x^a is subnormal before 1 / B(a, b) scales
         # it up, and scipy flushes subnormal results to 0: compare absolutely.
@@ -147,12 +147,33 @@ class TestBetainc:
     @pytest.mark.parametrize("a", [700.0, 1e3, 1e4])
     def test_large_equal_shapes_match_scipy(self, a):
         # x^a underflows where exp(-log B(a, a)) overflows: 2,504 of these
-        # points were NaN at a = 700 when the two were formed apart.  log B =
-        # 2 lgamma(a) - lgamma(2a) cancels (lgamma(2a) is 1.3e4 at a = 1e3), so
-        # compare absolutely: the error is 8.3e-13 at a = 1e3, 5.1e-13 at 1e4.
+        # points were NaN at a = 700 when the two were formed apart.  log B is
+        # -1.4e4 at a = 1e4, and its rounding becomes relative error, so
+        # compare absolutely: the error is 4.3e-14 at a = 1e3, 1.3e-12 at 1e4.
         x = np.linspace(0.0, 1.0, 4_001)
         got = betainc(a, a, x)
         assert np.max(np.abs(got - sc.betainc(a, a, x))) <= 2e-12
+
+    @pytest.mark.parametrize("a,b,bound", [(1e3, 1e3, 2e-13), (1e5, 1e5, 3e-11),
+                                           (1e5, 2e5, 3e-11)])
+    def test_large_shapes_take_log_beta_from_stirling(self, a, b, bound):
+        # lgamma(a) + lgamma(b) - lgamma(a + b) gave 8.3e-13, 3.2e-10 and
+        # 1.4e-10 here; the Stirling difference gives 4.3e-14, 8.6e-12 and
+        # 4.3e-12.  scipy is within 2e-14 of mpmath at a = b = 1e5.
+        x = np.linspace(0.0, 1.0, 4_001)
+        assert np.max(np.abs(betainc(a, b, x) - sc.betainc(a, b, x))) <= bound
+
+    def test_log_beta_against_mpmath(self):
+        # within 2 ulps of log B where both shapes reach the switch, and the
+        # lgamma form, bit for bit, below it: Beta(8, 12) keeps its bits
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        for a, b in [(12.0, 12.0), (12.0, 3e4), (16.1, 79277.3), (1e3, 1e3), (1e5, 1e5),
+                     (2e5, 1e5), (1e8, 1e8)]:
+            want = mpmath.log(mpmath.beta(a, b))
+            assert abs(float(log_beta(a, b) - want)) <= 2 * math.ulp(float(want)), (a, b)
+        for a, b in [(8.0, 12.0), (12.0, 8.0), (100.0, 3.0), (11.9, 1e5)]:
+            assert log_beta(a, b) == math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
     def test_unconverged_fraction_raises(self):
         # at a = b = 1e6 the fraction needs about 530 terms near x = 1/2

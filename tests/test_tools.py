@@ -1,6 +1,7 @@
 """tools/artifact_digests.py, the tool that a byte-identity claim between two
-checkouts is a ``diff`` of."""
+checkouts is a ``diff`` of, and the other tools under ``tools/``."""
 
+import json
 import os
 import re
 import subprocess
@@ -47,3 +48,29 @@ def test_calibration_sweep_counts_every_example_at_every_seed():
     result = subprocess.run([sys.executable, str(tool), "0", "1", "200"], capture_output=True,
                             text=True, check=True, timeout=120, env=env)
     assert result.stdout.splitlines()[-1].endswith("failing runs of 10")
+
+
+def test_bench_record_quick_appends_a_point_of_every_measurement(tmp_path):
+    # the schema only: a quick point's times are not comparable, so none is asserted
+    tool = TOOL.parent / "bench_record.py"
+    target = tmp_path / "BENCH_examples.json"
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    target.write_text(json.dumps({"points": [{"label": "earlier"}]}))
+    subprocess.run([sys.executable, str(tool), "--quick", "--file", str(target),
+                    "--label", "quick"], capture_output=True, text=True, check=True,
+                   timeout=300, env=env)
+    points = json.loads(target.read_text())["points"]
+    assert [p["label"] for p in points] == ["earlier", "quick"]
+    point = points[-1]
+    assert point["commit"] is None or re.fullmatch(r"[0-9a-f]{40}", point["commit"])
+    assert isinstance(point["dirty"], bool)
+    assert point["quick"] is True and point["repeats"] == 1
+    assert {"date", "python", "numpy", "nproc", "unit"} <= point.keys()
+    assert list(point["in_process_s"]) == list(cli.EXAMPLES)
+    assert list(point["fresh_single_s"]) == list(cli.EXAMPLES)
+    assert list(point["first_parse_s"]) == [*cli.EXAMPLES, "all"]
+    times = [*point["in_process_s"].values(), *point["fresh_single_s"].values(),
+             *point["first_parse_s"].values(), point["in_process_sum_s"],
+             point["fresh_single_sum_s"], point["fresh_all_s"], point["tier1"]["s"]]
+    assert all(isinstance(t, float) for t in times)
+    assert point["tier1"]["exit"] == 0 and "1 passed" in point["tier1"]["summary"]

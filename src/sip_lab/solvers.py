@@ -85,26 +85,47 @@ IMAGE_RTOL = 1e-12  # a Gaussian pushforward this close to the initial's image i
 
 @dataclass
 class SipSolution:
-    """A solved inverse problem: a density, the problem it solves, its sampler.
+    """A solved inverse problem: a density, the problem it solves, and the
+    change of variables it draws from.
 
     ``density.name`` names the solution.  Every solver sets ``fmap`` and
     ``f_y``, the forward map and the observable density that ``density``
-    pushes forward to (up to the estimate, for an estimated pushforward), and
-    ``sample``, a callable ``(n, seed) -> (n, p) array`` with deterministic
-    generator streams; each draw, also :func:`bjw_rejection_sample`'s,
-    replaces ``diagnostics`` with its counters.  Ratio-form solutions
-    (:func:`bjw_density`) also keep the ``initial`` density that rejection
-    proposes from, also when ``sample`` draws directly, and the
+    pushes forward to (up to the estimate, for an estimated pushforward).  A
+    change of variables (:func:`_change_of_variables`) also sets ``forward``,
+    ``(n, p) theta -> (y (n, q), c (n, p - q), log|det| (n,))``, its
+    ``inverse``, ``(y, c, rng) -> (theta (k, p), ok (k,))``, the law ``f_c``
+    of c (None when p = q) and the attempts per row, ``retries``.  Ratio-form
+    solutions (:func:`bjw_density`) also keep the ``initial`` density that
+    rejection proposes from, also when they draw directly, and the
     ``pushforward`` it divides by; the other routes leave both None.
+    :meth:`sample` draws; each draw replaces ``diagnostics`` with its counters.
     """
 
     density: Density
     fmap: ForwardMap
     f_y: Density
-    sample: object = None
+    f_c: Density | None = None
+    forward: object = None
+    inverse: object = None
+    retries: int = 1
     diagnostics: dict = field(default_factory=dict)
     initial: Density | None = None
     pushforward: Density | None = None
+
+    def targets(self, rng, k: int):
+        """A block's (y (k, q), c (k, p - q)): every y from f_Y, then every c from f_C."""
+        y = self.f_y.sample(rng, k)
+        return y, np.empty((k, 0)) if self.f_c is None else self.f_c.sample(rng, k)
+
+    def sample(self, n: int, seed: int) -> np.ndarray:
+        """The (n, p) rows for ``seed``: through ``inverse`` row by row, or by
+        :func:`bjw_rejection_sample` where there is none."""
+        # both looked up by module-global name, so perfbench's tracer sees each draw
+        if self.inverse is None:
+            return bjw_rejection_sample(self, n, seed)
+        data, self.diagnostics = _solve_rows(self.targets, self.inverse, n, seed,
+                                             retries=self.retries, label=self.density.name)
+        return data.reshape(-1, self.fmap.p)  # (0, p) when n is 0
 
 
 # ---------------------------------------------------------------------------
@@ -275,22 +296,20 @@ def _solve_rows(draw, attempt, m: int, seed: int, retries: int = ROW_RETRIES,
 
 
 def _change_of_variables(fmap: ForwardMap, f_y: Density, f_c: Density | None,
-                         forward, inverse, name: str, density: Density = None,
-                         retries: int = 1) -> SipSolution:
+                         forward, inverse, name: str, retries: int = 1) -> SipSolution:
     """The solution that a reparameterization theta <-> (y, c) makes of f_Y f_C,
-    with y = g(theta) for the map ``fmap``.
+    with y = g(theta) for the map ``fmap``; it keeps all five as fields.
 
-    ``forward((n, p) theta) -> (y, c, log|det d(y, c)/d theta|)`` gives the
-    observable value, the p - q contour coordinates and the log Jacobian;
-    its density is f_Y(y) f_C(c) |det|, summed in log space in that order.
-    ``f_c=None`` means there are no contour coordinates.  ``sample(n, seed)``
-    draws a block's y from f_Y, then its c from f_C, one call each, and row
-    i's from its own stream; ``inverse(y, c, rng) ->
-    (theta (k, p), ok (k,))`` maps a block's pending rows back at once and
-    may draw Newton starts or branch picks from the block's one generator.
-    Rows that are not ok retry with their y and c, up to ``retries`` attempts,
-    which only a fresh Newton start can use.  The density lives on the map's
-    domain; a caller with a form of it of its own passes it as ``density``.
+    ``forward((n, p) theta) -> (y (n, q), c (n, p - q), log|det d(y, c)/d theta| (n,))``
+    gives the observable value, the contour coordinates and the log Jacobian;
+    the density, on the map's domain, is f_Y(y) f_C(c) |det|, summed in log
+    space in that order.  ``f_c=None`` means there are no contour coordinates,
+    and c is (n, 0).  :meth:`SipSolution.sample` draws a block's y from f_Y,
+    then its c from f_C, one call each, and row i's from its own stream;
+    ``inverse(y, c, rng) -> (theta (k, p), ok (k,))`` maps a block's pending
+    rows back at once and may draw Newton starts or branch picks from the
+    block's one generator.  Rows that are not ok retry with their y and c, up
+    to ``retries`` attempts, which only a fresh Newton start can use.
     """
     p, q = fmap.p, fmap.q
     n_c = 0 if f_c is None else f_c.dim
@@ -306,22 +325,8 @@ def _change_of_variables(fmap: ForwardMap, f_y: Density, f_c: Density | None,
             out = out + f_c.log_pdf(c)
         return out + log_det
 
-    if density is None:
-        density = Density(p, fmap.domain, log_pdf_fn=log_pdf_fn, name=name)
-    solution = SipSolution(density, fmap, f_y)
-
-    def draw(rng, k):
-        y = f_y.sample(rng, k)
-        return y, np.empty((k, 0)) if f_c is None else f_c.sample(rng, k)
-
-    def sample(n, seed):
-        # looked up by module-global name, so perfbench's tracer sees each draw
-        data, diag = _solve_rows(draw, inverse, n, seed, retries=retries, label=name)
-        solution.diagnostics = diag
-        return data.reshape(-1, p)  # (0, p) when n is 0
-
-    solution.sample = sample
-    return solution
+    return SipSolution(Density(p, fmap.domain, log_pdf_fn=log_pdf_fn, name=name), fmap, f_y,
+                       f_c, forward, inverse, retries)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +447,7 @@ def cov_mixture_family(fmap: ForwardMap, f_y: Density, branches,
             weight[np.asarray(branch.member(pts), dtype=bool)] = wt
         dets = np.abs(np.linalg.det(jacobian_batch(fmap, pts)))
         with np.errstate(divide="ignore"):
-            return eval_batch(fmap, pts), None, np.log(dets) + np.log(weight)
+            return eval_batch(fmap, pts), np.empty((len(pts), 0)), np.log(dets) + np.log(weight)
 
     def inverse(y, c, rng):
         k = y.shape[0]
@@ -476,25 +481,22 @@ def bbe_linear(A, f_y: Density, bounds=None) -> SipSolution:
     and the null-space coordinate c = A_perp theta is uniform on the box
     [l, u].  With constant bounds the density is fully normalized:
     f(theta) = f_Y(A theta) * prod(u - l)^-1 * |det [A; A_perp]| on the slab.
+    A square A has no c, and its ``bounds`` go unused.
     """
     fmap = linear_map(A)
     perp = null_space_rows(fmap.matrix)
     if bounds is None and fmap.p > fmap.q:
         raise ValueError("bounds (l, u) required when p > q")
-    f_c = make_uniform(*(([], []) if bounds is None else bounds))
+    f_c = None if fmap.p == fmap.q else make_uniform(*bounds)
     return _linear_solution(fmap, np.vstack([fmap.matrix, perp]), f_y, f_c, "bbe_linear")
 
 
 def _linear_solution(fmap: ForwardMap, T: np.ndarray, f_y: Density, f_c: Density | None,
-                     name: str, log_pdf_fn=None,
-                     gaussian: GaussianParams | None = None) -> SipSolution:
+                     name: str) -> SipSolution:
     """The change of variables by an invertible matrix: (y, c) = T theta.
 
     The first q rows of T, the linear map ``fmap``'s matrix, give y and the
-    rest give c; the log Jacobian is log|det T|, and every row inverts.  A
-    caller with a form of the density of its own passes its ``log_pdf_fn``
-    (and ``gaussian``); that density draws as the rows do, y then c from one
-    generator.
+    rest give c; the log Jacobian is log|det T|, and every row inverts.
     """
     log_det = float(np.log(np.abs(np.linalg.det(T))))
     # precomputed inverse: both callers' T are well conditioned by
@@ -503,21 +505,14 @@ def _linear_solution(fmap: ForwardMap, T: np.ndarray, f_y: Density, f_c: Density
     head, rest = T[:fmap.q], T[fmap.q:]
 
     def forward(pts):
-        return pts @ head.T, pts @ rest.T, log_det
+        return pts @ head.T, pts @ rest.T, np.full(len(pts), log_det)
 
     def inverse(y, c, rng=None):
         # a stack of matrix-vector products rounds as the one-row product does
         rows = np.matmul(T_inv, np.hstack([y, c])[:, :, None])[:, :, 0]
         return rows, np.ones(len(rows), dtype=bool)
 
-    def draw(rng, n):
-        y = f_y.sample(rng, n)
-        return inverse(y, np.empty((n, 0)) if f_c is None else f_c.sample(rng, n))[0]
-
-    density = None if log_pdf_fn is None else Density(
-        fmap.p, fmap.domain, log_pdf_fn=log_pdf_fn, sample_fn=draw, name=name,
-        gaussian=gaussian)
-    return _change_of_variables(fmap, f_y, f_c, forward, inverse, name, density=density)
+    return _change_of_variables(fmap, f_y, f_c, forward, inverse, name)
 
 
 def polar_arc(r):
@@ -558,7 +553,8 @@ def bbe_polar(f_y: Density) -> SipSolution:
         phi = np.arctan2(pts[:, 1], pts[:, 0])
         phi1, phi2 = polar_arc(r)
         width = np.where(phi2 > phi1, phi2 - phi1, np.inf)  # none at the corner
-        return 0.5 * r * r, np.clip((phi - phi1) / width, 0.0, 1.0), -np.log(width)
+        c = np.clip((phi - phi1) / width, 0.0, 1.0)
+        return (0.5 * r * r)[:, None], c[:, None], -np.log(width)
 
     def inverse(y, c, rng):
         r = np.sqrt(2.0 * y[:, 0])
@@ -645,17 +641,19 @@ def bjw_density(initial: Density, fmap: ForwardMap, f_y: Density,
     if linear is None:
         solution = SipSolution(Density(initial.dim, initial.support, log_pdf_fn=log_pdf_fn,
                                        name=name), fmap, f_y)
-        solution.sample = lambda n, seed: bjw_rejection_sample(solution, n, seed)
     else:
         T, f_c = linear
+        solution = _linear_solution(fmap, T, f_y, f_c, name)
         gaussian = None
         if f_y.gaussian is not None:
             # optional: an ill-conditioned update that fails its guards still draws
             with contextlib.suppress(ArithmeticError, NotPositiveDefiniteError):
                 gaussian = bjw_gaussian_linear(fmap.matrix, f_y.gaussian.mean, f_y.gaussian.cov,
                                                initial.gaussian.mean, initial.gaussian.cov)
-        # the ratio form on this route too, not f_Y f_C |det T|
-        solution = _linear_solution(fmap, T, f_y, f_c, name, log_pdf_fn, gaussian)
+        # the ratio form on this route too, not f_Y f_C |det T|; it draws as the rows do
+        solution.density = Density(
+            fmap.p, fmap.domain, log_pdf_fn=log_pdf_fn, name=name, gaussian=gaussian,
+            sample_fn=lambda rng, n: solution.inverse(*solution.targets(rng, n))[0])
     solution.initial, solution.pushforward = initial, pushforward
     return solution
 

@@ -18,4 +18,5 @@ def test_library_quick_start_runs():
     namespace = {"__name__": "readme_quick_start"}
     exec(compile(_python_block("Library quick start"), str(README), "exec"), namespace)
     assert namespace["samples"].shape == (10_000, 2)
+    assert namespace["y"].shape == namespace["c"].shape == (10_000, 1)
     assert namespace["report"].passed

@@ -1419,10 +1419,11 @@ _ROW_SOLVERS = [
                              make_gaussian(GaussianParams([0.0], [[1.0]]))),
     lambda: bbe_linear([[-1.0 / 3.0, 4.0 / 3.0]], make_truncated_gaussian(0.5, 0.25, 0.0, 1.0),
                        bounds=([-1.0], [1.0])),
+    lambda: bbe_linear([[2.0]], make_truncated_gaussian(0.5, 0.25, 0.0, 1.0)),
     lambda: bbe_polar(make_beta(8.0, 12.0)),
 ]
 _ROW_SOLVER_IDS = ["cov_exact", "cov_mixture_family", "intuitive_sample", "bbe_linear",
-                   "bbe_polar"]
+                   "bbe_linear_square", "bbe_polar"]
 
 
 _RATIO_SOLVERS = [
@@ -1463,8 +1464,25 @@ def test_solution_carries_the_problem_it_solves(build):
         assert solution.initial is None and solution.pushforward is None
     else:
         assert solution.initial is not None and solution.pushforward is not None
-    report = pushforward_check(solution.sample(2000, 5), solution.fmap, solution.f_y, seed=5)
+    theta = solution.sample(2000, 5)
+    report = pushforward_check(theta, solution.fmap, solution.f_y, seed=5)
     assert report.passed, report.details
+    # the change of variables it draws from: forward inverts, and the density is f_Y f_C |det|
+    p, q, n = solution.fmap.p, solution.fmap.q, len(theta)
+    y, c, log_det = solution.forward(theta)
+    assert (y.shape, c.shape, log_det.shape) == ((n, q), (n, p - q), (n,))
+    back, ok = solution.inverse(y, c, np.random.default_rng(5))
+    assert ok.all()
+    for got, want in zip(solution.forward(back)[:2], (y, c)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    log_f_c = 0.0 if solution.f_c is None else solution.f_c.log_pdf(c)
+    np.testing.assert_allclose(solution.density.log_pdf(theta),
+                               solution.f_y.log_pdf(y) + log_f_c + log_det, rtol=0, atol=1e-12)
+
+
+def test_estimated_update_has_no_change_of_variables():
+    solution = _RATIO_SOLVERS[1]()
+    assert solution.forward is solution.inverse is None and solution.f_c is None
 
 
 @pytest.mark.parametrize("build", _ROW_SOLVERS, ids=_ROW_SOLVER_IDS)
@@ -1559,6 +1577,7 @@ _UNIT_SQUARE = ([0.1, 0.1], [0.9, 0.9])
                               make_uniform([0.0], [1.0])), 2, 1),
     (lambda: bbe_linear([[1.0, 1.0]], make_uniform(*_UNIT_SQUARE),
                         bounds=([-1.0], [1.0])), 2, 1),
+    (lambda: bbe_linear([[2.0]], make_uniform(*_UNIT_SQUARE)), 2, 1),
     (lambda: bbe_polar(make_uniform(*_UNIT_SQUARE)), 2, 1),
     (lambda: _bjw_gauss_linear(lambda initial, fmap: make_uniform(*_UNIT_SQUARE)), 2, 1),
 ], ids=_ROW_SOLVER_IDS + ["bjw_density"])

@@ -147,21 +147,22 @@ class TestBetainc:
     @pytest.mark.parametrize("a", [700.0, 1e3, 1e4])
     def test_large_equal_shapes_match_scipy(self, a):
         # x^a underflows where exp(-log B(a, a)) overflows: 2,504 of these
-        # points were NaN at a = 700 when the two were formed apart.  log B is
-        # -1.4e4 at a = 1e4, and its rounding becomes relative error, so
-        # compare absolutely: the error is 4.3e-14 at a = 1e3, 1.3e-12 at 1e4.
+        # points were NaN at a = 700 when the two were formed apart.  Formed
+        # as x^a (1 - x)^a exp(-log B), the rounding of log B (-1.4e4 at
+        # a = 1e4) became relative error, 1.3e-12 here; the one-log1p front
+        # factor gives 6.5e-15, 6.1e-15 and 1.4e-14.  Compare absolutely.
         x = np.linspace(0.0, 1.0, 4_001)
         got = betainc(a, a, x)
-        assert np.max(np.abs(got - sc.betainc(a, a, x))) <= 2e-12
+        assert np.max(np.abs(got - sc.betainc(a, a, x))) <= 1e-13
 
-    @pytest.mark.parametrize("a,b,bound", [(1e3, 1e3, 2e-13), (1e5, 1e5, 3e-11),
-                                           (1e5, 2e5, 3e-11)])
-    def test_large_shapes_take_log_beta_from_stirling(self, a, b, bound):
+    @pytest.mark.parametrize("a,b", [(1e3, 1e3), (1e5, 1e5), (1e5, 2e5)])
+    def test_large_shapes_take_log_beta_from_stirling(self, a, b):
         # lgamma(a) + lgamma(b) - lgamma(a + b) gave 8.3e-13, 3.2e-10 and
-        # 1.4e-10 here; the Stirling difference gives 4.3e-14, 8.6e-12 and
-        # 4.3e-12.  scipy is within 2e-14 of mpmath at a = b = 1e5.
+        # 1.4e-10 here, the Stirling log B 4.3e-14, 8.6e-12 and 4.3e-12, and
+        # the front factor from its Stirling terms 6.1e-15, 4.8e-14 and
+        # 6.1e-14.  scipy is within 2e-14 of mpmath at a = b = 1e5.
         x = np.linspace(0.0, 1.0, 4_001)
-        assert np.max(np.abs(betainc(a, b, x) - sc.betainc(a, b, x))) <= bound
+        assert np.max(np.abs(betainc(a, b, x) - sc.betainc(a, b, x))) <= 1e-13
 
     def test_log_beta_against_mpmath(self):
         # within 2 ulps of log B where both shapes reach the switch, and the
